@@ -42,14 +42,9 @@ def make_bilevel_game(n_resources: int, descs: Sequence, budget) -> BilevelGame:
     game = Game(
         n_resources=n_resources,
         players=players,
-        cost_model=Bilevel(budget=Fraction(budget)),
+        cost_model=Bilevel(m=n_resources, budget=Fraction(budget)),
     )
     return BilevelGame(base=game)
-
-
-def attack_allocation(loads: Sequence, budget) -> tuple:
-    """The attack vector kappa*: budget split evenly over the argmax loads."""
-    return kappa_star(loads, budget)
 
 
 def identity_nu(game: BilevelGame, max_load: int = None) -> PlayerSpecificSeparable:

@@ -21,7 +21,6 @@ from .costs import (
     Tabulated,
     eval_cost,
     eval_cost_entry,
-    model_dimension,
 )
 from .errors import GameError, LoadRangeError, UsageError
 
@@ -196,7 +195,6 @@ def _close(a, b, tol: float) -> bool:
 def classify_weighted(
     model: CostModel,
     grid: Optional[Sequence] = None,
-    m: Optional[int] = None,
     tol: float = 1e-9,
 ) -> ConsistencyReport:
     """Affine/exponential dichotomy on a rational sample grid.
@@ -226,7 +224,7 @@ def classify_weighted(
     delta = grid[1] - grid[0]
     if any(grid[k + 1] - grid[k] != delta for k in range(len(grid) - 1)) or delta <= 0:
         raise UsageError("the sample grid must be an increasing arithmetic progression")
-    dim = model_dimension(model, m)
+    dim = model.m
 
     points = list(product(grid, repeat=dim))
     values = {pt: eval_cost(model, pt) for pt in points}

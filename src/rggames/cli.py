@@ -45,7 +45,7 @@ from .dynamics import (
     run_best_response_dynamics,
     verify_pne,
 )
-from .errors import GameError, StructureError
+from .errors import StructureError, UsageError
 from .gadgets import GadgetSpec, build_gadget
 from .matroid import Graphic, Partition, Uniform
 from .potential import potential_unweighted, potential_weighted_affine
@@ -161,7 +161,8 @@ def cost_to_json(model) -> dict:
     raise StructureError(f"unknown cost model {model!r}")
 
 
-def cost_from_json(obj: dict, path: str = "cost"):
+def cost_from_json(obj: dict, path: str = "cost", m=None):
+    """Decode a cost model; m is the document's resource count, which only bilevel needs."""
     kind = _pop(obj, "kind", path)
     if kind == "tabulated":
         hoods = tuple(tuple(h) for h in _pop(obj, "neighborhoods", path))
@@ -192,7 +193,7 @@ def cost_from_json(obj: dict, path: str = "cost"):
             b=tuple(float(v) for v in _pop(obj, "b", path)),
         )
     elif kind == "bilevel":
-        model = Bilevel(budget=rat(_pop(obj, "budget", path)))
+        model = Bilevel(m=m, budget=rat(_pop(obj, "budget", path)))
     elif kind == "player_specific":
         model = PlayerSpecificSeparable(
             nu=tuple(
@@ -222,6 +223,15 @@ def _reject_unknown(obj: dict, path: str) -> None:
 
 def _support(vector) -> list:
     return [r for r, e in enumerate(vector) if e]
+
+
+def _from_support(support, m: int, value, path: str) -> tuple:
+    """The length-m vector with `value` on the support; every index must lie in 0..m-1."""
+    chosen = set(support)
+    for r in chosen:
+        if not isinstance(r, int) or not 0 <= r < m:
+            raise StructureError(f"{path}: resource index {r!r} outside 0..{m - 1}")
+    return tuple(value if r in chosen else 0 for r in range(m))
 
 
 def game_to_json(game: Game, bounds=None) -> dict:
@@ -257,7 +267,8 @@ def game_from_json(doc: dict) -> Game:
         if "explicit" in sd:
             supports = sd.pop("explicit")
             vectors = tuple(
-                tuple(1 if r in set(sup) else 0 for r in range(m)) for sup in supports
+                _from_support(sup, m, 1, f"{path}.strategies.explicit[{k}]")
+                for k, sup in enumerate(supports)
             )
             space = Explicit(vectors=vectors)
         elif "matroid" in sd:
@@ -267,7 +278,7 @@ def game_from_json(doc: dict) -> Game:
         _reject_unknown(sd, path + ".strategies")
         _reject_unknown(pd, path)
         players.append(Player(weight=weight, strategy_space=space))
-    cost = cost_from_json(_pop(doc, "cost", "$"))
+    cost = cost_from_json(_pop(doc, "cost", "$"), m=m)
     doc.pop("bounds", None)
     _reject_unknown(doc, "$")
     return Game(n_resources=m, players=tuple(players), cost_model=cost)
@@ -279,11 +290,10 @@ def profile_from_json(doc: dict, game: Game) -> tuple:
     _reject_unknown(doc, "profile")
     if len(choices) != game.n_players:
         raise StructureError("profile has wrong number of players")
-    profile = []
-    for i, sup in enumerate(choices):
-        w = game.players[i].weight
-        profile.append(tuple(w if r in set(sup) else 0 for r in range(game.n_resources)))
-    return tuple(profile)
+    return tuple(
+        _from_support(sup, game.n_resources, p.weight, f"profile.choices[{i}]")
+        for i, (p, sup) in enumerate(zip(game.players, choices))
+    )
 
 
 def profile_to_json(profile) -> dict:
@@ -412,28 +422,29 @@ def cmd_verify(args) -> int:
 def _cost_and_bounds(doc: dict):
     if "players" in doc:
         game = game_from_json(doc)
-        bounds = doc.get("bounds", {})
-        return game.cost_model, bounds, game.n_resources
+        return game.cost_model, doc.get("bounds", {})
     doc = dict(doc)
-    cost = cost_from_json(_pop(doc, "cost", "$"))
+    cost = cost_from_json(_pop(doc, "cost", "$"), m=doc.pop("m", None))
     bounds = doc.pop("bounds", {})
-    m = doc.pop("m", None)
     _reject_unknown(doc, "$")
-    return cost, bounds, m
+    return cost, bounds
 
 
 def cmd_characterize(args) -> int:
     raw = _read(args.file)
-    cost, bounds, m = _cost_and_bounds(json.loads(raw))
+    cost, bounds = _cost_and_bounds(json.loads(raw))
     L = args.L if args.L is not None else bounds.get("L", 2)
     if args.weighted:
-        report = classify_weighted(cost, m=m)
+        report = classify_weighted(cost)
     else:
         available = getattr(cost, "max_load", None)
         if available is not None:
             L = min(L, available - 2)
+        if L < 1:
+            # at L = 0 the cross-linearity checks test nothing
+            raise UsageError(f"characterize needs L >= 1 (and L <= max_load - 2), got L = {L}")
         if not isinstance(cost, Tabulated):
-            cost = as_tabulated(cost, max_load=L + 2, m=m)
+            cost = as_tabulated(cost, max_load=L + 2)
         report = analyze_unweighted(cost, L)
     payload = report_to_json(report)
     print(_dump(_stamp(payload, raw)))
@@ -442,7 +453,7 @@ def cmd_characterize(args) -> int:
 
 def cmd_gadget(args) -> int:
     raw = _read(args.file)
-    cost, _bounds, m = _cost_and_bounds(json.loads(raw))
+    cost, _bounds = _cost_and_bounds(json.loads(raw))
     point = tuple(int(v) for v in args.point.split(","))
     resources = tuple(int(v) - 1 for v in args.resources.split(","))
     spec = GadgetSpec(
@@ -500,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rggames", description="resource graph game engine"
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker bound (reserved)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="find an equilibrium or prove none exists")
@@ -548,7 +558,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GameError, OSError, ValueError) as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

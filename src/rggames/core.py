@@ -100,10 +100,9 @@ class Game:
                     f"player {i} has strategies of dimension {p.strategy_space.m}, "
                     f"expected {self.n_resources}"
                 )
-        mm = getattr(self.cost_model, "m", None)
-        if mm is not None and mm != self.n_resources:
+        if self.cost_model.m != self.n_resources:
             raise StructureError(
-                f"cost model covers {mm} resources, game has {self.n_resources}"
+                f"cost model covers {self.cost_model.m} resources, game has {self.n_resources}"
             )
 
     @property
@@ -133,12 +132,10 @@ def private_cost(game: Game, profile: Profile, i: int, loads: Optional[Vector] =
     """pi_i(x) = x_i^T c_i(load(x)); only the support rows of c are evaluated."""
     if loads is None:
         loads = load_of(game, profile)
-    model = game.cost_model
-    player = i if isinstance(model, _costs.PlayerSpecificSeparable) else None
     total = 0
     for r, e in enumerate(profile[i]):
         if e:
-            total += e * _costs.eval_cost_entry(model, loads, r, player)
+            total += e * _costs.eval_cost_entry(game.cost_model, loads, r, i)
     return total
 
 

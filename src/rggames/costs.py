@@ -1,9 +1,12 @@
 """Cost models for resource graph games.
 
-A cost model maps a load vector to a per-resource cost vector.  All models
-except Exponential evaluate in exact rational arithmetic.  Table-backed
-models (Tabulated, SeparablePlusLinear, PlayerSpecificSeparable) accept
-integer loads only and raise LoadRangeError beyond their declared bound.
+A cost model maps a load vector to a per-resource cost vector.  Every model
+class carries its resource count `m` and evaluates one entry c_r(x) with
+`entry(loads, r, player)`; only PlayerSpecificSeparable reads the player
+index.  All models except Exponential evaluate in exact rational
+arithmetic.  Table-backed models (Tabulated, SeparablePlusLinear,
+PlayerSpecificSeparable) accept integer loads only and raise LoadRangeError
+beyond their declared bound.
 """
 
 from __future__ import annotations
@@ -55,6 +58,18 @@ class Tabulated:
             if tuple(sorted(hood)) != tuple(hood):
                 raise StructureError(f"neighborhood of resource {r} must be sorted")
 
+    def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
+        il = _as_int_loads(loads)
+        if len(il) != self.m:
+            raise StructureError("load vector has wrong dimension")
+        if any(v < 0 or v > self.max_load for v in il):
+            raise LoadRangeError(f"load {il} outside 0..{self.max_load}")
+        key = tuple(il[s] for s in self.neighborhoods[r])
+        try:
+            return self.tables[r][key]
+        except KeyError:
+            raise LoadRangeError(f"no table entry for resource {r} at {key}") from None
+
 
 @dataclass(frozen=True, eq=False)
 class SeparablePlusLinear:
@@ -78,6 +93,19 @@ class SeparablePlusLinear:
     def max_load(self) -> int:
         return len(self.f[0]) - 1
 
+    def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
+        il = _as_int_loads(loads)
+        if len(il) != self.m:
+            raise StructureError("load vector has wrong dimension")
+        xr = il[r]
+        if xr < 0 or xr > self.max_load:
+            raise LoadRangeError(f"load {xr} outside 0..{self.max_load}")
+        total = self.f[r][xr]
+        for s, coeff in enumerate(self.A[r]):
+            if coeff and il[s]:
+                total += coeff * il[s]
+        return total
+
 
 @dataclass(frozen=True, eq=False)
 class Affine:
@@ -93,6 +121,13 @@ class Affine:
     @property
     def m(self) -> int:
         return len(self.b)
+
+    def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
+        total = self.b[r]
+        for s, coeff in enumerate(self.A[r]):
+            if coeff and loads[s]:
+                total += coeff * loads[s]
+        return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,18 +146,25 @@ class Exponential:
     def m(self) -> int:
         return len(self.a)
 
+    def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
+        return self.a[r] * math.exp(self.phi * float(loads[r])) + self.b[r]
+
 
 @dataclass(frozen=True, eq=False)
 class Bilevel:
     """c_r(x) = x_r + kappa*_r(x): an attacker budget split over the argmax loads."""
 
+    m: int
     budget: Fraction
 
     def __post_init__(self):
+        if not isinstance(self.m, int) or self.m < 1:
+            raise StructureError(f"bilevel cost needs a positive resource count m, got {self.m!r}")
         if self.budget <= 0:
             raise StructureError("attacker budget must be positive")
 
-    m = None  # resource count is implied by the game
+    def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
+        return loads[r] + kappa_star(loads, self.budget)[r]
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +192,15 @@ class PlayerSpecificSeparable:
     @property
     def max_load(self) -> int:
         return len(self.nu[0][0]) - 1
+
+    def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
+        if player is None:
+            raise UsageError("player-specific model needs a player index")
+        il = _as_int_loads(loads)
+        table = self.nu[player][r]
+        if il[r] < 0 or il[r] >= len(table):
+            raise LoadRangeError(f"load {il[r]} outside table for player {player}, resource {r}")
+        return table[il[r]]
 
 
 CostModel = Union[
@@ -183,70 +234,12 @@ def kappa_star(loads: Loads, budget: Number) -> tuple:
 
 def eval_cost_entry(model: CostModel, loads: Loads, r: int, player: Optional[int] = None) -> Number:
     """Cost of resource r under the given loads (player index for player-specific models)."""
-    if isinstance(model, Tabulated):
-        il = _as_int_loads(loads)
-        if len(il) != model.m:
-            raise StructureError("load vector has wrong dimension")
-        if any(v < 0 or v > model.max_load for v in il):
-            raise LoadRangeError(f"load {il} outside 0..{model.max_load}")
-        key = tuple(il[s] for s in model.neighborhoods[r])
-        try:
-            return model.tables[r][key]
-        except KeyError:
-            raise LoadRangeError(f"no table entry for resource {r} at {key}") from None
-    if isinstance(model, SeparablePlusLinear):
-        il = _as_int_loads(loads)
-        if len(il) != model.m:
-            raise StructureError("load vector has wrong dimension")
-        xr = il[r]
-        if xr < 0 or xr > model.max_load:
-            raise LoadRangeError(f"load {xr} outside 0..{model.max_load}")
-        total = model.f[r][xr]
-        for s, coeff in enumerate(model.A[r]):
-            if coeff and il[s]:
-                total += coeff * il[s]
-        return total
-    if isinstance(model, Affine):
-        total = model.b[r]
-        for s, coeff in enumerate(model.A[r]):
-            if coeff and loads[s]:
-                total += coeff * loads[s]
-        return total
-    if isinstance(model, Exponential):
-        return model.a[r] * math.exp(model.phi * float(loads[r])) + model.b[r]
-    if isinstance(model, Bilevel):
-        return loads[r] + kappa_star(loads, model.budget)[r]
-    if isinstance(model, PlayerSpecificSeparable):
-        if player is None:
-            raise UsageError("player-specific model needs a player index")
-        il = _as_int_loads(loads)
-        table = model.nu[player][r]
-        if il[r] < 0 or il[r] >= len(table):
-            raise LoadRangeError(f"load {il[r]} outside table for player {player}, resource {r}")
-        return table[il[r]]
-    raise UsageError(f"unknown cost model {model!r}")
+    return model.entry(loads, r, player)
 
 
 def eval_cost(model: CostModel, loads: Loads, player: Optional[int] = None) -> tuple:
     """Full cost vector c(x) (or c_i(x) for player-specific models)."""
-    if isinstance(model, PlayerSpecificSeparable) and player is None:
-        raise UsageError("player-specific model needs a player index")
-    if not isinstance(model, PlayerSpecificSeparable) and player is not None:
-        # tolerated: the index is simply ignored for shared costs
-        player = None
-    if isinstance(model, Bilevel):
-        kappa = kappa_star(loads, model.budget)
-        return tuple(loads[r] + kappa[r] for r in range(len(loads)))
-    m = model.m if model.m is not None else len(loads)
-    return tuple(eval_cost_entry(model, loads, r, player) for r in range(m))
-
-
-def model_dimension(model: CostModel, fallback: Optional[int] = None) -> int:
-    if model.m is not None:
-        return model.m
-    if fallback is None:
-        raise UsageError("model dimension is implied by the game; pass a fallback")
-    return fallback
+    return tuple(eval_cost_entry(model, loads, r, player) for r in range(model.m))
 
 
 def compose(models: Sequence[CostModel]) -> CostModel:
@@ -315,7 +308,6 @@ def as_tabulated(
     max_load: int,
     player: Optional[int] = None,
     allow_float: bool = False,
-    m: Optional[int] = None,
 ) -> Tabulated:
     """Exhaustive tabulation on integer loads <= max_load with minimized neighborhoods."""
     if max_load < 1:
@@ -324,7 +316,7 @@ def as_tabulated(
         raise UsageError("exponential models tabulate to floats; pass allow_float=True")
     if isinstance(model, Tabulated) and max_load > model.max_load:
         raise LoadRangeError("cannot extend a tabulated model beyond its bound")
-    dim = model_dimension(model, m)
+    dim = model.m
     grid = list(product(range(max_load + 1), repeat=dim))
     values = {pt: eval_cost(model, pt, player) for pt in grid}
     hoods, tables = [], []

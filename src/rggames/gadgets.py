@@ -16,7 +16,7 @@ from typing import Optional, Tuple, Union
 
 from .characterize import Violation
 from .core import Explicit, Game, Player, Profile, deviate, private_cost
-from .costs import CostModel, Tabulated, compose, eval_cost_entry, model_dimension
+from .costs import CostModel, Tabulated, compose, eval_cost_entry
 from .dynamics import Certificate, NoPNEExists, PNEFound, brute_force_pne
 from .errors import GameError, StructureError, UsageError
 
@@ -67,7 +67,7 @@ def _unit(total: int, *indices: int) -> tuple:
 
 def build_gadget(spec: GadgetSpec) -> Game:
     """Materialize the gadget game on 4m resources."""
-    m = model_dimension(spec.base_cost, len(spec.point))
+    m = spec.base_cost.m
     if len(spec.point) != m:
         raise StructureError("background point has wrong dimension")
     big = compose([spec.base_cost] * 4)

@@ -356,7 +356,7 @@ def test_criterion_07_local_monotonicity():
     ]
     for descs in types:
         m = descs[0].m
-        cost = as_tabulated(Bilevel(budget=Fraction(5, 2)), max_load=6, m=m)
+        cost = as_tabulated(Bilevel(m=m, budget=Fraction(5, 2)), max_load=6)
         witness = check_local_monotonicity(cost, descs, 4, nu_identity)
         assert witness is None, f"monotonicity broke at {witness}"
     # negative control: a decreasing cross effect must be caught

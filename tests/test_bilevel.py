@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from rggames.bilevel import (
     BilevelGame,
-    attack_allocation,
     case_audit,
     identity_nu,
     make_bilevel_game,
@@ -22,7 +21,7 @@ from rggames.matroid import Uniform, enumerate_bases
 class TestConstruction:
     def test_requires_bilevel_cost(self):
         players = (Player(strategy_space=Explicit(vectors=((1, 0),))),)
-        game = Game(n_resources=2, players=players, cost_model=Bilevel(budget=Fraction(1)))
+        game = Game(n_resources=2, players=players, cost_model=Bilevel(m=2, budget=Fraction(1)))
         with pytest.raises(StructureError):
             BilevelGame(base=game)  # explicit space, not a matroid
 
@@ -32,20 +31,20 @@ class TestConstruction:
         players = (
             Player(weight=Fraction(2), strategy_space=MatroidBases(desc=Uniform(2, 1))),
         )
-        game = Game(n_resources=2, players=players, cost_model=Bilevel(budget=Fraction(1)))
+        game = Game(n_resources=2, players=players, cost_model=Bilevel(m=2, budget=Fraction(1)))
         with pytest.raises(StructureError):
             BilevelGame(base=game)
 
 
 class TestAttackAllocation:
     def test_all_tied(self):
-        assert attack_allocation((2, 2, 2), Fraction(6)) == (2, 2, 2)
+        assert kappa_star((2, 2, 2), Fraction(6)) == (2, 2, 2)
 
     def test_unique_max(self):
-        assert attack_allocation((5, 0), Fraction(1)) == (1, 0)
+        assert kappa_star((5, 0), Fraction(1)) == (1, 0)
 
     def test_two_way_split(self):
-        assert attack_allocation((1, 1, 0), Fraction(1)) == (
+        assert kappa_star((1, 1, 0), Fraction(1)) == (
             Fraction(1, 2),
             Fraction(1, 2),
             Fraction(0),

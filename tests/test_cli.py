@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from rggames import cli
 from rggames.cli import (
     cost_to_json,
     game_from_json,
     game_to_json,
     main,
+    profile_from_json,
 )
 from rggames.core import Explicit, Game, MatroidBases, Player
 from rggames.costs import Affine, SeparablePlusLinear
@@ -178,6 +180,96 @@ class TestCommands:
         assert main(["solve", str(path)]) == 2
         path.write_text(json.dumps({"version": 1, "m": 1, "players": [], "cost": {}, "bogus": 1}))
         assert main(["solve", str(path)]) == 2
+
+
+def write_json(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def tabulated_cost_doc(max_load):
+    table = {str(k): str(k) for k in range(max_load + 1)}
+    return {"m": 1, "cost": {"kind": "tabulated", "max_load": max_load,
+                             "neighborhoods": [[0]], "tables": [table]}}
+
+
+class TestInputHardening:
+    def test_out_of_range_support_rejected(self, tmp_path, capsys):
+        doc = game_to_json(sample_game())
+        doc["players"][0]["strategies"]["explicit"] = [[5], [1]]
+        with pytest.raises(StructureError, match="outside 0..1"):
+            game_from_json(doc)
+        assert main(["solve", write_json(tmp_path, "game.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    def test_out_of_range_profile_rejected(self, game_file, tmp_path, capsys):
+        for choices in ([[0], [2]], [[-1], [0]]):
+            profile = write_json(tmp_path, "profile.json", {"choices": choices})
+            assert main(["verify", game_file, "--profile", profile]) == 2
+            assert capsys.readouterr().out == ""
+        with pytest.raises(StructureError):
+            profile_from_json({"choices": [[0], [7]]}, sample_game())
+
+    def test_type_malformed_input_exits_two_with_one_line(self, tmp_path, capsys):
+        doc = game_to_json(sample_game())
+        doc["players"] = 5
+        assert main(["solve", write_json(tmp_path, "game.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_failed_lift_exits_two(self, game_file, monkeypatch, capsys):
+        def broken_lift(*args, **kwargs):
+            raise AssertionError("nu-game equilibrium failed to lift")
+
+        monkeypatch.setattr(cli, "BilevelGame", lambda base: base)
+        monkeypatch.setattr(cli, "solve_bilevel", broken_lift)
+        assert main(["solve", game_file, "--method", "theorem3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: nu-game equilibrium failed to lift\n"
+
+    def test_argparse_exit_passes_through(self, game_file):
+        with pytest.raises(SystemExit):
+            main(["solve"])
+        with pytest.raises(SystemExit):
+            main(["--jobs", "2", "solve", game_file])
+
+
+class TestCharacterizeBound:
+    @pytest.mark.parametrize("max_load", [1, 2])
+    def test_small_table_has_no_certificate(self, tmp_path, capsys, max_load):
+        path = write_json(tmp_path, "cost.json", tabulated_cost_doc(max_load))
+        assert main(["characterize", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "L >= 1" in err
+
+    def test_smallest_useful_table(self, tmp_path, capsys):
+        path = write_json(tmp_path, "cost.json", tabulated_cost_doc(3))
+        assert main(["characterize", path]) == 0
+        assert json.loads(capsys.readouterr().out)["L"] == 1
+
+    def test_explicit_zero_bound_rejected(self, game_file, capsys):
+        assert main(["characterize", game_file, "--L", "0"]) == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestBilevelCostDocument:
+    def test_needs_top_level_m(self, tmp_path, capsys):
+        cost = {"kind": "bilevel", "budget": "1"}
+        path = write_json(tmp_path, "cost.json", {"cost": cost})
+        assert main(["characterize", path, "--weighted"]) == 2
+        assert capsys.readouterr().out == ""
+        path = write_json(tmp_path, "cost.json", {"m": 2, "cost": cost})
+        assert main(["characterize", path, "--weighted"]) == 1
+        assert json.loads(capsys.readouterr().out)["kind"] == "violation"
+
+    def test_game_supplies_m(self):
+        doc = game_to_json(sample_game())
+        doc["cost"] = {"kind": "bilevel", "budget": "3/2"}
+        assert game_from_json(doc).cost_model.m == 2
 
 
 class TestDeterminism:

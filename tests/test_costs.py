@@ -36,7 +36,7 @@ class TestEvalCost:
         assert eval_cost(model, (2, 3)) == (3, 2)
 
     def test_bilevel_budget_split(self):
-        model = Bilevel(budget=Fraction(6))
+        model = Bilevel(m=3, budget=Fraction(6))
         assert eval_cost(model, (3, 3, 1)) == (6, 6, 1)
 
     def test_exponential_phi_zero(self):
@@ -141,8 +141,8 @@ class TestAsTabulated:
         assert tab.neighborhoods == ((0, 1), (0, 1))
 
     def test_bilevel_matches_kappa_pointwise(self):
-        model = Bilevel(budget=Fraction(3))
-        tab = as_tabulated(model, max_load=2, m=2)
+        model = Bilevel(m=2, budget=Fraction(3))
+        tab = as_tabulated(model, max_load=2)
         for loads in product(range(3), repeat=2):
             assert eval_cost(tab, loads) == eval_cost(model, loads)
 
@@ -178,7 +178,12 @@ class TestValidation:
 
     def test_budget_positive(self):
         with pytest.raises(StructureError):
-            Bilevel(budget=Fraction(0))
+            Bilevel(m=2, budget=Fraction(0))
+
+    def test_bilevel_resource_count_positive_int(self):
+        for m in (None, 0, -1, 2.0):
+            with pytest.raises(StructureError):
+                Bilevel(m=m, budget=Fraction(1))
 
     def test_tabulated_neighborhood_sorted(self):
         with pytest.raises(StructureError):

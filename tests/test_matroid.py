@@ -141,7 +141,7 @@ class TestGreedy:
 
 class TestLocalMonotonicity:
     def test_bilevel_cost_is_locally_monotone(self):
-        c = as_tabulated(Bilevel(budget=Fraction(2)), max_load=6, m=2)
+        c = as_tabulated(Bilevel(m=2, budget=Fraction(2)), max_load=6)
         assert check_local_monotonicity(c, [Uniform(2, 1)], 3, nu_identity) is None
 
     def test_separable_non_decreasing_with_matching_nu(self):
@@ -180,7 +180,9 @@ class TestEquilibriumLift:
     def make_bilevel(self, descs, budget):
         players = tuple(Player(strategy_space=MatroidBases(desc=d)) for d in descs)
         return Game(
-            n_resources=descs[0].m, players=players, cost_model=Bilevel(budget=Fraction(budget))
+            n_resources=descs[0].m,
+            players=players,
+            cost_model=Bilevel(m=descs[0].m, budget=Fraction(budget)),
         )
 
     def identity_tables(self, n, m, L):
