@@ -1,5 +1,9 @@
 """Command-line front end and the JSON game format.
 
+The spec table `SPECS` is the single definition of the JSON form of every
+tagged type (matroids, cost models, certificates, reports); `encode` and
+`decode` read it.  Untagged game and profile documents are built around them.
+
 Rationals serialize as "p/q" strings (never floats, except in the
 exponential cost payload); output is canonical and deterministic, and every
 certificate embeds the tool version and the input content hash.
@@ -15,6 +19,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .bilevel import BilevelGame, solve_bilevel
@@ -26,7 +31,7 @@ from .characterize import (
     analyze_unweighted,
     classify_weighted,
 )
-from .core import Explicit, Game, MatroidBases, Player
+from .core import Explicit, Game, MatroidBases, Player, support, validate_profile
 from .costs import (
     Affine,
     Bilevel,
@@ -59,155 +64,114 @@ from .reductions import (
 SCHEMA_VERSION = 1
 
 
-# ---------------------------------------------------------------- rationals
+# ---------------------------------------------------------------- codecs
 
 
 def rat(text) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
-    if not isinstance(text, str):
+    if not isinstance(text, (int, str)):
         raise StructureError(f"expected a rational string, got {text!r}")
     return Fraction(text)
 
 
 def unrat(value) -> str:
-    frac = Fraction(value)
-    return str(frac)
+    return str(Fraction(value))
 
 
-# ---------------------------------------------------------------- matroids
+class Codec(NamedTuple):
+    """How one field value maps from JSON (decode) and to JSON (encode)."""
+
+    decode: Optional[Callable]  # None for fields of encode-only types
+    encode: Callable
 
 
-def matroid_to_json(desc) -> dict:
-    if isinstance(desc, Uniform):
-        return {"type": "uniform", "m": desc.m, "k": desc.k}
-    if isinstance(desc, Partition):
-        return {
-            "type": "partition",
-            "m": desc.m,
-            "blocks": [list(b) for b in desc.blocks],
-            "quotas": list(desc.quotas),
-        }
-    if isinstance(desc, Graphic):
-        return {
-            "type": "graphic",
-            "vertices": desc.n_vertices,
-            "edges": [list(e) for e in desc.edges],
-        }
-    raise StructureError(f"unknown matroid descriptor {desc!r}")
+def _same(value):
+    return value
 
 
-def matroid_from_json(obj: dict, path: str):
-    kind = _pop(obj, "type", path)
-    if kind == "uniform":
-        desc = Uniform(m=_pop(obj, "m", path), k=_pop(obj, "k", path))
-    elif kind == "partition":
-        desc = Partition(
-            m=_pop(obj, "m", path),
-            blocks=tuple(tuple(b) for b in _pop(obj, "blocks", path)),
-            quotas=tuple(_pop(obj, "quotas", path)),
+def nested(codec: Codec, depth: int = 1) -> Codec:
+    """Lists of `codec` values, `depth` levels deep; tuples on the Python side."""
+    for _ in range(depth):
+        codec = Codec(
+            lambda v, c=codec: tuple(c.decode(e) for e in v),
+            lambda v, c=codec: [c.encode(e) for e in v],
         )
-    elif kind == "graphic":
-        desc = Graphic(
-            n_vertices=_pop(obj, "vertices", path),
-            edges=tuple(tuple(e) for e in _pop(obj, "edges", path)),
-        )
-    else:
-        raise StructureError(f"{path}: unknown matroid type {kind!r}")
-    _reject_unknown(obj, path)
-    return desc
+    return codec
 
 
-# ---------------------------------------------------------------- costs
+PLAIN = Codec(_same, _same)
+RAT = Codec(rat, unrat)
+FLOAT = Codec(float, _same)
+NUMBER = Codec(None, lambda v: v if isinstance(v, float) else unrat(v))  # exact or float value
+SUPPORT = Codec(None, support)  # a strategy vector as the list of its resources
+TABLE = Codec(  # a tabulated cost table keyed by "x1,x2,..." neighborhood loads
+    lambda t: {tuple(int(k) for k in key.split(",") if k != ""): rat(v) for key, v in t.items()},
+    lambda t: {",".join(map(str, key)): unrat(v) for key, v in sorted(t.items())},
+)
 
 
-def cost_to_json(model) -> dict:
-    if isinstance(model, Tabulated):
-        return {
-            "kind": "tabulated",
-            "max_load": model.max_load,
-            "neighborhoods": [list(h) for h in model.neighborhoods],
-            "tables": [
-                {",".join(map(str, key)): unrat(val) for key, val in sorted(table.items())}
-                for table in model.tables
-            ],
-        }
-    if isinstance(model, SeparablePlusLinear):
-        return {
-            "kind": "separable_plus_linear",
-            "f": [[unrat(v) for v in row] for row in model.f],
-            "A": [[unrat(v) for v in row] for row in model.A],
-        }
-    if isinstance(model, Affine):
-        return {
-            "kind": "affine",
-            "A": [[unrat(v) for v in row] for row in model.A],
-            "b": [unrat(v) for v in model.b],
-        }
-    if isinstance(model, Exponential):
-        return {
-            "kind": "exponential",
-            "a": list(model.a),
-            "phi": model.phi,
-            "b": list(model.b),
-        }
-    if isinstance(model, Bilevel):
-        return {"kind": "bilevel", "budget": unrat(model.budget)}
-    if isinstance(model, PlayerSpecificSeparable):
-        return {
-            "kind": "player_specific",
-            "nu": [[[unrat(v) for v in table] for table in per_res] for per_res in model.nu],
-        }
-    raise StructureError(f"unknown cost model {model!r}")
+class Spec(NamedTuple):
+    """The JSON form of one tagged type: `{tag_key: tag, key: codec(attribute), ...}`."""
+
+    cls: type
+    tag_key: str
+    tag: str
+    fields: tuple  # (JSON key, attribute, codec)
+    m: Optional[Callable] = None  # set when cls takes the document's m: its default
 
 
-def cost_from_json(obj: dict, path: str = "cost", m=None):
-    """Decode a cost model; m is the document's resource count, which only bilevel needs."""
-    kind = _pop(obj, "kind", path)
-    if kind == "tabulated":
-        hoods = tuple(tuple(h) for h in _pop(obj, "neighborhoods", path))
-        tables = tuple(
-            {
-                tuple(int(t) for t in key.split(",") if t != ""): rat(val)
-                for key, val in table.items()
-            }
-            for table in _pop(obj, "tables", path)
-        )
-        model = Tabulated(
-            m=len(hoods), neighborhoods=hoods, tables=tables, max_load=_pop(obj, "max_load", path)
-        )
-    elif kind == "separable_plus_linear":
-        model = SeparablePlusLinear(
-            f=tuple(tuple(rat(v) for v in row) for row in _pop(obj, "f", path)),
-            A=tuple(tuple(rat(v) for v in row) for row in _pop(obj, "A", path)),
-        )
-    elif kind == "affine":
-        model = Affine(
-            A=tuple(tuple(rat(v) for v in row) for row in _pop(obj, "A", path)),
-            b=tuple(rat(v) for v in _pop(obj, "b", path)),
-        )
-    elif kind == "exponential":
-        model = Exponential(
-            a=tuple(float(v) for v in _pop(obj, "a", path)),
-            phi=float(_pop(obj, "phi", path)),
-            b=tuple(float(v) for v in _pop(obj, "b", path)),
-        )
-    elif kind == "bilevel":
-        model = Bilevel(m=m, budget=rat(_pop(obj, "budget", path)))
-    elif kind == "player_specific":
-        model = PlayerSpecificSeparable(
-            nu=tuple(
-                tuple(tuple(rat(v) for v in table) for table in per_res)
-                for per_res in _pop(obj, "nu", path)
-            )
-        )
-    else:
-        raise StructureError(f"{path}: unknown cost kind {kind!r}")
-    _reject_unknown(obj, path)
-    return model
+SPECS = {
+    "matroid": (
+        Spec(Uniform, "type", "uniform", (("m", "m", PLAIN), ("k", "k", PLAIN))),
+        Spec(Partition, "type", "partition", (
+            ("m", "m", PLAIN), ("blocks", "blocks", nested(PLAIN, 2)),
+            ("quotas", "quotas", nested(PLAIN)))),
+        Spec(Graphic, "type", "graphic", (
+            ("vertices", "n_vertices", PLAIN), ("edges", "edges", nested(PLAIN, 2)))),
+    ),
+    "cost": (
+        Spec(Tabulated, "kind", "tabulated", (
+            ("max_load", "max_load", PLAIN), ("neighborhoods", "neighborhoods", nested(PLAIN, 2)),
+            ("tables", "tables", nested(TABLE))), m=lambda kw: len(kw["neighborhoods"])),
+        Spec(SeparablePlusLinear, "kind", "separable_plus_linear", (
+            ("f", "f", nested(RAT, 2)), ("A", "A", nested(RAT, 2)))),
+        Spec(Affine, "kind", "affine", (("A", "A", nested(RAT, 2)), ("b", "b", nested(RAT)))),
+        Spec(Exponential, "kind", "exponential", (
+            ("a", "a", nested(FLOAT)), ("phi", "phi", FLOAT), ("b", "b", nested(FLOAT)))),
+        Spec(Bilevel, "kind", "bilevel", (("budget", "budget", RAT),), m=lambda kw: None),
+        Spec(PlayerSpecificSeparable, "kind", "player_specific", (("nu", "nu", nested(RAT, 3)),)),
+    ),
+    "result": (
+        Spec(IsPNE, "kind", "is_pne", ()),
+        Spec(NotPNE, "kind", "not_pne", (
+            ("player", "player", PLAIN), ("deviation", "deviation", SUPPORT),
+            ("delta", "delta", NUMBER))),
+        Spec(PNEFound, "kind", "pne_found", (("profile", "profile", nested(SUPPORT)),)),
+        Spec(NoPNEExists, "kind", "no_pne_exists", (
+            ("profiles_checked", "profiles_checked", PLAIN),)),
+        Spec(UnweightedConsistent, "kind", "unweighted_consistent", (
+            ("L", "L", PLAIN), ("f", "f", nested(RAT, 2)), ("A", "A", nested(RAT, 2)))),
+        Spec(WeightedAffine, "kind", "weighted_affine", (
+            ("A", "A", nested(RAT, 2)), ("b", "b", nested(NUMBER)))),
+        Spec(WeightedExponential, "kind", "weighted_exponential", (
+            ("a", "a", nested(FLOAT)), ("phi", "phi", FLOAT), ("b", "b", nested(FLOAT)))),
+        Spec(Violation, "kind", "violation", (  # fields left unset (None) are omitted
+            ("lemma", "lemma", PLAIN), ("r", "r", PLAIN), ("s", "s", PLAIN), ("t", "t", PLAIN),
+            ("x", "x", nested(PLAIN)), ("y", "y", nested(PLAIN)))),
+    ),
+}
+_BY_CLASS = {spec.cls: spec for specs in SPECS.values() for spec in specs}
+_BY_TAG = {(family, spec.tag): spec for family, specs in SPECS.items() for spec in specs}
 
 
-# ---------------------------------------------------------------- games
+def encode(obj) -> dict:
+    """The JSON form of any object with a spec; fields whose value is None are left out."""
+    spec = _BY_CLASS[type(obj)]
+    out = {spec.tag_key: spec.tag}
+    for key, attr, codec in spec.fields:
+        value = getattr(obj, attr)
+        if value is not None:
+            out[key] = codec.encode(value)
+    return out
 
 
 def _pop(obj: dict, key: str, path: str):
@@ -221,13 +185,41 @@ def _reject_unknown(obj: dict, path: str) -> None:
         raise StructureError(f"{path}: unknown fields {sorted(obj)}")
 
 
-def _support(vector) -> list:
-    return [r for r, e in enumerate(vector) if e]
+def decode(family: str, obj, path: str, m: Optional[int] = None):
+    """Build the matroid or cost model that `obj` describes; `path` names it in errors.
+
+    m is the document's resource count: the classes that take one (Tabulated,
+    Bilevel) get it, and every decoded model must then cover exactly m resources.
+    """
+    if not isinstance(obj, dict):
+        raise StructureError(f"{path}: expected an object, got {obj!r}")
+    obj = dict(obj)
+    tag_key = SPECS[family][0].tag_key
+    tag = _pop(obj, tag_key, path)
+    spec = _BY_TAG.get((family, tag))
+    if spec is None:
+        raise StructureError(f"{path}: unknown {family} {tag_key} {tag!r}")
+    kwargs = {attr: codec.decode(_pop(obj, key, path)) for key, attr, codec in spec.fields}
+    _reject_unknown(obj, path)
+    if spec.m is not None:
+        kwargs["m"] = spec.m(kwargs) if m is None else m
+    model = spec.cls(**kwargs)
+    if m is not None and model.m != m:
+        raise StructureError(f"{path}: {tag} {family} covers {model.m} resources, not m = {m}")
+    return model
 
 
-def _from_support(support, m: int, value, path: str) -> tuple:
-    """The length-m vector with `value` on the support; every index must lie in 0..m-1."""
-    chosen = set(support)
+def cost_from_json(obj: dict):
+    """A cost model from its JSON form alone (no document m)."""
+    return decode("cost", obj, "cost")
+
+
+# ---------------------------------------------------------------- games
+
+
+def _from_support(indices, m: int, value, path: str) -> tuple:
+    """The length-m vector with `value` on the indices; every index must lie in 0..m-1."""
+    chosen = set(indices)
     for r in chosen:
         if not isinstance(r, int) or not 0 <= r < m:
             raise StructureError(f"{path}: resource index {r!r} outside 0..{m - 1}")
@@ -238,15 +230,15 @@ def game_to_json(game: Game, bounds=None) -> dict:
     players = []
     for p in game.players:
         if isinstance(p.strategy_space, Explicit):
-            strategies = {"explicit": [_support(v) for v in p.strategy_space.vectors]}
+            strategies = {"explicit": [support(v) for v in p.strategy_space.vectors]}
         else:
-            strategies = {"matroid": matroid_to_json(p.strategy_space.desc)}
+            strategies = {"matroid": encode(p.strategy_space.desc)}
         players.append({"weight": unrat(p.weight), "strategies": strategies})
     doc = {
         "version": SCHEMA_VERSION,
         "m": game.n_resources,
         "players": players,
-        "cost": cost_to_json(game.cost_model),
+        "cost": encode(game.cost_model),
     }
     if bounds is not None:
         doc["bounds"] = bounds
@@ -272,13 +264,14 @@ def game_from_json(doc: dict) -> Game:
             )
             space = Explicit(vectors=vectors)
         elif "matroid" in sd:
-            space = MatroidBases(desc=matroid_from_json(sd.pop("matroid"), path + ".matroid"))
+            space = MatroidBases(desc=decode("matroid", sd.pop("matroid"),
+                                             path + ".strategies.matroid", m))
         else:
             raise StructureError(f"{path}: strategies must be explicit or matroid")
         _reject_unknown(sd, path + ".strategies")
         _reject_unknown(pd, path)
         players.append(Player(weight=weight, strategy_space=space))
-    cost = cost_from_json(_pop(doc, "cost", "$"), m=m)
+    cost = decode("cost", _pop(doc, "cost", "$"), "cost", m)
     doc.pop("bounds", None)
     _reject_unknown(doc, "$")
     return Game(n_resources=m, players=tuple(players), cost_model=cost)
@@ -296,10 +289,6 @@ def profile_from_json(doc: dict, game: Game) -> tuple:
     )
 
 
-def profile_to_json(profile) -> dict:
-    return {"choices": [_support(v) for v in profile]}
-
-
 # ---------------------------------------------------------------- output
 
 
@@ -311,54 +300,6 @@ def _stamp(payload: dict, input_bytes: bytes) -> dict:
     payload["tool"] = f"rggames {__version__}"
     payload["input_sha256"] = hashlib.sha256(input_bytes).hexdigest()
     return payload
-
-
-def certificate_to_json(cert) -> dict:
-    if isinstance(cert, IsPNE):
-        return {"kind": "is_pne"}
-    if isinstance(cert, NotPNE):
-        return {
-            "kind": "not_pne",
-            "player": cert.player,
-            "deviation": _support(cert.deviation),
-            "delta": unrat(cert.delta) if not isinstance(cert.delta, float) else cert.delta,
-        }
-    if isinstance(cert, PNEFound):
-        return {"kind": "pne_found", "profile": profile_to_json(cert.profile)["choices"]}
-    if isinstance(cert, NoPNEExists):
-        return {"kind": "no_pne_exists", "profiles_checked": cert.profiles_checked}
-    raise StructureError(f"unknown certificate {cert!r}")
-
-
-def report_to_json(report) -> dict:
-    if isinstance(report, UnweightedConsistent):
-        return {
-            "kind": "unweighted_consistent",
-            "L": report.L,
-            "f": [[unrat(v) for v in row] for row in report.f],
-            "A": [[unrat(v) for v in row] for row in report.A],
-        }
-    if isinstance(report, WeightedAffine):
-        return {
-            "kind": "weighted_affine",
-            "A": [[unrat(v) for v in row] for row in report.A],
-            "b": [unrat(v) if not isinstance(v, float) else v for v in report.b],
-        }
-    if isinstance(report, WeightedExponential):
-        return {"kind": "weighted_exponential", "a": list(report.a), "phi": report.phi,
-                "b": list(report.b)}
-    if isinstance(report, Violation):
-        out = {"kind": "violation", "lemma": report.lemma}
-        for field in ("r", "s", "t"):
-            val = getattr(report, field)
-            if val is not None:
-                out[field] = val
-        if report.x is not None:
-            out["x"] = list(report.x)
-        if report.y is not None:
-            out["y"] = list(report.y)
-        return out
-    raise StructureError(f"unknown report {report!r}")
 
 
 NEGATIVE_KINDS = {"not_pne", "no_pne_exists", "violation", "no_convergence"}
@@ -383,8 +324,7 @@ def cmd_solve(args) -> int:
     raw = _read(args.file)
     game = game_from_json(json.loads(raw))
     if args.method == "bruteforce":
-        cert = brute_force_pne(game)
-        payload = certificate_to_json(cert)
+        payload = encode(brute_force_pne(game))
     elif args.method == "dynamics":
         start = tuple(p.strategies()[0] for p in game.players)
         trace = run_best_response_dynamics(
@@ -392,17 +332,13 @@ def cmd_solve(args) -> int:
             schedule="random" if args.seed is not None else "round-robin", seed=args.seed,
         )
         if trace.converged:
-            payload = {
-                "kind": "pne_found",
-                "profile": profile_to_json(trace.terminal)["choices"],
-                "iterations": trace.iterations,
-            }
+            payload = {**encode(PNEFound(trace.terminal)), "iterations": trace.iterations}
         else:
             payload = {"kind": "no_convergence", "iterations": trace.iterations}
     elif args.method == "theorem3":
         bilevel = BilevelGame(base=game)
         profile, _cert = solve_bilevel(bilevel, max_iters=args.max_iters)
-        payload = {"kind": "pne_found", "profile": profile_to_json(profile)["choices"]}
+        payload = encode(PNEFound(profile))
     else:
         raise StructureError(f"unknown method {args.method!r}")
     print(_dump(_stamp(payload, raw)))
@@ -413,8 +349,7 @@ def cmd_verify(args) -> int:
     raw = _read(args.file)
     game = game_from_json(json.loads(raw))
     profile = profile_from_json(_load_json(args.profile), game)
-    cert = verify_pne(game, profile)
-    payload = certificate_to_json(cert)
+    payload = encode(verify_pne(game, profile))
     print(_dump(_stamp(payload, raw)))
     return 1 if payload["kind"] in NEGATIVE_KINDS else 0
 
@@ -424,7 +359,7 @@ def _cost_and_bounds(doc: dict):
         game = game_from_json(doc)
         return game.cost_model, doc.get("bounds", {})
     doc = dict(doc)
-    cost = cost_from_json(_pop(doc, "cost", "$"), m=doc.pop("m", None))
+    cost = decode("cost", _pop(doc, "cost", "$"), "cost", doc.pop("m", None))
     bounds = doc.pop("bounds", {})
     _reject_unknown(doc, "$")
     return cost, bounds
@@ -446,7 +381,7 @@ def cmd_characterize(args) -> int:
         if not isinstance(cost, Tabulated):
             cost = as_tabulated(cost, max_load=L + 2)
         report = analyze_unweighted(cost, L)
-    payload = report_to_json(report)
+    payload = encode(report)
     print(_dump(_stamp(payload, raw)))
     return 1 if payload["kind"] in NEGATIVE_KINDS else 0
 
@@ -467,8 +402,7 @@ def cmd_gadget(args) -> int:
     payload = {"game": game_to_json(game)}
     code = 0
     if args.confirm:
-        cert = brute_force_pne(game)
-        payload["certificate"] = certificate_to_json(cert)
+        payload["certificate"] = encode(brute_force_pne(game))
         if payload["certificate"]["kind"] in NEGATIVE_KINDS:
             code = 1
     print(_dump(_stamp(payload, raw)))
@@ -479,6 +413,7 @@ def cmd_potential(args) -> int:
     raw = _read(args.file)
     game = game_from_json(json.loads(raw))
     profile = profile_from_json(_load_json(args.profile), game)
+    validate_profile(game, profile)
     if isinstance(game.cost_model, Affine):
         value = potential_weighted_affine(game, profile)
     else:

@@ -139,6 +139,11 @@ def private_cost(game: Game, profile: Profile, i: int, loads: Optional[Vector] =
     return total
 
 
+def support(vector: Vector) -> list:
+    """The resources a strategy vector uses, in increasing order."""
+    return [r for r, e in enumerate(vector) if e]
+
+
 def deviate(profile: Profile, i: int, y: Vector) -> Profile:
     """Replace player i's strategy by y, leaving everyone else unchanged."""
     if i < 0 or i >= len(profile):
@@ -152,7 +157,7 @@ def validate_profile(game: Game, profile: Profile, cap: int = 10**6) -> None:
         raise StructureError("profile has wrong number of players")
     for i, (p, v) in enumerate(zip(game.players, profile)):
         if tuple(v) not in p.strategies(cap=cap):
-            raise StructureError(f"player {i} cannot play {v}")
+            raise StructureError(f"player {i} cannot play resources {support(v)}")
 
 
 def profile_space_size(game: Game, cap: int = 10**7) -> int:

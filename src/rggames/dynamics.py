@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Union
 
-from .core import Game, Profile, Vector, deviate, load_of, private_cost
-from .errors import CapacityError, UsageError
+from .core import Game, Profile, Vector, deviate, load_of, private_cost, support
+from .errors import CapacityError, StructureError, UsageError
 
 FLOAT_TOL = 1e-9
 
@@ -69,9 +69,16 @@ def _spaces(game: Game, cap: int):
 
 
 def verify_pne(game: Game, profile: Profile, cap: int = 10**6) -> Certificate:
-    """IsPNE iff no player has a strictly improving unilateral deviation."""
+    """IsPNE iff no player has a strictly improving unilateral deviation.
+
+    Raises StructureError when a player's choice is not in their strategy space.
+    """
     loads = load_of(game, profile)
-    for i, space in enumerate(_spaces(game, cap)):
+    spaces = _spaces(game, cap)
+    for i, space in enumerate(spaces):
+        if tuple(profile[i]) not in space:
+            raise StructureError(f"player {i} cannot play resources {support(profile[i])}")
+    for i, space in enumerate(spaces):
         cur = private_cost(game, profile, i, loads=loads)
         base = tuple(loads[r] - profile[i][r] for r in range(game.n_resources))
         for y in space:

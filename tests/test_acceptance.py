@@ -26,7 +26,7 @@ from rggames.characterize import (
     classify_weighted,
     decompose_unweighted,
 )
-from rggames.cli import cost_to_json, game_to_json, main
+from rggames.cli import encode, game_to_json, main
 from rggames.core import Explicit, Game, Player, deviate
 from rggames.costs import (
     Affine,
@@ -486,7 +486,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     asym = Affine(A=((Fraction(1), Fraction(1)), (Fraction(3), Fraction(1))),
                   b=(Fraction(0), Fraction(0)))
     cost_path = tmp_path / "cost.json"
-    cost_path.write_text(json.dumps({"cost": cost_to_json(asym), "m": 2, "bounds": {"L": 2}}))
+    cost_path.write_text(json.dumps({"cost": encode(asym), "m": 2, "bounds": {"L": 2}}))
     cnf_path = tmp_path / "inst.cnf"
     cnf_path.write_text("p cnf 2 2\n1 1 2 0\n-1 -2 -2 0\n")
 

@@ -7,7 +7,8 @@ import pytest
 
 from rggames import cli
 from rggames.cli import (
-    cost_to_json,
+    decode,
+    encode,
     game_from_json,
     game_to_json,
     main,
@@ -46,7 +47,7 @@ def asym_cost_file(tmp_path):
         b=(Fraction(0), Fraction(0)),
     )
     path = tmp_path / "cost.json"
-    path.write_text(json.dumps({"cost": cost_to_json(cost), "m": 2, "bounds": {"L": 2}}))
+    path.write_text(json.dumps({"cost": encode(cost), "m": 2, "bounds": {"L": 2}}))
     return str(path)
 
 
@@ -231,6 +232,18 @@ class TestInputHardening:
         assert out == ""
         assert err == "error: nu-game equilibrium failed to lift\n"
 
+    def test_unplayable_profile_rejected_by_verify(self, game_file, tmp_path, capsys):
+        profile = write_json(tmp_path, "profile.json", {"choices": [[0, 1], [0, 1]]})
+        assert main(["verify", game_file, "--profile", profile]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: player 0 cannot play resources [0, 1]\n"
+
+    def test_unplayable_profile_rejected_by_potential(self, game_file, tmp_path, capsys):
+        profile = write_json(tmp_path, "profile.json", {"choices": [[0, 1], [0, 1]]})
+        assert main(["potential", game_file, "--profile", profile]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: player 0 cannot play resources [0, 1]\n"
+
     def test_argparse_exit_passes_through(self, game_file):
         with pytest.raises(SystemExit):
             main(["solve"])
@@ -266,10 +279,64 @@ class TestBilevelCostDocument:
         assert main(["characterize", path, "--weighted"]) == 1
         assert json.loads(capsys.readouterr().out)["kind"] == "violation"
 
+    def test_document_m_must_match_cost(self, tmp_path, capsys):
+        affine = {"kind": "affine", "A": [["1", "0"], ["0", "1"]], "b": ["0", "0"]}
+        path = write_json(tmp_path, "cost.json", {"m": 5, "cost": affine})
+        assert main(["characterize", path, "--weighted"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "covers 2 resources, not m = 5" in err
+        path = write_json(tmp_path, "cost.json", {"m": 2, "cost": affine})
+        assert main(["characterize", path, "--weighted"]) == 0
+
     def test_game_supplies_m(self):
         doc = game_to_json(sample_game())
         doc["cost"] = {"kind": "bilevel", "budget": "3/2"}
         assert game_from_json(doc).cost_model.m == 2
+
+
+BILEVEL = {"kind": "bilevel", "budget": "3/2"}
+SPEC_DOCS = [  # one document per decodable spec, each over m = 3 resources
+    ("matroid", {"type": "uniform", "m": 3, "k": 2}),
+    ("matroid", {"type": "partition", "m": 3, "blocks": [[0, 1], [2]], "quotas": [1, 1]}),
+    ("matroid", {"type": "graphic", "vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}),
+    ("cost", {"kind": "tabulated", "max_load": 1, "neighborhoods": [[0], [0, 2], []],
+              "tables": [{"0": "0", "1": "1/2"},
+                         {"0,0": "0", "0,1": "1", "1,0": "2", "1,1": "7/3"}, {"": "4"}]}),
+    ("cost", {"kind": "separable_plus_linear", "f": [["0", "1", "5/2"]] * 3,
+              "A": [["0", "1", "0"], ["1", "0", "-1/3"], ["0", "-1/3", "0"]]}),
+    ("cost", {"kind": "affine", "A": [["1", "2", "0"], ["2", "1", "0"], ["0", "0", "3/4"]],
+              "b": ["0", "1", "-2"]}),
+    ("cost", {"kind": "exponential", "a": [1.0, 2.5, 0.5], "phi": 0.25, "b": [0.0, 1.0, -1.0]}),
+    ("cost", BILEVEL),
+    ("cost", {"kind": "player_specific", "nu": [
+        [["0", "1", "2"]] * 3, [["1", "1", "5/2"], ["0", "0", "0"], ["0", "2", "3"]]]}),
+]
+SPEC_IDS = [doc.get("type", doc.get("kind")) for _family, doc in SPEC_DOCS]
+
+
+class TestSpecCodec:
+    @pytest.mark.parametrize("family, doc", SPEC_DOCS, ids=SPEC_IDS)
+    def test_round_trip(self, family, doc):
+        model = decode(family, doc, "$.x", m=3)
+        assert model.m == 3
+        assert encode(model) == doc
+        if doc is not BILEVEL:  # every other model implies its own m
+            assert decode(family, doc, "$.x").m == 3
+
+    @pytest.mark.parametrize("family, doc", [d for d in SPEC_DOCS if d[1] != BILEVEL],
+                             ids=[i for i in SPEC_IDS if i != "bilevel"])  # bilevel takes any m
+    def test_document_m_must_match(self, family, doc):
+        with pytest.raises(StructureError):
+            decode(family, doc, "$.x", m=4)
+
+    @pytest.mark.parametrize("family, doc", SPEC_DOCS, ids=SPEC_IDS)
+    def test_malformed_documents_name_the_path(self, family, doc):
+        tag_key = "type" if family == "matroid" else "kind"
+        bad = [{**doc, tag_key: "bogus"}, {**doc, "extra": 1}]
+        bad += [{k: v for k, v in doc.items() if k != key} for key in doc]
+        for case in bad:
+            with pytest.raises(StructureError, match=r"^\$\.x: "):
+                decode(family, case, "$.x", m=3)
 
 
 class TestDeterminism:

@@ -1,0 +1,108 @@
+"""Fuzz the CLI with mutated documents: exit codes stay honest on any input.
+
+One golden game, profile or cost document gets one mutation (a field or list
+element dropped, a value swapped for one of another JSON type, a tag renamed,
+or an integer pushed out of range); `solve`, `verify` and
+`characterize --weighted` then replay through `rggames.cli.main`.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import os
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rggames.cli import NEGATIVE_KINDS, main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+SOURCES = {"game": "readme_game.json", "profile": "readme_profile.json", "cost": "spl_cost.json"}
+COMMANDS = [
+    ["solve", "{game}"],
+    ["verify", "{game}", "--profile", "{profile}"],
+    ["characterize", "{cost}", "--weighted"],
+]
+OTHER_TYPES = [None, True, 0, 2.5, "x", [], {}]
+
+
+def _load(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+DOCS = {role: _load(name) for role, name in SOURCES.items()}
+
+
+def _locations(node, path=()):
+    """Every (parent path, key or index) in the tree, root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path, key
+        yield from _locations(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated(draw):
+    role = draw(st.sampled_from(sorted(DOCS)))
+    doc = copy.deepcopy(DOCS[role])
+    path, key = draw(st.sampled_from(list(_locations(doc))))
+    parent = _at(doc, path)
+    value = parent[key]
+    moves = ["drop", "swap"]
+    if key in ("kind", "type"):
+        moves.append("tag")
+    if isinstance(value, int) and not isinstance(value, bool):
+        moves.append("range")
+    move = draw(st.sampled_from(moves))
+    if move == "drop":
+        del parent[key]
+    elif move == "swap":
+        parent[key] = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(value)]))
+    elif move == "tag":
+        parent[key] = "bogus"
+    else:
+        parent[key] = draw(st.sampled_from([-1, value + 3]))
+    return role, doc
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mutated())
+def test_mutated_documents_exit_honestly(tmp_path_factory, case):
+    role, doc = case
+    workdir = tmp_path_factory.getbasetemp() / "fuzz"
+    workdir.mkdir(exist_ok=True)
+    files = {}
+    for name in SOURCES:
+        files[name] = str(workdir / f"{name}.json")
+        with open(files[name], "w", encoding="utf-8") as fh:
+            json.dump(doc if name == role else DOCS[name], fh)
+    for template in COMMANDS:
+        argv = [arg.format(**files) for arg in template]
+        code, out, err = _run(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        else:
+            negative = json.loads(out)["kind"] in NEGATIVE_KINDS
+            assert negative == (code == 1), (argv, out)
