@@ -36,7 +36,10 @@ CASES = [
     ("exponential_verify",
      ["verify", "exponential_game.json", "--profile", "exponential_profile.json"], 1),
     ("player_specific_solve", ["solve", "player_specific_game.json"], 0),
+    ("player_specific_dynamics",
+     ["solve", "player_specific_game.json", "--method", "dynamics"], 0),
     ("bilevel_theorem3", ["solve", "bilevel_game.json", "--method", "theorem3"], 0),
+    ("bilevel_dynamics", ["solve", "bilevel_game.json", "--method", "dynamics"], 0),
     ("bilevel_solve", ["solve", "bilevel_game.json"], 0),
     ("asym_characterize", ["characterize", "asym_affine_cost.json"], 1),
     ("asym_characterize_weighted", ["characterize", "asym_affine_cost.json", "--weighted"], 1),
