@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Game, MatroidBases
+from .core import Game, MatroidBases, Player
 from .costs import Bilevel, PlayerSpecificSeparable, kappa_star
 from .errors import StructureError, UsageError
 from .matroid import solve_via_theorem3
@@ -36,8 +36,6 @@ class BilevelGame:
 
 
 def make_bilevel_game(n_resources: int, descs: Sequence, budget) -> BilevelGame:
-    from .core import Player
-
     players = tuple(Player(strategy_space=MatroidBases(desc=d)) for d in descs)
     game = Game(
         n_resources=n_resources,
@@ -47,12 +45,11 @@ def make_bilevel_game(n_resources: int, descs: Sequence, budget) -> BilevelGame:
     return BilevelGame(base=game)
 
 
-def identity_nu(game: BilevelGame, max_load: int = None) -> PlayerSpecificSeparable:
+def identity_nu(game: BilevelGame) -> PlayerSpecificSeparable:
     """nu_{T,g}(x) = x for every type and resource, tabulated up to the player count."""
     n = game.base.n_players
     m = game.base.n_resources
-    L = max_load if max_load is not None else n + 1
-    table = tuple(range(L + 1))
+    table = tuple(range(n + 2))
     return PlayerSpecificSeparable(nu=tuple(tuple(table for _ in range(m)) for _ in range(n)))
 
 

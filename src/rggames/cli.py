@@ -68,7 +68,7 @@ SCHEMA_VERSION = 1
 
 
 def rat(text) -> Fraction:
-    if not isinstance(text, (int, str)):
+    if isinstance(text, bool) or not isinstance(text, (int, str)):
         raise StructureError(f"expected a rational string, got {text!r}")
     return Fraction(text)
 
@@ -219,10 +219,10 @@ def cost_from_json(obj: dict):
 
 def _from_support(indices, m: int, value, path: str) -> tuple:
     """The length-m vector with `value` on the indices; every index must lie in 0..m-1."""
-    chosen = set(indices)
-    for r in chosen:
-        if not isinstance(r, int) or not 0 <= r < m:
+    for r in indices:
+        if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r < m:
             raise StructureError(f"{path}: resource index {r!r} outside 0..{m - 1}")
+    chosen = set(indices)
     return tuple(value if r in chosen else 0 for r in range(m))
 
 
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("bruteforce", "dynamics", "theorem3"),
                    default="bruteforce")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-iters", type=int, default=1000)
+    p.add_argument("--max-iters", type=int, default=1000, help="cap on improving steps")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check whether a profile is an equilibrium")

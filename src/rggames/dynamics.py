@@ -1,5 +1,8 @@
 """Best-response dynamics, equilibrium verification, and the brute-force oracle.
 
+`run_best_response_dynamics` is the package's one best-response loop, with a
+pluggable responder; `_deviations` is its one deviation scan.
+
 Verification enumerates strategy spaces exhaustively; that exponential work
 is the documented price of generality, so every enumeration takes an explicit
 cap and fails loudly instead of truncating.
@@ -10,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .core import Game, Profile, Vector, deviate, load_of, private_cost, support
 from .errors import CapacityError, StructureError, UsageError
@@ -68,6 +71,16 @@ def _spaces(game: Game, cap: int):
     return out
 
 
+def _deviations(game: Game, profile: Profile, i: int, space, loads: Vector):
+    """(y, pi_i(y, x_-i)) for every y in space other than player i's choice, in order."""
+    base = tuple(loads[r] - profile[i][r] for r in range(game.n_resources))
+    for y in space:
+        if y == profile[i]:
+            continue
+        new_loads = tuple(base[r] + y[r] for r in range(game.n_resources))
+        yield y, private_cost(game, deviate(profile, i, y), i, loads=new_loads)
+
+
 def verify_pne(game: Game, profile: Profile, cap: int = 10**6) -> Certificate:
     """IsPNE iff no player has a strictly improving unilateral deviation.
 
@@ -80,31 +93,21 @@ def verify_pne(game: Game, profile: Profile, cap: int = 10**6) -> Certificate:
             raise StructureError(f"player {i} cannot play resources {support(profile[i])}")
     for i, space in enumerate(spaces):
         cur = private_cost(game, profile, i, loads=loads)
-        base = tuple(loads[r] - profile[i][r] for r in range(game.n_resources))
-        for y in space:
-            if y == profile[i]:
-                continue
-            new_loads = tuple(base[r] + y[r] for r in range(game.n_resources))
-            alt = private_cost(game, deviate(profile, i, y), i, loads=new_loads)
+        for y, alt in _deviations(game, profile, i, space, loads):
             if _improves(alt, cur):
                 return NotPNE(player=i, deviation=y, delta=alt - cur)
     return IsPNE()
 
 
-def best_response(game: Game, profile: Profile, i: int, cap: int = 10**6) -> Vector:
-    """Cost-minimizing strategy for player i; ties keep the incumbent, then lexicographic."""
+def best_response(game: Game, profile: Profile, i: int, cap: int = 10**6) -> tuple:
+    """(y, cost change) for player i's cheapest y; ties keep the incumbent, then lexicographic."""
     loads = load_of(game, profile)
-    base = tuple(loads[r] - profile[i][r] for r in range(game.n_resources))
+    cur = best_cost = private_cost(game, profile, i, loads=loads)
     best = profile[i]
-    best_cost = private_cost(game, profile, i, loads=loads)
-    for y in game.players[i].strategies(cap=cap):
-        if y == profile[i]:
-            continue
-        new_loads = tuple(base[r] + y[r] for r in range(game.n_resources))
-        cost = private_cost(game, deviate(profile, i, y), i, loads=new_loads)
+    for y, cost in _deviations(game, profile, i, game.players[i].strategies(cap=cap), loads):
         if _improves(cost, best_cost):
             best, best_cost = y, cost
-    return best
+    return best, best_cost - cur
 
 
 def run_best_response_dynamics(
@@ -114,10 +117,15 @@ def run_best_response_dynamics(
     schedule: str = "round-robin",
     seed: Optional[int] = None,
     cap: int = 10**6,
+    responder: Optional[Callable] = None,
 ) -> DynamicsTrace:
-    """Apply strict best responses until none exists or max_iters steps were taken."""
+    """Apply strict best responses until none exists or max_iters steps were taken.
+
+    `responder` has the signature and result of `best_response`, the default.
+    """
     if schedule not in ("round-robin", "random"):
         raise UsageError(f"unknown schedule {schedule!r}")
+    respond = best_response if responder is None else responder
     rng = random.Random(seed) if schedule == "random" else None
     profile = tuple(tuple(v) for v in start)
     steps = []
@@ -128,14 +136,11 @@ def run_best_response_dynamics(
             rng.shuffle(order)
         moved = False
         for i in order:
-            old_cost = private_cost(game, profile, i)
-            y = best_response(game, profile, i, cap=cap)
+            y, delta = respond(game, profile, i, cap=cap)
             if y == profile[i]:
                 continue
-            new_profile = deviate(profile, i, y)
-            delta = private_cost(game, new_profile, i) - old_cost
             steps.append((i, profile[i], y, delta))
-            profile = new_profile
+            profile = deviate(profile, i, y)
             moved = True
             if len(steps) >= max_iters:
                 break

@@ -2,7 +2,8 @@
 best response, local monotonicity, and the separable-game equilibrium lift.
 
 Descriptors are uniform, partition, and graphic matroids over the resource
-set; bases are 0/1 incidence vectors of length m.
+set; bases are 0/1 incidence vectors of length m.  The lift runs
+`dynamics.run_best_response_dynamics` with the greedy responder.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .core import Game, MatroidBases
+from .core import Game, MatroidBases, Profile, load_of
 from .costs import CostModel, PlayerSpecificSeparable, eval_cost_entry
+from .dynamics import IsPNE, PNEFound, brute_force_pne, run_best_response_dynamics, verify_pne
 from .errors import CapacityError, StructureError, UsageError
 
 
@@ -260,6 +262,17 @@ def nu_identity(desc: MatroidDesc, r: int, load) -> object:
     return load
 
 
+def _greedy_response(game: Game, profile: Profile, i: int, cap: int = 10**6) -> tuple:
+    """`best_response` on a separable nu-game: the greedy basis if strictly cheaper, else x_i."""
+    nu = game.cost_model.nu[i]
+    x = profile[i]
+    loads = load_of(game, profile)
+    weights = [nu[r][loads[r] - x[r] + 1] for r in range(game.n_resources)]
+    y = greedy_best_response(game.players[i].strategy_space.desc, weights)
+    delta = sum(weights[r] for r in _support(y)) - sum(weights[r] for r in _support(x))
+    return (y, delta) if delta < 0 else (x, 0)
+
+
 def solve_via_theorem3(
     game: Game,
     nu_tables: PlayerSpecificSeparable,
@@ -268,45 +281,24 @@ def solve_via_theorem3(
 ):
     """Equilibrium lift: solve the separable nu-game, then verify on the original game.
 
-    Runs best-response dynamics on the associated player-specific separable
-    game using the matroid greedy; falls back to brute force on the nu-game
-    if dynamics do not converge.  The terminal profile must verify as an
-    equilibrium of the original non-separable game; a failure there signals a
-    nu/monotonicity mismatch and raises.
+    Runs `run_best_response_dynamics` on the associated player-specific
+    separable game with the matroid greedy as responder, for at most
+    max_iters improving steps; falls back to brute force on the nu-game if
+    the dynamics end outside an equilibrium of it.  The terminal profile must
+    verify as an equilibrium of the original non-separable game; a failure
+    there signals a nu/monotonicity mismatch and raises.
     """
-    from .dynamics import IsPNE, PNEFound, brute_force_pne, verify_pne
-
     for p in game.players:
         if not isinstance(p.strategy_space, MatroidBases):
             raise UsageError("the lift needs matroid strategy spaces")
         if p.weight != 1:
             raise UsageError("the lift is defined for unweighted players")
-    nu_game = Game(
-        n_resources=game.n_resources, players=game.players, cost_model=nu_tables
-    )
-
-    profile = tuple(p.strategies(cap=cap)[0] for p in game.players)
-    converged = False
-    for _ in range(max_iters):
-        moved = False
-        loads = [sum(v[r] for v in profile) for r in range(game.n_resources)]
-        for i, p in enumerate(game.players):
-            desc = p.strategy_space.desc
-            other = [loads[r] - profile[i][r] for r in range(game.n_resources)]
-            weights = [nu_tables.nu[i][r][other[r] + 1] for r in range(game.n_resources)]
-            y = greedy_best_response(desc, weights)
-            if y != profile[i]:
-                old = sum(nu_tables.nu[i][r][other[r] + profile[i][r]] for r in _support(profile[i]))
-                new = sum(nu_tables.nu[i][r][other[r] + 1] for r in _support(y))
-                if new < old:
-                    for r in range(game.n_resources):
-                        loads[r] += y[r] - profile[i][r]
-                    profile = profile[:i] + (y,) + profile[i + 1 :]
-                    moved = True
-        if not moved:
-            converged = True
-            break
-    if not converged or not isinstance(verify_pne(nu_game, profile, cap=cap), IsPNE):
+    nu_game = Game(n_resources=game.n_resources, players=game.players, cost_model=nu_tables)
+    start = tuple(p.strategies(cap=cap)[0] for p in game.players)
+    profile = run_best_response_dynamics(
+        nu_game, start, max_iters=max_iters, cap=cap, responder=_greedy_response
+    ).terminal
+    if not isinstance(verify_pne(nu_game, profile, cap=cap), IsPNE):
         certificate = brute_force_pne(nu_game, cap=cap)
         if not isinstance(certificate, PNEFound):
             raise UsageError("the separable nu-game has no equilibrium; nu is not valid")

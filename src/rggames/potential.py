@@ -13,6 +13,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .core import Game, Profile, deviate, load_of, private_cost
 from .costs import Affine, SeparablePlusLinear
+from .dynamics import _deviations
 from .errors import UsageError
 
 
@@ -90,15 +91,11 @@ def check_exact_potential(
     for choices in product(*spaces):
         x = tuple(choices)
         px = P(x)
+        loads = load_of(game, x)
         for i in range(game.n_players):
-            pi_x = private_cost(game, x, i)
-            for y in spaces[i]:
-                if y == x[i]:
-                    continue
-                x2 = deviate(x, i, y)
-                lhs = P(x2) - px
-                rhs = private_cost(game, x2, i) - pi_x
-                diff = lhs - rhs
+            pi_x = private_cost(game, x, i, loads=loads)
+            for y, pi_y in _deviations(game, x, i, spaces[i], loads):
+                diff = (P(deviate(x, i, y)) - px) - (pi_y - pi_x)
                 if (abs(diff) > tol) if tol else (diff != 0):
                     return PotentialCheck(False, (x, i, y))
     return PotentialCheck(True, None)

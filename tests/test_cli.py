@@ -244,6 +244,19 @@ class TestInputHardening:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: player 0 cannot play resources [0, 1]\n"
 
+    def test_boolean_weight_rejected(self, tmp_path, capsys):
+        doc = game_to_json(sample_game())
+        doc["players"][0]["weight"] = True
+        assert main(["solve", write_json(tmp_path, "game.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_boolean_profile_index_rejected(self, game_file, tmp_path, capsys):
+        profile = write_json(tmp_path, "profile.json", {"choices": [[True], [0]]})
+        assert main(["verify", game_file, "--profile", profile]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_argparse_exit_passes_through(self, game_file):
         with pytest.raises(SystemExit):
             main(["solve"])

@@ -69,7 +69,7 @@ class TestBestResponse:
     def test_keeps_incumbent_on_tie(self):
         flat = separable([[0, 0, 0], [0, 0, 0]])
         game = make_game(flat, [((1, 0), (0, 1))])
-        assert best_response(game, ((0, 1),), 0) == (0, 1)
+        assert best_response(game, ((0, 1),), 0) == ((0, 1), 0)
 
     def test_moves_off_loaded_resource(self):
         cost = Affine(
@@ -80,17 +80,18 @@ class TestBestResponse:
         game = make_game(cost, spaces)
         # five units... here two other players pin resource 1; player 0 flees to 2
         profile = ((1, 0), (1, 0), (1, 0))
-        assert best_response(game, profile, 0) == (0, 1)
+        assert best_response(game, profile, 0) == ((0, 1), -2)
 
     def test_equals_enumeration_argmin(self):
         game = make_game(LINEAR_2, [((1, 0), (0, 1), (1, 1))] * 2)
         for profile in product(*[p.strategies() for p in game.players]):
-            y = best_response(game, profile, 0)
+            y, delta = best_response(game, profile, 0)
             costs = {
                 v: private_cost(game, deviate(profile, 0, v), 0)
                 for v in game.players[0].strategies()
             }
             assert costs[y] == min(costs.values())
+            assert delta == costs[y] - costs[profile[0]]
 
 
 class TestDynamics:

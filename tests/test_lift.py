@@ -4,7 +4,8 @@
 `solve_via_theorem3` used to carry: rounds over the players in index order,
 each player moving to the greedy basis of its nu-weights when that basis is
 strictly cheaper, until a round moves nobody.  The lift must return the same
-profile on every game below.
+profile on every roster below, and a verified equilibrium when its step cap
+binds.
 """
 
 import random
@@ -13,8 +14,21 @@ from fractions import Fraction
 from rggames.bilevel import identity_nu, make_bilevel_game
 from rggames.core import Game, MatroidBases, Player
 from rggames.costs import PlayerSpecificSeparable
-from rggames.dynamics import IsPNE, PNEFound, brute_force_pne, verify_pne
-from rggames.matroid import Graphic, Partition, Uniform, greedy_best_response, solve_via_theorem3
+from rggames.dynamics import (
+    IsPNE,
+    PNEFound,
+    brute_force_pne,
+    run_best_response_dynamics,
+    verify_pne,
+)
+from rggames.matroid import (
+    Graphic,
+    Partition,
+    Uniform,
+    _greedy_response,
+    greedy_best_response,
+    solve_via_theorem3,
+)
 
 # the rosters of acceptance criterion 6
 BILEVEL_DESCS = [
@@ -121,3 +135,20 @@ def test_lift_matches_reference_on_random_separable_tables():
         profile, cert = solve_via_theorem3(game, nu)
         assert isinstance(cert, IsPNE)
         assert profile == reference_lift(game, nu), game
+
+
+def test_binding_step_cap_still_returns_a_verified_equilibrium():
+    # four players crowd resource 1 at the start; two improving steps spread them
+    game = make_bilevel_game(2, [Uniform(2, 1)] * 4, 1)
+    nu = identity_nu(game)
+    nu_game = Game(n_resources=2, players=game.base.players, cost_model=nu)
+    start = tuple(p.strategies()[0] for p in game.base.players)
+    trace = run_best_response_dynamics(nu_game, start, responder=_greedy_response)
+    assert trace.converged and trace.iterations == 2
+    for cap in (0, 1):
+        assert not run_best_response_dynamics(
+            nu_game, start, max_iters=cap, responder=_greedy_response).converged
+        profile, cert = solve_via_theorem3(game.base, nu, max_iters=cap)
+        assert isinstance(cert, IsPNE)
+        assert isinstance(verify_pne(game.base, profile), IsPNE)
+        assert isinstance(verify_pne(nu_game, profile), IsPNE)
