@@ -73,6 +73,12 @@ def rat(text) -> Fraction:
     return Fraction(text)
 
 
+def integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise StructureError(f"expected an integer, got {value!r}")
+    return value
+
+
 def unrat(value) -> str:
     return str(Fraction(value))
 
@@ -99,6 +105,7 @@ def nested(codec: Codec, depth: int = 1) -> Codec:
 
 
 PLAIN = Codec(_same, _same)
+INT = Codec(integer, _same)
 RAT = Codec(rat, unrat)
 FLOAT = Codec(float, _same)
 NUMBER = Codec(None, lambda v: v if isinstance(v, float) else unrat(v))  # exact or float value
@@ -121,16 +128,16 @@ class Spec(NamedTuple):
 
 SPECS = {
     "matroid": (
-        Spec(Uniform, "type", "uniform", (("m", "m", PLAIN), ("k", "k", PLAIN))),
+        Spec(Uniform, "type", "uniform", (("m", "m", INT), ("k", "k", INT))),
         Spec(Partition, "type", "partition", (
-            ("m", "m", PLAIN), ("blocks", "blocks", nested(PLAIN, 2)),
-            ("quotas", "quotas", nested(PLAIN)))),
+            ("m", "m", INT), ("blocks", "blocks", nested(INT, 2)),
+            ("quotas", "quotas", nested(INT)))),
         Spec(Graphic, "type", "graphic", (
-            ("vertices", "n_vertices", PLAIN), ("edges", "edges", nested(PLAIN, 2)))),
+            ("vertices", "n_vertices", INT), ("edges", "edges", nested(INT, 2)))),
     ),
     "cost": (
         Spec(Tabulated, "kind", "tabulated", (
-            ("max_load", "max_load", PLAIN), ("neighborhoods", "neighborhoods", nested(PLAIN, 2)),
+            ("max_load", "max_load", INT), ("neighborhoods", "neighborhoods", nested(INT, 2)),
             ("tables", "tables", nested(TABLE))), m=lambda kw: len(kw["neighborhoods"])),
         Spec(SeparablePlusLinear, "kind", "separable_plus_linear", (
             ("f", "f", nested(RAT, 2)), ("A", "A", nested(RAT, 2)))),
@@ -248,9 +255,9 @@ def game_to_json(game: Game, bounds=None) -> dict:
 def game_from_json(doc: dict) -> Game:
     doc = json.loads(json.dumps(doc))  # defensive copy
     version = _pop(doc, "version", "$")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise StructureError(f"unsupported schema version {version!r}")
-    m = _pop(doc, "m", "$")
+    m = integer(_pop(doc, "m", "$"))
     players = []
     for i, pd in enumerate(_pop(doc, "players", "$")):
         path = f"players[{i}]"
@@ -359,7 +366,8 @@ def _cost_and_bounds(doc: dict):
         game = game_from_json(doc)
         return game.cost_model, doc.get("bounds", {})
     doc = dict(doc)
-    cost = decode("cost", _pop(doc, "cost", "$"), "cost", doc.pop("m", None))
+    m = doc.pop("m", None)
+    cost = decode("cost", _pop(doc, "cost", "$"), "cost", None if m is None else integer(m))
     bounds = doc.pop("bounds", {})
     _reject_unknown(doc, "$")
     return cost, bounds

@@ -3,11 +3,12 @@
 Strategy vectors are tuples over the m resources.  Unweighted players play
 0/1 incidence vectors; a player of weight w plays w times a 0/1 vector.
 Games and profiles are immutable; every operation here is a pure function.
+A Player keeps its enumerated strategy tuple once computed (`strategies`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
@@ -60,6 +61,7 @@ StrategySpace = Union[Explicit, MatroidBases]
 class Player:
     weight: Number = 1
     strategy_space: StrategySpace = None
+    _strategies: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.weight <= 0:
@@ -67,21 +69,29 @@ class Player:
         if self.strategy_space is None:
             raise StructureError("player needs a strategy space")
 
-    def base_vectors(self, cap: int = 10**6) -> tuple:
-        """The 0/1 vectors of this player's space, in canonical order."""
-        if isinstance(self.strategy_space, Explicit):
-            return self.strategy_space.vectors
-        from .matroid import enumerate_bases
-
-        return enumerate_bases(self.strategy_space.desc, cap=cap)
-
     def strategies(self, cap: int = 10**6) -> tuple:
-        """Playable vectors: weight-scaled copies of the 0/1 base vectors."""
-        base = self.base_vectors(cap=cap)
-        if self.weight == 1:
-            return base
+        """Playable vectors: weight-scaled copies of the 0/1 base vectors, in canonical order.
+
+        The tuple is computed on the first call and kept on this object, never
+        shared with another Player.  A matroid space with more than `cap` bases
+        raises CapacityError on every call, cached or not, and a call that
+        raised caches nothing; an explicit space is returned whole.
+        """
+        cached = self._strategies
+        if cached is not None:
+            if len(cached) > cap and isinstance(self.strategy_space, MatroidBases):
+                raise CapacityError(f"more than {cap} bases")
+            return cached
+        if isinstance(self.strategy_space, Explicit):
+            base = self.strategy_space.vectors
+        else:
+            from .matroid import enumerate_bases
+
+            base = enumerate_bases(self.strategy_space.desc, cap=cap)
         w = self.weight
-        return tuple(tuple(w * e for e in v) for v in base)
+        cached = base if w == 1 else tuple(tuple(w * e for e in v) for v in base)
+        object.__setattr__(self, "_strategies", cached)
+        return cached
 
 
 @dataclass(frozen=True, eq=False)

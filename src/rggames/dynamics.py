@@ -3,9 +3,11 @@
 `run_best_response_dynamics` is the package's one best-response loop, with a
 pluggable responder; `_deviations` is its one deviation scan.
 
-Verification enumerates strategy spaces exhaustively; that exponential work
-is the documented price of generality, so every enumeration takes an explicit
-cap and fails loudly instead of truncating.
+Verification scans every unilateral deviation of each player, over strategy
+spaces that each Player enumerates once and keeps (`core.Player.strategies`).
+A space can be exponentially large; that is the documented price of
+generality, so every enumeration takes an explicit cap and fails loudly
+instead of truncating, on a cached space too.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb, prod
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .core import Game, MatroidBases, Profile, load_of
@@ -142,14 +143,22 @@ def is_basis(desc: MatroidDesc, v: Sequence[int]) -> bool:
 
 
 def enumerate_bases(desc: MatroidDesc, cap: int = 10**6) -> tuple:
-    """All bases as 0/1 vectors in lexicographic vector order."""
-    k = rank(desc)
+    """All bases as 0/1 vectors in lexicographic vector order.
+
+    Partition bases are built directly, one quota-sized pick per block;
+    uniform and graphic bases are the independent rank-sized subsets.
+    """
     if isinstance(desc, Partition):
-        ground = [e for block in desc.blocks for e in block]
-    else:
-        ground = list(range(desc.m))
+        pairs = tuple(zip(desc.blocks, desc.quotas))
+        if prod(comb(len(block), q) for block, q in pairs) > cap:
+            raise CapacityError(f"more than {cap} bases")
+        out = []
+        for picks in product(*(combinations(sorted(block), q) for block, q in pairs)):
+            supp = {e for pick in picks for e in pick}
+            out.append(tuple(1 if r in supp else 0 for r in range(desc.m)))
+        return tuple(sorted(out))
     out = []
-    for combo in combinations(sorted(ground), k):
+    for combo in combinations(range(desc.m), rank(desc)):
         supp = frozenset(combo)
         if is_independent(desc, supp):
             out.append(tuple(1 if r in supp else 0 for r in range(desc.m)))

@@ -86,16 +86,27 @@ def check_exact_potential(
     cap: int = 10**6,
     tol: float = 0.0,
 ) -> PotentialCheck:
-    """Verify dP = dpi_i over all profiles, players, and unilateral deviations."""
+    """Verify dP = dpi_i over all profiles, players, and unilateral deviations.
+
+    P must be a function of the profile alone: it is evaluated once per
+    distinct profile and the value reused for every deviation reaching it.
+    """
     spaces = [p.strategies(cap=cap) for p in game.players]
+    values: dict = {}
+
+    def value(x: Profile):
+        if x not in values:
+            values[x] = P(x)
+        return values[x]
+
     for choices in product(*spaces):
         x = tuple(choices)
-        px = P(x)
+        px = value(x)
         loads = load_of(game, x)
         for i in range(game.n_players):
             pi_x = private_cost(game, x, i, loads=loads)
             for y, pi_y in _deviations(game, x, i, spaces[i], loads):
-                diff = (P(deviate(x, i, y)) - px) - (pi_y - pi_x)
+                diff = (value(deviate(x, i, y)) - px) - (pi_y - pi_x)
                 if (abs(diff) > tol) if tol else (diff != 0):
                     return PotentialCheck(False, (x, i, y))
     return PotentialCheck(True, None)

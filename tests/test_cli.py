@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,8 @@ from rggames.core import Explicit, Game, MatroidBases, Player
 from rggames.costs import Affine, SeparablePlusLinear
 from rggames.errors import StructureError
 from rggames.matroid import Partition, Uniform
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def sample_game():
@@ -195,7 +198,74 @@ def tabulated_cost_doc(max_load):
                              "neighborhoods": [[0]], "tables": [table]}}
 
 
+def one_resource_game(strategies, cost=None):
+    return {"version": 1, "m": 1, "players": [{"weight": "1", "strategies": strategies}],
+            "cost": cost or {"kind": "affine", "A": [["1"]], "b": ["0"]}}
+
+
+def golden_doc(name):
+    return json.loads((GOLDEN / name).read_text())
+
+
+def set_matroid_field(player, key, value):
+    return lambda doc: doc["players"][player]["strategies"]["matroid"].__setitem__(key, value)
+
+
+def set_cost_field(key, value):
+    return lambda doc: doc["cost"].__setitem__(key, value)
+
+
+# Each mutation puts a JSON boolean (or float) that Python would take for the integer
+# into one integer field of a document that solves with exit 0.
+NON_INTEGER_FIELDS = {
+    "version": (lambda: golden_doc("bilevel_game.json"),
+                lambda doc: doc.__setitem__("version", True)),
+    "version 1.0": (lambda: golden_doc("bilevel_game.json"),
+                    lambda doc: doc.__setitem__("version", 1.0)),
+    "document m": (lambda: one_resource_game({"matroid": {"type": "uniform", "m": 1, "k": 1}}),
+                   lambda doc: doc.__setitem__("m", True)),
+    "m": (lambda: one_resource_game({"matroid": {"type": "uniform", "m": 1, "k": 1}}),
+          set_matroid_field(0, "m", True)),
+    "k": (lambda: golden_doc("bilevel_game.json"), set_matroid_field(2, "k", True)),
+    "blocks": (lambda: golden_doc("bilevel_game.json"),
+               set_matroid_field(1, "blocks", [[0, True], [2, 3]])),
+    "quotas": (lambda: golden_doc("bilevel_game.json"), set_matroid_field(1, "quotas", [True, 1])),
+    "vertices": (lambda: {**one_resource_game({"matroid": {"type": "graphic", "vertices": 1,
+                                                           "edges": []}},
+                                              {"kind": "affine", "A": [], "b": []}), "m": 0},
+                 set_matroid_field(0, "vertices", True)),
+    "edges": (lambda: one_resource_game({"matroid": {"type": "graphic", "vertices": 2,
+                                                     "edges": [[0, 1]]}}),
+              set_matroid_field(0, "edges", [[0, True]])),
+    "max_load": (lambda: one_resource_game({"explicit": [[0]]}, {
+        "kind": "tabulated", "max_load": 1, "neighborhoods": [[0]],
+        "tables": [{"0": "0", "1": "1"}]}), set_cost_field("max_load", True)),
+    "neighborhoods": (lambda: golden_doc("tabulated_game.json"),
+                      set_cost_field("neighborhoods", [[0], [0, True]])),
+}
+
+
 class TestInputHardening:
+    @pytest.mark.parametrize("field", sorted(NON_INTEGER_FIELDS))
+    def test_non_integer_field_rejected(self, field, tmp_path, capsys):
+        build, mutate = NON_INTEGER_FIELDS[field]
+        doc = build()
+        assert main(["solve", write_json(tmp_path, "game.json", doc)]) == 0
+        capsys.readouterr()
+        mutate(doc)
+        assert main(["solve", write_json(tmp_path, "game.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_boolean_cost_document_m_rejected(self, tmp_path, capsys):
+        doc = {"m": 1, "cost": {"kind": "affine", "A": [["1"]], "b": ["0"]}}
+        assert main(["characterize", "--weighted", write_json(tmp_path, "c.json", doc)]) == 0
+        capsys.readouterr()
+        doc["m"] = True
+        assert main(["characterize", "--weighted", write_json(tmp_path, "c.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: expected an integer, got True\n"
+
     def test_out_of_range_support_rejected(self, tmp_path, capsys):
         doc = game_to_json(sample_game())
         doc["players"][0]["strategies"]["explicit"] = [[5], [1]]

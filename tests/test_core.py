@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from rggames import matroid
 from rggames.core import (
     Explicit,
     Game,
+    MatroidBases,
     Player,
     deviate,
     load_of,
@@ -14,7 +16,8 @@ from rggames.core import (
     validate_profile,
 )
 from rggames.costs import Affine, SeparablePlusLinear
-from rggames.errors import StructureError
+from rggames.errors import CapacityError, StructureError
+from rggames.matroid import Graphic, Partition, Uniform, enumerate_bases
 
 
 def affine_identity(m):
@@ -161,3 +164,67 @@ class TestStructure:
 
     def test_profile_space_size(self):
         assert profile_space_size(simple_game(m=2, n=3)) == 8
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The descriptors matroid.enumerate_bases is called with, in order."""
+    calls = []
+    original = matroid.enumerate_bases
+
+    def counted(desc, cap=10**6):
+        calls.append(desc)
+        return original(desc, cap=cap)
+
+    monkeypatch.setattr(matroid, "enumerate_bases", counted)
+    return calls
+
+
+def uniform_player(weight=1):
+    return Player(weight=weight, strategy_space=MatroidBases(desc=Uniform(4, 2)))  # 6 bases
+
+
+class TestStrategyCache:
+    def test_second_call_does_not_enumerate(self, enumerations):
+        p = uniform_player()
+        first = p.strategies()
+        assert p.strategies() is first
+        assert enumerations == [Uniform(4, 2)]
+
+    def test_smaller_cap_on_warm_cache_raises(self, enumerations):
+        p = uniform_player()
+        assert len(p.strategies(cap=6)) == 6
+        with pytest.raises(CapacityError, match="more than 5 bases"):
+            p.strategies(cap=5)
+        assert len(p.strategies(cap=6)) == 6
+        assert len(enumerations) == 1
+
+    def test_call_that_raised_caches_nothing(self, enumerations):
+        p = uniform_player()
+        with pytest.raises(CapacityError):
+            p.strategies(cap=5)
+        assert len(p.strategies(cap=6)) == 6
+        assert len(enumerations) == 2
+
+    def test_explicit_space_ignores_cap(self):
+        p = Player(strategy_space=Explicit(vectors=((1, 0), (0, 1))))
+        assert len(p.strategies(cap=1)) == 2
+        assert len(p.strategies(cap=1)) == 2
+
+    def test_equal_descriptors_do_not_share_a_cache(self, enumerations):
+        a, b = uniform_player(), uniform_player()
+        for p in (a, b, a, b):
+            p.strategies()
+        assert enumerations == [Uniform(4, 2), Uniform(4, 2)]
+
+    @pytest.mark.parametrize("weight", [1, 2, Fraction(3, 2)])
+    @pytest.mark.parametrize("desc", [
+        Uniform(4, 2),
+        Partition(m=4, blocks=((2, 0), (1, 3)), quotas=(1, 1)),
+        Graphic(n_vertices=3, edges=((0, 1), (1, 2), (0, 2))),
+    ])
+    def test_weighted_copies(self, desc, weight):
+        p = Player(weight=weight, strategy_space=MatroidBases(desc=desc))
+        expected = tuple(tuple(weight * e for e in v) for v in enumerate_bases(desc))
+        assert p.strategies() == expected
+        assert p.strategies() == expected

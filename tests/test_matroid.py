@@ -1,12 +1,13 @@
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from rggames.core import Game, MatroidBases, Player
 from rggames.costs import Bilevel, PlayerSpecificSeparable, Tabulated, as_tabulated
 from rggames.dynamics import IsPNE, verify_pne
-from rggames.errors import StructureError
+from rggames.errors import CapacityError, StructureError
 from rggames.matroid import (
     ExchangeStep,
     Graphic,
@@ -18,6 +19,7 @@ from rggames.matroid import (
     greedy_best_response,
     group_types,
     is_basis,
+    is_independent,
     nu_identity,
     rank,
     solve_via_theorem3,
@@ -63,6 +65,56 @@ class TestEnumeration:
             bases = enumerate_bases(desc)
             assert list(bases) == sorted(bases)
             assert all(is_basis(desc, v) for v in bases)
+
+    @pytest.mark.parametrize("desc", [
+        Uniform(5, 2),
+        Partition(m=6, blocks=((4, 0, 2), (1, 5)), quotas=(2, 1)),
+        FOUR_CYCLE,
+    ])
+    def test_cap_boundary(self, desc):
+        n = len(enumerate_bases(desc))
+        assert len(enumerate_bases(desc, cap=n)) == n
+        with pytest.raises(CapacityError, match=f"more than {n - 1} bases"):
+            enumerate_bases(desc, cap=n - 1)
+
+
+def reference_bases(desc):
+    """The partition enumeration as it was: filter every rank-sized subset of the blocks."""
+    ground = [e for block in desc.blocks for e in block]
+    out = []
+    for combo in combinations(sorted(ground), rank(desc)):
+        supp = frozenset(combo)
+        if is_independent(desc, supp):
+            out.append(tuple(1 if r in supp else 0 for r in range(desc.m)))
+    return tuple(sorted(out))
+
+
+def random_partition(rng):
+    """Shuffled (so unsorted) blocks, possibly empty, quotas from 0 up; leftovers lie in no block."""
+    m = rng.randint(0, 9)
+    free = rng.sample(range(m), m)
+    blocks = []
+    while rng.random() < 0.8:
+        size = rng.randint(0, min(4, len(free)))
+        blocks.append(tuple(free[:size]))
+        free = free[size:]
+    quotas = tuple(rng.randint(0, len(block)) for block in blocks)
+    return Partition(m=m, blocks=tuple(blocks), quotas=quotas)
+
+
+class TestPartitionEnumeration:
+    def test_matches_reference_filter(self):
+        rng = random.Random(5)
+        descs = [random_partition(rng) for _ in range(200)]
+        descs += [Partition(m=3, blocks=(), quotas=()),
+                  Partition(m=5, blocks=((3, 1), (), (4,)), quotas=(1, 0, 0))]
+        for desc in descs:
+            assert enumerate_bases(desc) == reference_bases(desc), desc
+        # the corpus reaches every shape the direct product must handle
+        assert any(not d.blocks for d in descs)
+        assert any(0 in d.quotas for d in descs)
+        assert any(list(b) != sorted(b) for d in descs for b in d.blocks)
+        assert any(sum(map(len, d.blocks)) < d.m for d in descs)
 
 
 class TestExchangeDecompose:

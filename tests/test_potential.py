@@ -1,11 +1,13 @@
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from rggames.core import Explicit, Game, Player
+from rggames.core import Explicit, Game, MatroidBases, Player, deviate, private_cost
 from rggames.costs import Affine, SeparablePlusLinear
 from rggames.errors import UsageError
+from rggames.matroid import Uniform
 from rggames.potential import (
     check_exact_potential,
     potential_unweighted,
@@ -38,6 +40,20 @@ def sequential_sum(game, profile):
                 )
             total += e * cr
     return total
+
+
+def reference_check(game, P):
+    """The exact-potential identity term by term, P evaluated afresh at every deviation."""
+    spaces = [p.strategies() for p in game.players]
+    for x in product(*spaces):
+        for i in range(game.n_players):
+            for y in spaces[i]:
+                if y == x[i]:
+                    continue
+                x_y = deviate(x, i, y)
+                if P(x_y) - P(x) != private_cost(game, x_y, i) - private_cost(game, x, i):
+                    return (x, i, y)
+    return None
 
 
 def make_game(cost, spaces, weights=None):
@@ -183,3 +199,34 @@ class TestExactPotentialCheck:
         proxy = Game(n_resources=2, players=game.players, cost_model=sym)
         result = check_exact_potential(game, lambda x: potential_weighted_affine(proxy, x))
         assert not result.ok
+
+    def test_potential_evaluated_once_per_profile(self):
+        # two players on the 10 bases of Uniform(5, 2): 100 profiles, 1,900 deviations
+        m = 5
+        cost = SeparablePlusLinear(
+            f=tuple(tuple(Fraction(k * (r + 1)) for k in range(4)) for r in range(m)),
+            A=tuple(tuple(Fraction(1 if r + s == m - 1 else 0) for s in range(m))
+                    for r in range(m)),
+        )
+        space = MatroidBases(desc=Uniform(m, 2))
+        game = Game(n_resources=m, players=(Player(strategy_space=space),) * 2, cost_model=cost)
+        profiles = list(product(*(p.strategies() for p in game.players)))
+        candidates = {
+            "exact": lambda x: potential_unweighted(game, x),
+            "zero": lambda x: Fraction(0),
+            "late error": lambda x: potential_unweighted(game, x) + (x == profiles[57]),
+            "last profile": lambda x: potential_unweighted(game, x) + (x == profiles[-1]),
+        }
+        for name, P in candidates.items():
+            seen = Counter()
+
+            def counted(x):
+                seen[x] += 1
+                return P(x)
+
+            result = check_exact_potential(game, counted)
+            assert set(seen.values()) == {1}, name
+            assert result.witness == reference_check(game, P), name
+            assert result.ok == (name == "exact"), name
+            if result.ok:
+                assert len(seen) == len(profiles) == 100
