@@ -78,15 +78,63 @@ class TestEnumeration:
             enumerate_bases(desc, cap=n - 1)
 
 
+# Frozen reference: matroid dispatch and enumeration as isinstance chains and a
+# filter over every rank-sized subset, kept so that the descriptors' own
+# methods are checked against independent code.
+
+
+def reference_independent(desc, subset):
+    if isinstance(desc, Uniform):
+        return len(subset) <= desc.k
+    if isinstance(desc, Partition):
+        outside = set(subset)
+        for block, q in zip(desc.blocks, desc.quotas):
+            if sum(1 for e in block if e in subset) > q:
+                return False
+            outside.difference_update(block)
+        return not outside
+    parent = list(range(desc.n_vertices))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for r in subset:
+        ru, rv = find(desc.edges[r][0]), find(desc.edges[r][1])
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def reference_rank(desc):
+    if isinstance(desc, Uniform):
+        return desc.k
+    if isinstance(desc, Partition):
+        return sum(desc.quotas)
+    return desc.n_vertices - 1
+
+
 def reference_bases(desc):
-    """The partition enumeration as it was: filter every rank-sized subset of the blocks."""
-    ground = [e for block in desc.blocks for e in block]
     out = []
-    for combo in combinations(sorted(ground), rank(desc)):
-        supp = frozenset(combo)
-        if is_independent(desc, supp):
-            out.append(tuple(1 if r in supp else 0 for r in range(desc.m)))
+    for combo in combinations(range(desc.m), reference_rank(desc)):
+        if reference_independent(desc, frozenset(combo)):
+            out.append(tuple(1 if r in combo else 0 for r in range(desc.m)))
     return tuple(sorted(out))
+
+
+def reference_is_basis(desc, v):
+    supp = frozenset(r for r, e in enumerate(v) if e)
+    return len(supp) == reference_rank(desc) and reference_independent(desc, supp)
+
+
+def reference_greedy(desc, weights):
+    chosen = set()
+    for r in sorted(range(desc.m), key=lambda r: (weights[r], r)):
+        if len(chosen) < reference_rank(desc) and reference_independent(desc, chosen | {r}):
+            chosen.add(r)
+    return tuple(1 if r in chosen else 0 for r in range(desc.m))
 
 
 def random_partition(rng):
@@ -115,6 +163,75 @@ class TestPartitionEnumeration:
         assert any(0 in d.quotas for d in descs)
         assert any(list(b) != sorted(b) for d in descs for b in d.blocks)
         assert any(sum(map(len, d.blocks)) < d.m for d in descs)
+
+
+def random_uniform(rng):
+    m = rng.randint(1, 8)
+    return Uniform(m, rng.randint(1, m))
+
+
+def random_graphic(rng):
+    """A random spanning tree in random orientation, plus edges that may close cycles or repeat."""
+    n = rng.randint(1, 5)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    for _ in range(rng.randint(0, 3) if n > 1 else 0):
+        edges.append(tuple(rng.sample(range(n), 2)))
+    edges = [e if rng.random() < 0.5 else e[::-1] for e in edges]
+    rng.shuffle(edges)
+    return Graphic(n_vertices=n, edges=tuple(edges))
+
+
+class TestDescriptorDispatch:
+    """rank, is_independent, is_basis, enumerate_bases and greedy against the reference."""
+
+    def check(self, desc, rng):
+        m = desc.m
+        assert rank(desc) == reference_rank(desc), desc
+        assert enumerate_bases(desc) == reference_bases(desc), desc
+        for v in product((0, 1), repeat=m):
+            supp = frozenset(r for r in range(m) if v[r])
+            assert is_independent(desc, supp) == reference_independent(desc, supp), (desc, v)
+            assert is_basis(desc, v) == reference_is_basis(desc, v), (desc, v)
+        for _ in range(5):
+            weights = [rng.randint(0, 3) for _ in range(m)]
+            assert greedy_best_response(desc, weights) == reference_greedy(desc, weights)
+
+    def test_uniform(self):
+        rng = random.Random(61)
+        descs = [random_uniform(rng) for _ in range(60)] + [Uniform(1, 1), Uniform(6, 6)]
+        for desc in descs:
+            self.check(desc, rng)
+        assert any(d.k == d.m for d in descs) and any(d.k < d.m for d in descs)
+
+    def test_partition(self):
+        rng = random.Random(62)
+        descs = [random_partition(rng) for _ in range(100)]
+        descs += [Partition(m=3, blocks=(), quotas=()),
+                  Partition(m=5, blocks=((3, 1), (), (4,)), quotas=(1, 0, 0))]
+        for desc in descs:
+            self.check(desc, rng)
+        assert any(() in d.blocks for d in descs)
+        assert any(0 in d.quotas for d in descs)
+        assert any(sum(map(len, d.blocks)) < d.m for d in descs)
+
+    def test_graphic(self):
+        rng = random.Random(63)
+        descs = [random_graphic(rng) for _ in range(100)]
+        descs += [TRIANGLE, FOUR_CYCLE, Graphic(n_vertices=1, edges=()),
+                  Graphic(n_vertices=2, edges=((0, 1), (1, 0), (0, 1)))]
+        for desc in descs:
+            self.check(desc, rng)
+        distinct = [len({frozenset(e) for e in d.edges}) for d in descs]
+        assert any(len(d.edges) == d.n_vertices - 1 > 0 for d in descs)  # trees
+        assert any(k >= d.n_vertices for k, d in zip(distinct, descs))  # simple cycles
+        assert any(k < len(d.edges) for k, d in zip(distinct, descs))  # parallel edges
+
+    @pytest.mark.parametrize("n, edges", [
+        (3, ((0, 1),)), (4, ((0, 1), (2, 3), (1, 0))), (2, ()), (2, ((0, 0),)), (2, ((0, 2),)),
+    ])
+    def test_graphic_rejects_disconnected_or_bad_edges(self, n, edges):
+        with pytest.raises(StructureError):
+            Graphic(n_vertices=n, edges=edges)
 
 
 class TestExchangeDecompose:
