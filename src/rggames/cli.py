@@ -94,11 +94,17 @@ def _same(value):
     return value
 
 
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise StructureError(f"expected a list, got {value!r}")
+    return value
+
+
 def nested(codec: Codec, depth: int = 1) -> Codec:
     """Lists of `codec` values, `depth` levels deep; tuples on the Python side."""
     for _ in range(depth):
         codec = Codec(
-            lambda v, c=codec: tuple(c.decode(e) for e in v),
+            lambda v, c=codec: tuple(c.decode(e) for e in _list(v)),
             lambda v, c=codec: [c.encode(e) for e in v],
         )
     return codec
@@ -438,11 +444,11 @@ def cmd_reduce(args) -> int:
     else:
         doc = json.loads(raw)
         inst = ForbiddenPairsInstance(
-            n_vertices=_pop(doc, "vertices", "$"),
-            edges=tuple(tuple(e) for e in _pop(doc, "edges", "$")),
-            s=_pop(doc, "s", "$"),
-            t=_pop(doc, "t", "$"),
-            pairs=tuple(tuple(p) for p in _pop(doc, "pairs", "$")),
+            n_vertices=integer(_pop(doc, "vertices", "$")),
+            edges=nested(INT, 2).decode(_pop(doc, "edges", "$")),
+            s=integer(_pop(doc, "s", "$")),
+            t=integer(_pop(doc, "t", "$")),
+            pairs=nested(INT, 2).decode(_pop(doc, "pairs", "$")),
         )
         _reject_unknown(doc, "$")
         game = reduce_forbidden_pairs(inst)

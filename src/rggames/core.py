@@ -169,11 +169,3 @@ def validate_profile(game: Game, profile: Profile, cap: int = 10**6) -> None:
         if tuple(v) not in p.strategies(cap=cap):
             raise StructureError(f"player {i} cannot play resources {support(v)}")
 
-
-def profile_space_size(game: Game, cap: int = 10**7) -> int:
-    total = 1
-    for i, p in enumerate(game.players):
-        total *= len(p.strategies())
-        if total > cap:
-            raise CapacityError(f"profile space exceeds budget {cap} at player {i}")
-    return total

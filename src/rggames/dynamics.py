@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional, Union
 
-from .core import Game, Profile, Vector, deviate, load_of, private_cost, support
-from .errors import CapacityError, StructureError, UsageError
+from .core import Game, Profile, Vector, deviate, load_of, private_cost, validate_profile
+from .errors import CapacityError, UsageError
 
 FLOAT_TOL = 1e-9
 
@@ -90,9 +90,7 @@ def verify_pne(game: Game, profile: Profile, cap: int = 10**6) -> Certificate:
     """
     loads = load_of(game, profile)
     spaces = _spaces(game, cap)
-    for i, space in enumerate(spaces):
-        if tuple(profile[i]) not in space:
-            raise StructureError(f"player {i} cannot play resources {support(profile[i])}")
+    validate_profile(game, profile, cap)
     for i, space in enumerate(spaces):
         cur = private_cost(game, profile, i, loads=loads)
         for y, alt in _deviations(game, profile, i, space, loads):

@@ -39,6 +39,13 @@ class GadgetSpec:
             raise StructureError(f"{self.lemma} needs {'three' if need_t else 'two'} resources")
         if len(set(self.resources)) != len(self.resources):
             raise StructureError("gadget resources must be distinct")
+        m = self.base_cost.m
+        if any(not 0 <= r < m for r in self.resources):
+            raise StructureError(
+                f"gadget resources must be 0-based indices below {m}, got {self.resources}"
+            )
+        if len(self.point) != m:
+            raise StructureError("background point has wrong dimension")
         if any(v < 0 for v in self.point):
             raise StructureError("background load must be non-negative")
         if self.lemma in ("L4", "L5") and self.point[self.resources[0]] <= 0:
@@ -68,8 +75,6 @@ def _unit(total: int, *indices: int) -> tuple:
 def build_gadget(spec: GadgetSpec) -> Game:
     """Materialize the gadget game on 4m resources."""
     m = spec.base_cost.m
-    if len(spec.point) != m:
-        raise StructureError("background point has wrong dimension")
     big = compose([spec.base_cost] * 4)
     M = 4 * m
 

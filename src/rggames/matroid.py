@@ -2,8 +2,11 @@
 best response, local monotonicity, and the separable-game equilibrium lift.
 
 Descriptors are uniform, partition, and graphic matroids over the resource
-set; bases are 0/1 incidence vectors of length m.  The lift runs
-`dynamics.run_best_response_dynamics` with the greedy responder.
+set.  Each owns its `rank`, its independence test `independent(subset)` and
+`bases(cap)`, the supports of its bases, which raises CapacityError past
+`cap` bases; `enumerate_bases` turns those supports into 0/1 incidence
+vectors of length m.  The lift runs `dynamics.run_best_response_dynamics`
+with the greedy responder.
 """
 
 from __future__ import annotations
@@ -11,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, prod
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
-from .core import Game, MatroidBases, Profile, load_of
+from .core import Game, MatroidBases, Profile, load_of, support
 from .costs import CostModel, PlayerSpecificSeparable, eval_cost_entry
 from .dynamics import IsPNE, PNEFound, brute_force_pne, run_best_response_dynamics, verify_pne
 from .errors import CapacityError, StructureError, UsageError
@@ -27,6 +30,18 @@ class Uniform:
     def __post_init__(self):
         if not 1 <= self.k <= self.m:
             raise StructureError(f"uniform rank must be in 1..{self.m}")
+
+    @property
+    def rank(self) -> int:
+        return self.k
+
+    def independent(self, subset) -> bool:
+        return len(subset) <= self.k
+
+    def bases(self, cap: int) -> Iterable[tuple]:
+        if comb(self.m, self.k) > cap:
+            raise CapacityError(f"more than {cap} bases")
+        return combinations(range(self.m), self.k)
 
 
 @dataclass(frozen=True)
@@ -48,6 +63,26 @@ class Partition:
             if not 0 <= q <= len(block):
                 raise StructureError(f"quota {q} exceeds block size {len(block)}")
 
+    @property
+    def rank(self) -> int:
+        return sum(self.quotas)
+
+    def independent(self, subset) -> bool:
+        outside = set(subset)
+        for block, q in zip(self.blocks, self.quotas):
+            if sum(1 for e in block if e in subset) > q:
+                return False
+            outside.difference_update(block)
+        return not outside
+
+    def bases(self, cap: int) -> Iterable[tuple]:
+        """One quota-sized pick per block, counted against cap before any is built."""
+        pairs = tuple(zip(self.blocks, self.quotas))
+        if prod(comb(len(block), q) for block, q in pairs) > cap:
+            raise CapacityError(f"more than {cap} bases")
+        picks = product(*(combinations(sorted(block), q) for block, q in pairs))
+        return (sum(pick, ()) for pick in picks)
+
 
 @dataclass(frozen=True)
 class Graphic:
@@ -58,12 +93,29 @@ class Graphic:
         for u, v in self.edges:
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices) or u == v:
                 raise StructureError(f"bad edge ({u}, {v})")
-        if not _connected(self.n_vertices, self.edges):
+        if _forest_size(self.n_vertices, self.edges) < self.n_vertices - 1:
             raise StructureError("graphic matroid requires a connected graph")
 
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @property
+    def rank(self) -> int:
+        return self.n_vertices - 1
+
+    def independent(self, subset) -> bool:
+        return _forest_size(self.n_vertices, (self.edges[r] for r in subset)) == len(subset)
+
+    def bases(self, cap: int) -> Iterable[tuple]:
+        """The spanning trees: every rank-sized edge set without a cycle."""
+        out = []
+        for combo in combinations(range(self.m), self.rank):
+            if self.independent(combo):
+                out.append(combo)
+                if len(out) > cap:
+                    raise CapacityError(f"more than {cap} bases")
+        return out
 
 
 MatroidDesc = Union[Uniform, Partition, Graphic]
@@ -75,9 +127,8 @@ class ExchangeStep:
     add: int
 
 
-def _connected(n: int, edges: Sequence[Tuple[int, int]]) -> bool:
-    if n <= 1:
-        return True
+def _forest_size(n: int, edges: Iterable[Tuple[int, int]]) -> int:
+    """Edges of a spanning forest of these edges on n vertices, found by union-find."""
     parent = list(range(n))
 
     def find(a):
@@ -86,84 +137,35 @@ def _connected(n: int, edges: Sequence[Tuple[int, int]]) -> bool:
             a = parent[a]
         return a
 
+    size = 0
     for u, v in edges:
-        parent[find(u)] = find(v)
-    return len({find(v) for v in range(n)}) == 1
-
-
-def _support(v: Sequence[int]) -> frozenset:
-    return frozenset(r for r, e in enumerate(v) if e)
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            size += 1
+    return size
 
 
 def is_independent(desc: MatroidDesc, subset: frozenset) -> bool:
-    if isinstance(desc, Uniform):
-        return len(subset) <= desc.k
-    if isinstance(desc, Partition):
-        outside = set(subset)
-        for block, q in zip(desc.blocks, desc.quotas):
-            inside = sum(1 for e in block if e in subset)
-            if inside > q:
-                return False
-            outside.difference_update(block)
-        return not outside
-    if isinstance(desc, Graphic):
-        parent = list(range(desc.n_vertices))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for r in subset:
-            u, v = desc.edges[r]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
-    raise UsageError(f"unknown matroid descriptor {desc!r}")
-
-
-def rank(desc: MatroidDesc) -> int:
-    if isinstance(desc, Uniform):
-        return desc.k
-    if isinstance(desc, Partition):
-        return sum(desc.quotas)
-    if isinstance(desc, Graphic):
-        return desc.n_vertices - 1
-    raise UsageError(f"unknown matroid descriptor {desc!r}")
+    return desc.independent(subset)
 
 
 def is_basis(desc: MatroidDesc, v: Sequence[int]) -> bool:
     if len(v) != desc.m or any(e not in (0, 1) for e in v):
         return False
-    supp = _support(v)
-    return len(supp) == rank(desc) and is_independent(desc, supp)
+    supp = frozenset(support(v))
+    return len(supp) == desc.rank and is_independent(desc, supp)
 
 
 def enumerate_bases(desc: MatroidDesc, cap: int = 10**6) -> tuple:
     """All bases as 0/1 vectors in lexicographic vector order.
 
-    Partition bases are built directly, one quota-sized pick per block;
-    uniform and graphic bases are the independent rank-sized subsets.
+    More than `cap` bases raise CapacityError.
     """
-    if isinstance(desc, Partition):
-        pairs = tuple(zip(desc.blocks, desc.quotas))
-        if prod(comb(len(block), q) for block, q in pairs) > cap:
-            raise CapacityError(f"more than {cap} bases")
-        out = []
-        for picks in product(*(combinations(sorted(block), q) for block, q in pairs)):
-            supp = {e for pick in picks for e in pick}
-            out.append(tuple(1 if r in supp else 0 for r in range(desc.m)))
-        return tuple(sorted(out))
     out = []
-    for combo in combinations(range(desc.m), rank(desc)):
-        supp = frozenset(combo)
-        if is_independent(desc, supp):
-            out.append(tuple(1 if r in supp else 0 for r in range(desc.m)))
-            if len(out) > cap:
-                raise CapacityError(f"more than {cap} bases")
+    for supp in desc.bases(cap):
+        chosen = set(supp)
+        out.append(tuple(1 if r in chosen else 0 for r in range(desc.m)))
     return tuple(sorted(out))
 
 
@@ -176,8 +178,9 @@ def exchange_decompose(desc: MatroidDesc, t: Sequence[int], u: Sequence[int]) ->
     """
     if not is_basis(desc, t) or not is_basis(desc, u):
         raise StructureError("exchange endpoints must be bases")
-    removes = sorted(_support(t) - _support(u))
-    adds = sorted(_support(u) - _support(t))
+    t_supp, u_supp = frozenset(support(t)), frozenset(support(u))
+    removes = sorted(t_supp - u_supp)
+    adds = sorted(u_supp - t_supp)
 
     def search(current: frozenset, remaining_rm: tuple, remaining_add: tuple, acc: tuple):
         if not remaining_rm:
@@ -196,7 +199,7 @@ def exchange_decompose(desc: MatroidDesc, t: Sequence[int], u: Sequence[int]) ->
                         return result
         return None
 
-    steps = search(_support(t), tuple(removes), tuple(adds), ())
+    steps = search(t_supp, tuple(removes), tuple(adds), ())
     if steps is None:
         raise StructureError("no exchange sequence found; inputs are not bases of one matroid")
     return steps
@@ -207,21 +210,13 @@ def greedy_best_response(desc: MatroidDesc, weights: Sequence) -> tuple:
     if len(weights) != desc.m:
         raise StructureError("one weight per resource required")
     chosen: set = set()
-    target = rank(desc)
+    target = desc.rank
     for r in sorted(range(desc.m), key=lambda r: (weights[r], r)):
         if is_independent(desc, frozenset(chosen | {r})):
             chosen.add(r)
             if len(chosen) == target:
                 break
     return tuple(1 if r in chosen else 0 for r in range(desc.m))
-
-
-def group_types(descs: Sequence[MatroidDesc]) -> dict:
-    """Players of one type share a base system; keyed by the descriptor value."""
-    types: dict = {}
-    for i, desc in enumerate(descs):
-        types.setdefault(desc, []).append(i)
-    return types
 
 
 def check_local_monotonicity(
@@ -245,8 +240,8 @@ def check_local_monotonicity(
         elif desc.m != m:
             raise StructureError("all matroids must share the resource set")
         for t in enumerate_bases(desc, cap=cap):
-            supp = _support(t)
-            for r in sorted(supp):
+            supp = support(t)
+            for r in supp:
                 for s in range(desc.m):
                     if s in supp:
                         continue
@@ -261,14 +256,10 @@ def check_local_monotonicity(
                         t_loads = tuple(t[g] + z[g] for g in range(desc.m))
                         u_loads = tuple(u[g] + z[g] for g in range(desc.m))
                         lhs = sum(eval_cost_entry(c, t_loads, g) for g in supp)
-                        rhs = sum(eval_cost_entry(c, u_loads, g) for g in _support(u))
+                        rhs = sum(eval_cost_entry(c, u_loads, g) for g in support(u))
                         if lhs > rhs:
                             return (desc, t, r, s, z)
     return None
-
-
-def nu_identity(desc: MatroidDesc, r: int, load) -> object:
-    return load
 
 
 def _greedy_response(game: Game, profile: Profile, i: int, cap: int = 10**6) -> tuple:
@@ -278,7 +269,7 @@ def _greedy_response(game: Game, profile: Profile, i: int, cap: int = 10**6) -> 
     loads = load_of(game, profile)
     weights = [nu[r][loads[r] - x[r] + 1] for r in range(game.n_resources)]
     y = greedy_best_response(game.players[i].strategy_space.desc, weights)
-    delta = sum(weights[r] for r in _support(y)) - sum(weights[r] for r in _support(x))
+    delta = sum(weights[r] for r in support(y)) - sum(weights[r] for r in support(x))
     return (y, delta) if delta < 0 else (x, 0)
 
 

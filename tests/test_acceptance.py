@@ -55,7 +55,6 @@ from rggames.matroid import (
     enumerate_bases,
     exchange_decompose,
     is_basis,
-    nu_identity,
 )
 from rggames.potential import (
     check_exact_potential,
@@ -346,6 +345,7 @@ def test_criterion_06_bilevel_pipeline():
 
 
 def test_criterion_07_local_monotonicity():
+    identity_nu = lambda desc, r, load: load  # noqa: E731
     types = [
         [Uniform(1, 1)],
         [Uniform(2, 1), Uniform(2, 2)],
@@ -357,7 +357,7 @@ def test_criterion_07_local_monotonicity():
     for descs in types:
         m = descs[0].m
         cost = as_tabulated(Bilevel(m=m, budget=Fraction(5, 2)), max_load=6)
-        witness = check_local_monotonicity(cost, descs, 4, nu_identity)
+        witness = check_local_monotonicity(cost, descs, 4, identity_nu)
         assert witness is None, f"monotonicity broke at {witness}"
     # negative control: a decreasing cross effect must be caught
     control = Tabulated(
@@ -367,7 +367,7 @@ def test_criterion_07_local_monotonicity():
                 {(k,): Fraction(0) for k in range(7)}),
         max_load=6,
     )
-    witness = check_local_monotonicity(control, [Uniform(2, 1)], 4, nu_identity)
+    witness = check_local_monotonicity(control, [Uniform(2, 1)], 4, identity_nu)
     assert witness is not None
     report(7, "identity tables certified monotone for the budget-attack cost "
               "on every tested type; the decreasing control produced a witness")

@@ -244,6 +244,15 @@ NON_INTEGER_FIELDS = {
                       set_cost_field("neighborhoods", [[0], [0, True]])),
 }
 
+# The same for each integer field of the forbidden-pairs document of `reduce pairs`.
+PAIRS_NON_INTEGER_FIELDS = {
+    "vertices": (lambda doc: doc.__setitem__("vertices", 5.0), 5.0),
+    "s": (lambda doc: doc.__setitem__("s", True), True),
+    "t": (lambda doc: doc.__setitem__("t", 1.0), 1.0),
+    "edges": (lambda doc: doc["edges"].__setitem__(0, [0, True]), True),
+    "pairs": (lambda doc: doc["pairs"].__setitem__(0, [0, 1.0]), 1.0),
+}
+
 
 class TestInputHardening:
     @pytest.mark.parametrize("field", sorted(NON_INTEGER_FIELDS))
@@ -256,6 +265,31 @@ class TestInputHardening:
         assert main(["solve", write_json(tmp_path, "game.json", doc)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", sorted(PAIRS_NON_INTEGER_FIELDS))
+    def test_non_integer_pairs_field_rejected(self, field, tmp_path, capsys):
+        mutate, bad = PAIRS_NON_INTEGER_FIELDS[field]
+        doc = golden_doc("pairs.json")
+        mutate(doc)
+        assert main(["reduce", "pairs", write_json(tmp_path, "pairs.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: expected an integer, got {bad!r}\n"
+
+    def test_object_for_list_rejected(self, tmp_path, capsys):
+        doc = golden_doc("pairs.json")
+        doc["pairs"] = {}
+        assert main(["reduce", "pairs", write_json(tmp_path, "pairs.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: expected a list, got {}\n"
+
+    @pytest.mark.parametrize("resources", ["0,1", "1,3"])
+    def test_gadget_resource_out_of_range_rejected(self, resources, capsys):
+        argv = ["gadget", str(GOLDEN / "asym_affine_cost.json"), "--lemma", "L3",
+                "--point", "0,0", "--resources", resources, "--confirm"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: gadget resources must be 0-based indices")
+        assert err.count("\n") == 1
 
     def test_boolean_cost_document_m_rejected(self, tmp_path, capsys):
         doc = {"m": 1, "cost": {"kind": "affine", "A": [["1"]], "b": ["0"]}}

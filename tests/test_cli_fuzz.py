@@ -1,9 +1,11 @@
 """Fuzz the CLI with mutated documents: exit codes stay honest on any input.
 
-One golden game, profile or cost document gets one mutation (a field or list
-element dropped, a value swapped for one of another JSON type, a tag renamed,
-or an integer pushed out of range); `solve`, `verify` and
-`characterize --weighted` then replay through `rggames.cli.main`.
+One golden game, profile, cost or forbidden-pairs document gets one mutation
+(a field or list element dropped, a value swapped for one of another JSON
+type, a tag renamed, or an integer pushed out of range); `solve`, `verify`,
+`characterize --weighted` and `reduce pairs` then replay through
+`rggames.cli.main`.  Every field of the forbidden-pairs document is an
+integer or a list, so a swapped value there must exit 2.
 """
 
 import contextlib
@@ -15,14 +17,16 @@ import os
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rggames.cli import NEGATIVE_KINDS, main
+from rggames.cli import NEGATIVE_KINDS, game_from_json, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-SOURCES = {"game": "readme_game.json", "profile": "readme_profile.json", "cost": "spl_cost.json"}
+SOURCES = {"game": "readme_game.json", "profile": "readme_profile.json", "cost": "spl_cost.json",
+           "pairs": "pairs.json"}
 COMMANDS = [
     ["solve", "{game}"],
     ["verify", "{game}", "--profile", "{profile}"],
     ["characterize", "{cost}", "--weighted"],
+    ["reduce", "pairs", "{pairs}"],
 ]
 OTHER_TYPES = [None, True, 0, 2.5, "x", [], {}]
 
@@ -75,7 +79,7 @@ def mutated(draw):
         parent[key] = "bogus"
     else:
         parent[key] = draw(st.sampled_from([-1, value + 3]))
-    return role, doc
+    return role, move, doc
 
 
 def _run(argv):
@@ -88,7 +92,7 @@ def _run(argv):
 @settings(max_examples=200, deadline=None)
 @given(case=mutated())
 def test_mutated_documents_exit_honestly(tmp_path_factory, case):
-    role, doc = case
+    role, move, doc = case
     workdir = tmp_path_factory.getbasetemp() / "fuzz"
     workdir.mkdir(exist_ok=True)
     files = {}
@@ -103,6 +107,11 @@ def test_mutated_documents_exit_honestly(tmp_path_factory, case):
         if code == 2:
             assert out == "", argv
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        elif argv[0] == "reduce":
+            assert code == 0 and not (role == "pairs" and move == "swap"), (argv, doc)
+            payload = json.loads(out)
+            assert payload["tool"] and payload["input_sha256"]
+            game_from_json(payload["game"])
         else:
             negative = json.loads(out)["kind"] in NEGATIVE_KINDS
             assert negative == (code == 1), (argv, out)

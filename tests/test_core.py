@@ -12,10 +12,10 @@ from rggames.core import (
     deviate,
     load_of,
     private_cost,
-    profile_space_size,
     validate_profile,
 )
 from rggames.costs import Affine, SeparablePlusLinear
+from rggames.dynamics import PNEFound, brute_force_pne
 from rggames.errors import CapacityError, StructureError
 from rggames.matroid import Graphic, Partition, Uniform, enumerate_bases
 
@@ -162,8 +162,11 @@ class TestStructure:
         with pytest.raises(StructureError):
             validate_profile(game, ((1, 1), (0, 1)))
 
-    def test_profile_space_size(self):
-        assert profile_space_size(simple_game(m=2, n=3)) == 8
+    def test_brute_force_budget_boundary(self):
+        game = simple_game(m=2, n=3)  # 2**3 profiles
+        assert isinstance(brute_force_pne(game, budget=8), PNEFound)
+        with pytest.raises(CapacityError, match="8 profiles exceed the budget 7"):
+            brute_force_pne(game, budget=7)
 
 
 @pytest.fixture

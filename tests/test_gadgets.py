@@ -64,10 +64,19 @@ class TestBuildGadget:
         assert isinstance(brute_force_pne(game), NoPNEExists)
 
     def test_positive_load_required_for_deeper_gadgets(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="positive load"):
             GadgetSpec(lemma="L4", base_cost=SYM, point=(0, 0), resources=(0, 1))
-        with pytest.raises(StructureError):
-            GadgetSpec(lemma="L5", base_cost=SYM, point=(0, 1, 1), resources=(0, 1, 2))
+        three = Affine(A=tuple(tuple(Fraction(int(r == s)) for s in range(3)) for r in range(3)),
+                       b=(Fraction(0),) * 3)
+        with pytest.raises(StructureError, match="positive load"):
+            GadgetSpec(lemma="L5", base_cost=three, point=(0, 1, 1), resources=(0, 1, 2))
+
+    @pytest.mark.parametrize("lemma, resources", [
+        ("L3", (-1, 0)), ("L3", (0, 2)), ("weighted-eps", (1, -2)), ("L5", (0, 1, 2)),
+    ])
+    def test_resources_must_index_the_base_cost(self, lemma, resources):
+        with pytest.raises(StructureError, match="0-based indices below 2"):
+            GadgetSpec(lemma=lemma, base_cost=SYM, point=(1, 1), resources=resources)
 
 
 class TestABSymmetry:

@@ -17,16 +17,14 @@ from rggames.matroid import (
     enumerate_bases,
     exchange_decompose,
     greedy_best_response,
-    group_types,
     is_basis,
     is_independent,
-    nu_identity,
-    rank,
     solve_via_theorem3,
 )
 
 TRIANGLE = Graphic(n_vertices=3, edges=((0, 1), (1, 2), (0, 2)))
 FOUR_CYCLE = Graphic(n_vertices=4, edges=((0, 1), (1, 2), (2, 3), (3, 0)))
+IDENTITY_NU = lambda desc, r, load: load  # noqa: E731
 
 
 class TestBasisOracle:
@@ -44,9 +42,9 @@ class TestBasisOracle:
         assert not is_basis(FOUR_CYCLE, (1, 1, 1, 1))
 
     def test_rank(self):
-        assert rank(Uniform(5, 2)) == 2
-        assert rank(Partition(m=4, blocks=((0, 1), (2, 3)), quotas=(1, 2))) == 3
-        assert rank(FOUR_CYCLE) == 3
+        assert Uniform(5, 2).rank == 2
+        assert Partition(m=4, blocks=((0, 1), (2, 3)), quotas=(1, 2)).rank == 3
+        assert FOUR_CYCLE.rank == 3
 
 
 class TestEnumeration:
@@ -186,7 +184,7 @@ class TestDescriptorDispatch:
 
     def check(self, desc, rng):
         m = desc.m
-        assert rank(desc) == reference_rank(desc), desc
+        assert desc.rank == reference_rank(desc), desc
         assert enumerate_bases(desc) == reference_bases(desc), desc
         for v in product((0, 1), repeat=m):
             supp = frozenset(r for r in range(m) if v[r])
@@ -302,16 +300,11 @@ class TestGreedy:
             total = lambda v: sum(weights[r] for r in range(desc.m) if v[r])
             assert total(got) == total(best)
 
-    def test_group_types(self):
-        descs = [Uniform(3, 1), Uniform(3, 2), Uniform(3, 1)]
-        types = group_types(descs)
-        assert types[Uniform(3, 1)] == [0, 2]
-
 
 class TestLocalMonotonicity:
     def test_bilevel_cost_is_locally_monotone(self):
         c = as_tabulated(Bilevel(m=2, budget=Fraction(2)), max_load=6)
-        assert check_local_monotonicity(c, [Uniform(2, 1)], 3, nu_identity) is None
+        assert check_local_monotonicity(c, [Uniform(2, 1)], 3, IDENTITY_NU) is None
 
     def test_separable_non_decreasing_with_matching_nu(self):
         c = Tabulated(
@@ -339,7 +332,7 @@ class TestLocalMonotonicity:
             ),
             max_load=5,
         )
-        witness = check_local_monotonicity(c, [Uniform(2, 1)], 2, nu_identity)
+        witness = check_local_monotonicity(c, [Uniform(2, 1)], 2, IDENTITY_NU)
         assert witness is not None
         desc, t, r, s, z = witness
         assert is_basis(desc, t)
