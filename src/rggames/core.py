@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from . import costs as _costs
 from .errors import CapacityError, StructureError
 
 Number = Union[int, Fraction]
@@ -138,15 +137,17 @@ def load_of(game: Game, profile: Profile) -> Vector:
     return tuple(loads)
 
 
-def private_cost(game: Game, profile: Profile, i: int, loads: Optional[Vector] = None):
-    """pi_i(x) = x_i^T c_i(load(x)); only the support rows of c are evaluated."""
+def pricer(game: Game, profile: Profile, i: int, loads: Optional[Vector] = None):
+    """y -> pi_i(y, x_-i): player i's private cost of each choice y against the others."""
     if loads is None:
         loads = load_of(game, profile)
-    total = 0
-    for r, e in enumerate(profile[i]):
-        if e:
-            total += e * _costs.eval_cost_entry(game.cost_model, loads, r, i)
-    return total
+    base = tuple(v - e for v, e in zip(loads, profile[i]))
+    return game.cost_model.pricer(base, i)
+
+
+def private_cost(game: Game, profile: Profile, i: int, loads: Optional[Vector] = None):
+    """pi_i(x) = x_i^T c_i(load(x)); only the support rows of c are evaluated."""
+    return pricer(game, profile, i, loads)(profile[i])
 
 
 def support(vector: Vector) -> list:
@@ -161,11 +162,18 @@ def deviate(profile: Profile, i: int, y: Vector) -> Profile:
     return profile[:i] + (tuple(y),) + profile[i + 1 :]
 
 
-def validate_profile(game: Game, profile: Profile, cap: int = 10**6) -> None:
-    """Check that every choice is playable; raises StructureError otherwise."""
+def validate_profile(
+    game: Game, profile: Profile, cap: int = 10**6, spaces: Optional[list] = None
+) -> None:
+    """Check that every choice is playable; raises StructureError otherwise.
+
+    `spaces`, when given, holds each player's strategies as already read.
+    """
     if len(profile) != game.n_players:
         raise StructureError("profile has wrong number of players")
-    for i, (p, v) in enumerate(zip(game.players, profile)):
-        if tuple(v) not in p.strategies(cap=cap):
+    if spaces is None:
+        spaces = [p.strategies(cap=cap) for p in game.players]
+    for i, (space, v) in enumerate(zip(spaces, profile)):
+        if tuple(v) not in space:
             raise StructureError(f"player {i} cannot play resources {support(v)}")
 

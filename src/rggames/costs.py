@@ -1,26 +1,115 @@
 """Cost models for resource graph games.
 
 A cost model maps a load vector to a per-resource cost vector.  Every model
-class carries its resource count `m` and evaluates one entry c_r(x) with
-`entry(loads, r, player)`; only PlayerSpecificSeparable reads the player
-index.  All models except Exponential evaluate in exact rational
-arithmetic.  Table-backed models (Tabulated, SeparablePlusLinear,
-PlayerSpecificSeparable) accept integer loads only and raise LoadRangeError
-beyond their declared bound.
+class carries its resource count `m`, evaluates one entry c_r(x) with
+`entry(loads, r, player)`, and prices a player's choices with
+`pricer(base, player)`: a callable y -> sum_r y_r * c_r(base + y), the private
+cost of y against the other players' loads `base`.  Only
+PlayerSpecificSeparable reads the player index.  All models except
+Exponential evaluate in exact rational arithmetic.
+
+SeparablePlusLinear and Affine price through an exact kernel built once per
+model: A kept as sparse columns and scaled, with the model's other
+coefficients, by one common denominator D, so that sums run in int with a single division by D.
+Their pricer computes A*base once; each y then costs O(|supp y|^2).  Affine
+also takes rational loads (weighted players) to ints over their common
+denominator, so its sums stay in int.  The
+other models price entry by entry at the full vector base + y (Bilevel
+splits the budget once per vector).
+
+Load-range rule.  Table-backed models (Tabulated, SeparablePlusLinear,
+PlayerSpecificSeparable) accept integer loads only: a fractional load
+anywhere in the vector raises LoadRangeError, even at a coordinate no entry
+reads.  Tabulated also rejects any load outside 0..max_load anywhere in the
+vector; the other two reject a load beyond their table only where an entry
+reads it.  The rule applies whenever an entry is evaluated; pricing an empty
+y evaluates none and costs 0.  SeparablePlusLinear's pricer checks it once
+per base vector and then on supp y per deviation, and an invalid vector is
+handed to `entry`, so the errors and their messages are those of `entry`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from operator import add
 from typing import Optional, Sequence, Union
 
 from .errors import IncompatibleModelsError, LoadRangeError, StructureError, UsageError
 
 Number = Union[int, Fraction, float]
 Loads = Sequence[Number]
+
+
+def _weighted_sum(y: Loads, cost) -> Number:
+    """sum of y_r * cost(r) over supp y in resource order; the integer 0 for an empty y."""
+    total = 0
+    for r, e in enumerate(y):
+        if e:
+            total += e * cost(r)
+    return total
+
+
+def _entry_pricer(model, base: Loads, player: Optional[int] = None):
+    """Entry-by-entry pricing: y is priced with `entry` at the full vector base + y."""
+
+    def price(y: Loads) -> Number:
+        loads = tuple(map(add, base, y))
+        return _weighted_sum(y, lambda r: model.entry(loads, r, player))
+
+    return price
+
+
+class _PricedByEntries:
+    """Mixin for models without a kernel: the pricer evaluates entry by entry."""
+
+    def pricer(self, base: Loads, player: Optional[int] = None):
+        return _entry_pricer(self, base, player)
+
+
+def _linear_kernel(A, others) -> tuple:
+    """(D, cols, scaled): D is the common denominator of A and the model's other
+    coefficients (exact rationals); cols[s] maps r to D*a_rs for every non-zero
+    a_rs, the one copy of A the kernel keeps; scaled(v) is D*v as an int."""
+    D = math.lcm(*{v.denominator for v in chain(chain.from_iterable(A), others)})
+
+    def scaled(v):
+        return v.numerator * (D // v.denominator)
+
+    m = len(A)
+    return D, tuple({r: scaled(A[r][s]) for r in range(m) if A[r][s]} for s in range(m)), scaled
+
+
+def _times(cols, loads: Loads) -> list:
+    """The kernel's D*A times a load vector, from the columns of the non-zero loads."""
+    out = [0] * len(cols)
+    for s, v in enumerate(loads):
+        if v:
+            for r, a in cols[s].items():
+                out[r] += a * v
+    return out
+
+
+def _over_common_denominator(values: Sequence) -> tuple:
+    """(q, ints): rational values as ints over their common denominator q."""
+    q = math.lcm(*{v.denominator for v in values})
+    return (1, values) if q == 1 else (q, [v.numerator * (q // v.denominator) for v in values])
+
+
+def _quadratic(cols, supp, ys) -> Number:
+    """sum over r, s in supp of y_r * (D*a_rs) * y_s, where ys lists y on supp."""
+    total = 0
+    for s, ys_s in zip(supp, ys):
+        col = cols[s]
+        acc = 0
+        for r, yr in zip(supp, ys):
+            a = col.get(r)
+            if a:
+                acc += a * yr
+        total += ys_s * acc
+    return total
 
 
 def _as_int_loads(loads: Loads) -> tuple:
@@ -34,7 +123,7 @@ def _as_int_loads(loads: Loads) -> tuple:
 
 
 @dataclass(frozen=True, eq=False)
-class Tabulated:
+class Tabulated(_PricedByEntries):
     """Finite tables c_r keyed by the load restricted to the neighborhood B_r.
 
     neighborhoods[r] is a sorted tuple of coordinate indices; tables[r] maps
@@ -77,6 +166,7 @@ class SeparablePlusLinear:
 
     f: tuple
     A: tuple
+    _kernel: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = len(self.A)
@@ -93,6 +183,14 @@ class SeparablePlusLinear:
     def max_load(self) -> int:
         return len(self.f[0]) - 1
 
+    def kernel(self) -> tuple:
+        """(D, cols, F): sparse D*A columns and the D*f tables, built on first use and kept."""
+        if self._kernel is None:
+            D, cols, scaled = _linear_kernel(self.A, chain.from_iterable(self.f))
+            F = tuple(tuple(map(scaled, table)) for table in self.f)
+            object.__setattr__(self, "_kernel", (D, cols, F))
+        return self._kernel
+
     def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
         il = _as_int_loads(loads)
         if len(il) != self.m:
@@ -100,11 +198,31 @@ class SeparablePlusLinear:
         xr = il[r]
         if xr < 0 or xr > self.max_load:
             raise LoadRangeError(f"load {xr} outside 0..{self.max_load}")
-        total = self.f[r][xr]
-        for s, coeff in enumerate(self.A[r]):
-            if coeff and il[s]:
-                total += coeff * il[s]
-        return total
+        D, cols, F = self.kernel()
+        interaction = sum(col[r] * v for col, v in zip(cols, il) if v and r in col)
+        return Fraction(F[r][xr] + interaction, D)
+
+    def pricer(self, base: Loads, player: Optional[int] = None):
+        try:
+            ib = _as_int_loads(base)
+        except LoadRangeError:  # a fractional load that only some y may cancel: entry decides
+            return _entry_pricer(self, base, player)
+        D, cols, F = self.kernel()
+        a_base = _times(cols, ib)
+        top = self.max_load
+
+        def price(y: Loads) -> Number:
+            supp = [r for r, e in enumerate(y) if e]
+            ys = [y[r] for r in supp]
+            linear = 0
+            for r, yr in zip(supp, ys):
+                x = ib[r] + yr
+                if x != int(x) or not 0 <= x <= top:  # entry raises the LoadRangeError
+                    return _entry_pricer(self, base, player)(y)
+                linear += yr * (F[r][int(x)] + a_base[r])
+            return Fraction(linear + _quadratic(cols, supp, ys), D)
+
+        return price
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +231,7 @@ class Affine:
 
     A: tuple
     b: tuple
+    _kernel: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.A) != len(self.b) or any(len(row) != len(self.b) for row in self.A):
@@ -122,16 +241,35 @@ class Affine:
     def m(self) -> int:
         return len(self.b)
 
+    def kernel(self) -> tuple:
+        """(D, cols, B): sparse D*A columns and D*b, built on first use and kept."""
+        if self._kernel is None:
+            D, cols, scaled = _linear_kernel(self.A, self.b)
+            object.__setattr__(self, "_kernel", (D, cols, tuple(map(scaled, self.b))))
+        return self._kernel
+
     def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
-        total = self.b[r]
-        for s, coeff in enumerate(self.A[r]):
-            if coeff and loads[s]:
-                total += coeff * loads[s]
-        return total
+        D, cols, B = self.kernel()
+        interaction = sum(col[r] * v for col, v in zip(cols, loads) if v and r in col)
+        return Fraction(B[r] + interaction, D)
+
+    def pricer(self, base: Loads, player: Optional[int] = None):
+        """Rational loads are scaled to ints too: base = ib / E and y = ys / q on supp y."""
+        D, cols, B = self.kernel()
+        E, ib = _over_common_denominator(base)
+        a_base = _times(cols, ib)
+
+        def price(y: Loads) -> Number:
+            supp = [r for r, e in enumerate(y) if e]
+            q, ys = _over_common_denominator([y[r] for r in supp])
+            linear = sum(yr * (E * q * B[r] + q * a_base[r]) for r, yr in zip(supp, ys))
+            return Fraction(linear + E * _quadratic(cols, supp, ys), D * E * q * q)
+
+        return price
 
 
 @dataclass(frozen=True, eq=False)
-class Exponential:
+class Exponential(_PricedByEntries):
     """c_r(x) = a_r * exp(phi * x_r) + b_r; the only float-valued model."""
 
     a: tuple
@@ -166,9 +304,19 @@ class Bilevel:
     def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
         return loads[r] + kappa_star(loads, self.budget)[r]
 
+    def pricer(self, base: Loads, player: Optional[int] = None):
+        """Entry by entry, with the attack split once per load vector."""
+
+        def price(y: Loads) -> Number:
+            loads = tuple(map(add, base, y))
+            kappa = kappa_star(loads, self.budget)
+            return _weighted_sum(y, lambda r: loads[r] + kappa[r])
+
+        return price
+
 
 @dataclass(frozen=True, eq=False)
-class PlayerSpecificSeparable:
+class PlayerSpecificSeparable(_PricedByEntries):
     """Per-player, per-resource non-decreasing tables nu[i][r][load]."""
 
     nu: tuple

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional, Union
 
-from .core import Game, Profile, Vector, deviate, load_of, private_cost, validate_profile
+from .core import Game, Profile, Vector, deviate, load_of, pricer, validate_profile
 from .errors import CapacityError, UsageError
 
 FLOAT_TOL = 1e-9
@@ -74,13 +74,11 @@ def _spaces(game: Game, cap: int):
 
 
 def _deviations(game: Game, profile: Profile, i: int, space, loads: Vector):
-    """(y, pi_i(y, x_-i)) for every y in space other than player i's choice, in order."""
-    base = tuple(loads[r] - profile[i][r] for r in range(game.n_resources))
-    for y in space:
-        if y == profile[i]:
-            continue
-        new_loads = tuple(base[r] + y[r] for r in range(game.n_resources))
-        yield y, private_cost(game, deviate(profile, i, y), i, loads=new_loads)
+    """pi_i(x) and an iterator of (y, pi_i(y, x_-i)) for every y in space other than
+    player i's choice, in order; all priced by one pricer."""
+    price = pricer(game, profile, i, loads)
+    current = profile[i]
+    return price(current), ((y, price(y)) for y in space if y != current)
 
 
 def verify_pne(game: Game, profile: Profile, cap: int = 10**6) -> Certificate:
@@ -90,10 +88,10 @@ def verify_pne(game: Game, profile: Profile, cap: int = 10**6) -> Certificate:
     """
     loads = load_of(game, profile)
     spaces = _spaces(game, cap)
-    validate_profile(game, profile, cap)
+    validate_profile(game, profile, cap, spaces)
     for i, space in enumerate(spaces):
-        cur = private_cost(game, profile, i, loads=loads)
-        for y, alt in _deviations(game, profile, i, space, loads):
+        cur, deviations = _deviations(game, profile, i, space, loads)
+        for y, alt in deviations:
             if _improves(alt, cur):
                 return NotPNE(player=i, deviation=y, delta=alt - cur)
     return IsPNE()
@@ -102,9 +100,9 @@ def verify_pne(game: Game, profile: Profile, cap: int = 10**6) -> Certificate:
 def best_response(game: Game, profile: Profile, i: int, cap: int = 10**6) -> tuple:
     """(y, cost change) for player i's cheapest y; ties keep the incumbent, then lexicographic."""
     loads = load_of(game, profile)
-    cur = best_cost = private_cost(game, profile, i, loads=loads)
-    best = profile[i]
-    for y, cost in _deviations(game, profile, i, game.players[i].strategies(cap=cap), loads):
+    cur, deviations = _deviations(game, profile, i, game.players[i].strategies(cap=cap), loads)
+    best, best_cost = profile[i], cur
+    for y, cost in deviations:
         if _improves(cost, best_cost):
             best, best_cost = y, cost
     return best, best_cost - cur

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Optional, Tuple, Union
 
 from .characterize import Violation
-from .core import Explicit, Game, Player, Profile, deviate, private_cost
+from .core import Explicit, Game, Player, Profile, load_of, pricer
 from .costs import CostModel, Tabulated, compose, eval_cost_entry
 from .dynamics import Certificate, NoPNEExists, PNEFound, brute_force_pne
 from .errors import GameError, StructureError, UsageError
@@ -144,20 +144,17 @@ def check_AB_symmetry(
     swap_at_first = None
     for choices in product(*spaces):
         x = tuple(choices)
-        pi_i = private_cost(game, x, i)
-        pi_j = private_cost(game, x, j)
+        loads = load_of(game, x)
+        price_i, price_j = pricer(game, x, i, loads), pricer(game, x, j, loads)
+        pi_i, pi_j = price_i(x[i]), price_j(x[j])
         key = tuple(sorted((pi_i, pi_j)))
         if pair is None:
             pair = key
             a_val, b_val = pi_i, pi_j
         elif key != pair:
             return SymmetryFailure(profile=x, reason=f"payoff pair {{{pi_i}, {pi_j}}} varies")
-        y_i = next(
-            (y for y in spaces[i] if private_cost(game, deviate(x, i, y), i) == pi_j), None
-        )
-        y_j = next(
-            (y for y in spaces[j] if private_cost(game, deviate(x, j, y), j) == pi_i), None
-        )
+        y_i = next((y for y in spaces[i] if price_i(y) == pi_j), None)
+        y_j = next((y for y in spaces[j] if price_j(y) == pi_i), None)
         if y_i is None or y_j is None:
             return SymmetryFailure(profile=x, reason="no swap deviation exists")
         if swap_at_first is None:

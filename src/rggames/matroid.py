@@ -90,6 +90,8 @@ class Graphic:
     edges: tuple  # (u, v) pairs; resource r is edge r
 
     def __post_init__(self):
+        if self.n_vertices < 1:
+            raise StructureError(f"graphic matroid needs n_vertices >= 1, got {self.n_vertices}")
         for u, v in self.edges:
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices) or u == v:
                 raise StructureError(f"bad edge ({u}, {v})")

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, NamedTuple, Optional
 
-from .core import Game, Profile, deviate, load_of, private_cost
+from .core import Game, Profile, deviate, load_of
 from .costs import Affine, SeparablePlusLinear
 from .dynamics import _deviations
 from .errors import UsageError
@@ -25,18 +25,14 @@ def _require_symmetric(A) -> None:
                 raise UsageError(f"interaction matrix is asymmetric at ({r},{s})")
 
 
-def _quad(A, u, v):
+def _quad(model, u, v):
+    """u^T A v, exactly, over the sparse columns of the model's kernel."""
+    D, cols, _ = model.kernel()
     total = 0
-    for r, ur in enumerate(u):
-        if not ur:
-            continue
-        row = A[r]
-        acc = 0
-        for s, vs in enumerate(v):
-            if vs and row[s]:
-                acc += row[s] * vs
-        total += ur * acc
-    return total
+    for s, vs in enumerate(v):
+        if vs:
+            total += vs * sum(a * u[r] for r, a in cols[s].items())
+    return Fraction(total, D)
 
 
 def potential_unweighted(game: Game, profile: Profile):
@@ -52,9 +48,9 @@ def potential_unweighted(game: Game, profile: Profile):
     for r, xr in enumerate(loads):
         for k in range(1, int(xr) + 1):
             total += model.f[r][k]
-    total += Fraction(1, 2) * _quad(model.A, loads, loads)
+    total += Fraction(1, 2) * _quad(model, loads, loads)
     for v in profile:
-        total += Fraction(1, 2) * _quad(model.A, v, v)
+        total += Fraction(1, 2) * _quad(model, v, v)
     return total
 
 
@@ -70,7 +66,7 @@ def potential_weighted_affine(game: Game, profile: Profile):
         for r, e in enumerate(v):
             if e:
                 prefix[r] += e
-        total += _quad(model.A, v, prefix)
+        total += _quad(model, v, prefix)
         total += sum(e * model.b[r] for r, e in enumerate(v) if e)
     return total
 
@@ -104,8 +100,8 @@ def check_exact_potential(
         px = value(x)
         loads = load_of(game, x)
         for i in range(game.n_players):
-            pi_x = private_cost(game, x, i, loads=loads)
-            for y, pi_y in _deviations(game, x, i, spaces[i], loads):
+            pi_x, deviations = _deviations(game, x, i, spaces[i], loads)
+            for y, pi_y in deviations:
                 diff = (value(deviate(x, i, y)) - px) - (pi_y - pi_x)
                 if (abs(diff) > tol) if tol else (diff != 0):
                     return PotentialCheck(False, (x, i, y))

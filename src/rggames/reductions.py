@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .core import Explicit, Game, MatroidBases, Player, private_cost
+from .core import Explicit, Game, MatroidBases, Player
 from .dynamics import IsPNE, verify_pne
 from .costs import SeparablePlusLinear, Tabulated
 from .errors import CapacityError, StructureError
@@ -43,6 +43,11 @@ class ForbiddenPairsInstance:
     pairs: tuple  # pairs of edge indices
 
     def __post_init__(self):
+        for name in ("s", "t"):
+            vertex = getattr(self, name)
+            if not 0 <= vertex < self.n_vertices:
+                last = self.n_vertices - 1
+                raise StructureError(f"{name} = {vertex} is not a vertex of 0..{last}")
         if self.s == self.t:
             raise StructureError("source and target must differ")
         for u, v in self.edges:
@@ -141,7 +146,8 @@ def forbidden_pairs_oracle(inst: ForbiddenPairsInstance, cap: int = 10**5) -> bo
 def check_reduction(inst, game: Game, oracle_answer: bool, cap: int = 10**6) -> bool:
     """Zero-min-cost equivalence plus the equilibrium framing of verification."""
     strategies = game.players[0].strategies(cap=cap)
-    costs = [private_cost(game, (y,), 0) for y in strategies]
+    price = game.cost_model.pricer((0,) * game.n_resources, 0)  # the only player: no other load
+    costs = [price(y) for y in strategies]
     zero_exists = min(costs) == 0
     if zero_exists != oracle_answer:
         return False

@@ -282,6 +282,22 @@ class TestInputHardening:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: expected a list, got {}\n"
 
+    def test_graphic_without_vertices_rejected(self, tmp_path, capsys):
+        doc = {"version": 1, "m": 0, "players": [{"weight": "1", "strategies": {
+            "matroid": {"type": "graphic", "vertices": 0, "edges": []}}}],
+            "cost": {"kind": "affine", "A": [], "b": []}}
+        assert main(["solve", write_json(tmp_path, "game.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: graphic matroid needs n_vertices >= 1, got 0\n"
+
+    @pytest.mark.parametrize("field, vertex", [("s", 9), ("s", -1), ("t", 5)])
+    def test_pairs_endpoint_outside_the_graph_rejected(self, field, vertex, tmp_path, capsys):
+        doc = golden_doc("pairs.json")
+        doc[field] = vertex
+        assert main(["reduce", "pairs", write_json(tmp_path, "pairs.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {field} = {vertex} is not a vertex of 0..4\n"
+
     @pytest.mark.parametrize("resources", ["0,1", "1,3"])
     def test_gadget_resource_out_of_range_rejected(self, resources, capsys):
         argv = ["gadget", str(GOLDEN / "asym_affine_cost.json"), "--lemma", "L3",

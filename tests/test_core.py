@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rggames import matroid
+from rggames import costs, matroid
 from rggames.core import (
     Explicit,
     Game,
@@ -11,13 +13,21 @@ from rggames.core import (
     Player,
     deviate,
     load_of,
+    pricer,
     private_cost,
     validate_profile,
 )
-from rggames.costs import Affine, SeparablePlusLinear
-from rggames.dynamics import PNEFound, brute_force_pne
+from rggames.costs import (
+    Affine,
+    Bilevel,
+    PlayerSpecificSeparable,
+    SeparablePlusLinear,
+    Tabulated,
+)
+from rggames.dynamics import IsPNE, NotPNE, PNEFound, brute_force_pne, verify_pne
 from rggames.errors import CapacityError, StructureError
 from rggames.matroid import Graphic, Partition, Uniform, enumerate_bases
+from rggames.reductions import SatInstance, reduce_sat
 
 
 def affine_identity(m):
@@ -231,3 +241,129 @@ class TestStrategyCache:
         expected = tuple(tuple(weight * e for e in v) for v in enumerate_bases(desc))
         assert p.strategies() == expected
         assert p.strategies() == expected
+
+
+# --- pricing against a frozen copy of entry-by-entry evaluation ---------------
+
+
+def reference_entry(model, loads, r, player):
+    """The entry formulas of SeparablePlusLinear and Affine before the integer kernel
+    (dense Fraction rows); every other model's unchanged `entry`."""
+    if isinstance(model, SeparablePlusLinear):
+        il = tuple(int(v) for v in loads)
+        assert il == tuple(loads)  # integral loads only; the corpus never makes others
+        total = model.f[r][il[r]]
+        for s, coeff in enumerate(model.A[r]):
+            if coeff and il[s]:
+                total += coeff * il[s]
+        return total
+    if isinstance(model, Affine):
+        total = model.b[r]
+        for s, coeff in enumerate(model.A[r]):
+            if coeff and loads[s]:
+                total += coeff * loads[s]
+        return total
+    return model.entry(loads, r, player)
+
+
+def reference_private_cost(game, profile, i):
+    """private_cost as it was: x_i^T c_i(load(x)), one entry per support resource."""
+    loads = load_of(game, profile)
+    total = 0
+    for r, e in enumerate(profile[i]):
+        if e:
+            total += e * reference_entry(game.cost_model, loads, r, i)
+    return total
+
+
+KINDS = ("spl_int", "spl_frac", "affine_int", "affine_frac", "affine_weighted",
+         "tabulated", "bilevel", "player_specific")
+
+
+def random_value(rng, denominators):
+    return Fraction(rng.randint(-6, 6), rng.choice(denominators))
+
+
+def random_game(seed):
+    """A small seeded game of one cost kind (seed % len(KINDS)) on explicit spaces."""
+    rng = random.Random(seed)
+    kind = KINDS[seed % len(KINDS)]
+    m, n = rng.randint(1, 4), rng.randint(1, 3)
+    dens = (1,) if kind.endswith("_int") else (1, 2, 3, 7)
+    matrix = tuple(
+        tuple(random_value(rng, dens) if rng.random() < 0.6 else Fraction(0) for _ in range(m))
+        for _ in range(m)
+    )
+    if kind.startswith("spl"):
+        f = tuple(tuple(random_value(rng, dens) for _ in range(n + 1)) for _ in range(m))
+        cost = SeparablePlusLinear(f=f, A=matrix)
+    elif kind.startswith("affine"):
+        cost = Affine(A=matrix, b=tuple(random_value(rng, dens) for _ in range(m)))
+    elif kind == "tabulated":
+        hoods = tuple(tuple(s for s in range(m) if s == r or rng.random() < 0.4) for r in range(m))
+        tables = tuple(
+            {key: random_value(rng, dens) for key in product(range(n + 1), repeat=len(hood))}
+            for hood in hoods
+        )
+        cost = Tabulated(m=m, neighborhoods=hoods, tables=tables, max_load=n)
+    elif kind == "bilevel":
+        cost = Bilevel(m=m, budget=Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+    else:
+        cost = PlayerSpecificSeparable(nu=tuple(
+            tuple(tuple(sorted(random_value(rng, dens) for _ in range(n + 1))) for _ in range(m))
+            for _ in range(n)
+        ))
+    weights = (1,) * n
+    if kind == "affine_weighted":
+        weights = tuple(rng.choice((1, 2, Fraction(1, 2), Fraction(5, 3))) for _ in range(n))
+    vectors = list(product((0, 1), repeat=m))
+    spaces = [rng.sample(vectors, rng.randint(1, min(3, len(vectors)))) for _ in weights]
+    players = tuple(
+        Player(weight=w, strategy_space=Explicit(vectors=tuple(space)))
+        for w, space in zip(weights, spaces)
+    )
+    return Game(n_resources=m, players=players, cost_model=cost)
+
+
+class TestPricerMatchesReference:
+    @pytest.mark.parametrize("block", range(8))
+    def test_every_deviation_prices_as_before(self, block):
+        kinds_seen = set()
+        for seed in range(block * 40, block * 40 + 40):  # 320 games, 40 of each kind
+            game = random_game(seed)
+            kinds_seen.add(KINDS[seed % len(KINDS)])
+            spaces = [p.strategies() for p in game.players]
+            for x in product(*spaces):
+                for i in range(game.n_players):
+                    price = pricer(game, x, i)
+                    assert private_cost(game, x, i) == reference_private_cost(game, x, i)
+                    for y in spaces[i]:
+                        assert price(y) == reference_private_cost(game, deviate(x, i, y), i), (
+                            seed, x, i, y)
+        assert kinds_seen == set(KINDS)
+
+    def test_corpus_reaches_both_denominators(self):
+        linear = ("spl_int", "spl_frac", "affine_int", "affine_frac")
+        kernels = [random_game(seed).cost_model.kernel() for seed in range(320)
+                   if KINDS[seed % len(KINDS)] in linear]
+        assert any(D == 1 for D, _, _ in kernels) and any(D > 1 for D, _, _ in kernels)
+
+    def test_sat_verification_evaluates_no_entry(self, monkeypatch):
+        calls = []
+
+        def counting(f):
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return f(*args, **kwargs)
+
+            return counted
+
+        for owner, name in ((costs, "eval_cost_entry"), (SeparablePlusLinear, "entry")):
+            monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
+        clauses = tuple(((k % 4, True), ((k + 1) % 4, k % 2 == 0), ((k + 2) % 4, False))
+                        for k in range(8))
+        game = reduce_sat(SatInstance(n_vars=4, clauses=clauses))
+        strategies = game.players[0].strategies()
+        assert len(strategies) == 3**8
+        results = {type(verify_pne(game, (y,))) for y in strategies[:: 3**6]}
+        assert results <= {IsPNE, NotPNE} and calls == []

@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from rggames.core import Explicit, Game, Player, private_cost
 from rggames.costs import (
     Affine,
     Bilevel,
@@ -18,6 +20,7 @@ from rggames.costs import (
     eval_cost_entry,
     kappa_star,
 )
+from rggames.dynamics import verify_pne
 from rggames.errors import (
     IncompatibleModelsError,
     LoadRangeError,
@@ -188,3 +191,57 @@ class TestValidation:
     def test_tabulated_neighborhood_sorted(self):
         with pytest.raises(StructureError):
             Tabulated(m=2, neighborhoods=((1, 0), ()), tables=({}, {}), max_load=1)
+
+
+
+def one_resource_each(m, weights, cost):
+    """Each player picks one resource; a player of weight w plays w on it."""
+    space = Explicit(vectors=tuple(tuple(int(r == k) for r in range(m)) for k in range(m)))
+    players = tuple(Player(weight=w, strategy_space=space) for w in weights)
+    return Game(n_resources=m, players=players, cost_model=cost)
+
+
+class TestLoadRangeRule:
+    """Integer-load models reject a fractional load anywhere in the vector; Tabulated
+    also rejects any load outside 0..max_load, read or not; the pricer keeps both."""
+
+    SPL = SeparablePlusLinear(
+        f=(tuple(Fraction(k) for k in range(3)),) * 2,
+        A=frac_matrix([[0, 1], [1, 0]]),
+    )
+    TAB = Tabulated(
+        m=2,
+        neighborhoods=((0,), (0,)),  # no entry reads coordinate 1
+        tables=({(k,): Fraction(k) for k in range(3)},) * 2,
+        max_load=2,
+    )
+
+    def test_half_weight_player_on_separable_plus_linear(self):
+        game = one_resource_each(2, (Fraction(1, 2), 1), self.SPL)
+        profile = ((Fraction(1, 2), Fraction(0)), (0, 1))
+        message = re.escape("integer-load model evaluated at fractional load Fraction(1, 2)")
+        for i in (0, 1):  # player 1 reads only its own, integral, resource
+            with pytest.raises(LoadRangeError, match=message):
+                private_cost(game, profile, i)
+        with pytest.raises(LoadRangeError, match=message):
+            verify_pne(game, profile)
+
+    def test_separable_plus_linear_bounds_only_the_loads_it_reads(self):
+        price = self.SPL.pricer((3, 0), 0)  # beyond max_load = 2 on resource 0
+        assert price((0, 1)) == self.SPL.entry((3, 1), 1) == 1 + 3
+        with pytest.raises(LoadRangeError, match=re.escape("load 4 outside 0..2")):
+            price((1, 0))
+
+    def test_tabulated_rejects_an_unread_coordinate_out_of_range(self):
+        message = re.escape("load (1, 3) outside 0..2")
+        with pytest.raises(LoadRangeError, match=message):
+            eval_cost_entry(self.TAB, (1, 3), 0)
+        with pytest.raises(LoadRangeError, match=message):
+            self.TAB.pricer((0, 3), 0)((1, 0))
+        game = one_resource_each(2, (1, 1, 1, 1), self.TAB)
+        with pytest.raises(LoadRangeError, match=message):
+            private_cost(game, ((1, 0), (0, 1), (0, 1), (0, 1)), 0)
+
+    def test_empty_choice_evaluates_no_entry(self):
+        for model in (self.SPL, self.TAB):
+            assert model.pricer((Fraction(1, 2), 3), 0)((0, 0)) == 0
