@@ -1,3 +1,6 @@
+import math
+import random
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -22,7 +25,7 @@ from rggames.costs import (
     as_tabulated,
     eval_cost_entry,
 )
-from rggames.errors import LoadRangeError
+from rggames.errors import GameError, LoadRangeError
 
 
 def tabulate(fn, m, L):
@@ -180,3 +183,240 @@ class TestPipeline:
         lhs = eval_cost_entry(c, bump(x, r, s), r) - eval_cost_entry(c, bump(x, r), r)
         rhs = eval_cost_entry(c, bump(x, r, s), s) - eval_cost_entry(c, bump(x, s), s)
         assert lhs != rhs
+
+
+# --- frozen reference: the entry-by-entry checks, linearity pass included -----------------
+
+_RefViolation = namedtuple("_RefViolation", "lemma r s t x y", defaults=(None,) * 5)
+
+
+def _ref_bump(x, *indices):
+    out = list(x)
+    for idx in indices:
+        out[idx] += 1
+    return tuple(out)
+
+
+def _ref_require_range(c, L, extra, what):
+    if L + extra > c.max_load:
+        raise LoadRangeError(
+            f"{what} at bound {L} needs table entries up to {L + extra}, "
+            f"model is bounded by {c.max_load}"
+        )
+
+
+def _ref_jacobian(c, L):
+    _ref_require_range(c, L, 1, "Jacobian symmetry check")
+    m = c.m
+    for x in product(range(L + 1), repeat=m):
+        for r in range(m):
+            for s in range(r + 1, m):
+                lhs = eval_cost_entry(c, _ref_bump(x, r, s), r) - eval_cost_entry(c, _ref_bump(x, r), r)
+                rhs = eval_cost_entry(c, _ref_bump(x, r, s), s) - eval_cost_entry(c, _ref_bump(x, s), s)
+                if lhs != rhs:
+                    return _RefViolation(lemma="jacobian", r=r, s=s, x=x)
+    return None
+
+
+def _ref_linearity(c, L):
+    """The consolidated linearity pass: every base point against the axis reference."""
+    m = c.m
+    for r in range(m):
+        ref = tuple(1 if u == r else 0 for u in range(m))
+        for s in range(m):
+            if s == r:
+                continue
+            dref = eval_cost_entry(c, _ref_bump(ref, s), r) - eval_cost_entry(c, ref, r)
+            for x in product(range(L + 1), repeat=m):
+                if x[r] == 0:
+                    continue
+                d = eval_cost_entry(c, _ref_bump(x, s), r) - eval_cost_entry(c, x, r)
+                if d != dref:
+                    return _RefViolation(lemma="linearity", r=r, s=s, x=x, y=ref)
+    return None
+
+
+def _ref_cross(c, L):
+    _ref_require_range(c, L, 2, "cross-linearity check")
+    m = c.m
+    for x in product(range(L + 1), repeat=m):
+        for r in range(m):
+            if x[r] == 0:
+                continue
+            for s in range(m):
+                if s == r:
+                    continue
+                d0 = eval_cost_entry(c, _ref_bump(x, s), r) - eval_cost_entry(c, x, r)
+                if d0 != eval_cost_entry(c, _ref_bump(x, r, s), r) - eval_cost_entry(c, _ref_bump(x, r), r):
+                    return _RefViolation(lemma="cross_a", r=r, s=s, x=x)
+                if eval_cost_entry(c, _ref_bump(x, s, s), r) - eval_cost_entry(c, _ref_bump(x, s), r) != d0:
+                    return _RefViolation(lemma="cross_b", r=r, s=s, x=x)
+                for t in range(m):
+                    if t == r or t == s:
+                        continue
+                    if d0 != eval_cost_entry(c, _ref_bump(x, s, t), r) - eval_cost_entry(c, _ref_bump(x, t), r):
+                        return _RefViolation(lemma="cross_distinct", r=r, s=s, t=t, x=x)
+    return _ref_linearity(c, L)
+
+
+def _ref_decompose(c, L):
+    _ref_require_range(c, L, 1, "decomposition")
+    m = c.m
+    f = []
+    for r in range(m):
+        axis = []
+        for k in range(L + 1):
+            pt = tuple(k if u == r else 0 for u in range(m))
+            axis.append(eval_cost_entry(c, pt, r))
+        f.append(tuple(axis))
+    A = [[Fraction(0)] * m for _ in range(m)]
+    for r in range(m):
+        unit_r = tuple(1 if u == r else 0 for u in range(m))
+        for s in range(m):
+            if s == r:
+                continue
+            A[r][s] = eval_cost_entry(c, _ref_bump(unit_r, s), r) - eval_cost_entry(c, unit_r, r)
+    for r in range(m):
+        for s in range(r + 1, m):
+            if A[r][s] != A[s][r]:
+                return _RefViolation(lemma="jacobian", r=r, s=s, x=tuple([0] * m))
+    for x in product(range(L + 1), repeat=m):
+        for r in range(m):
+            if x[r] == 0:
+                continue
+            rebuilt = f[r][x[r]] + sum(A[r][s] * x[s] for s in range(m) if x[s])
+            if rebuilt != eval_cost_entry(c, x, r):
+                raise GameError(
+                    f"decomposition failed to reconstruct c_{r} at {x}; "
+                    "run the consistency checks first or increase L"
+                )
+    return UnweightedConsistent(f=tuple(f), A=tuple(tuple(row) for row in A), L=L)
+
+
+def _ref_analyze(c, L):
+    return _ref_jacobian(c, L) or _ref_cross(c, L) or _ref_decompose(c, L)
+
+
+def _outcome(check, c, L):
+    """A comparable summary: the report's fields, or the error's type and message."""
+    try:
+        report = check(c, L)
+    except (LoadRangeError, GameError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(report, UnweightedConsistent):
+        return "consistent", report.f, report.A, report.L
+    if report is None:
+        return None
+    return "violation", report.lemma, report.r, report.s, report.t, report.x
+
+
+def _table(fn, m, top, drop=()):
+    """fn tabulated on the full box [0, top]^m, minus the (point, r) pairs in drop."""
+    grid = list(product(range(top + 1), repeat=m))
+    hoods = tuple(tuple(range(m)) for _ in range(m))
+    tables = tuple(
+        {pt: Fraction(fn(pt)[r]) for pt in grid if (pt, r) not in drop} for r in range(m)
+    )
+    return Tabulated(m=m, neighborhoods=hoods, tables=tables, max_load=top)
+
+
+def _symmetric(rng, m, lo=-2, hi=3):
+    A = [[Fraction(0)] * m for _ in range(m)]
+    for r in range(m):
+        A[r][r] = Fraction(rng.randint(lo, hi))
+        for s in range(r + 1, m):
+            A[r][s] = A[s][r] = Fraction(rng.randint(lo, hi))
+    return A
+
+
+def _reference_corpus():
+    """(label, table, L) triples from a fixed seed; every table is boxed at L + 2."""
+    rng = random.Random(20200717)
+    cases = []
+    for m, L in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)):
+        top = L + 2
+        for _ in range(2):
+            f = tuple(
+                tuple(Fraction(rng.randint(-3, 9)) for _ in range(top + 1)) for _ in range(m)
+            )
+            A = _symmetric(rng, m)
+            for r in range(m):
+                A[r][r] = Fraction(0)
+            spl = as_tabulated(SeparablePlusLinear(f=f, A=tuple(map(tuple, A))), max_load=top)
+            cases.append(("separable_plus_linear", spl, L))
+            b = tuple(Fraction(rng.randint(-3, 3)) for _ in range(m))
+            affine = as_tabulated(Affine(A=tuple(map(tuple, _symmetric(rng, m))), b=b),
+                                  max_load=top)
+            cases.append(("affine", affine, L))
+            # one entry of a consistent table moved by one
+            base = {pt: [spl.entry(pt, r) for r in range(m)]
+                    for pt in product(range(top + 1), repeat=m)}
+            pt, r = rng.choice(list(base)), rng.randrange(m)
+            base[pt][r] += 1
+            cases.append(("perturbed", _table(lambda p: base[p], m, top), L))
+            # a consistent table with a few entries missing
+            drop = {(rng.choice(list(base)), rng.randrange(m)) for _ in range(3)}
+            cases.append(("partial", _table(lambda p: base[p], m, top, drop), L))
+        raw = {pt: [rng.randint(0, 1) for _ in range(m)]
+               for pt in product(range(top + 1), repeat=m)}
+        cases.append(("raw", _table(lambda p: raw[p], m, top), L))
+        kink = rng.randint(1, L + 1)
+        g = lambda v, k=kink: v if v <= k else 2 * v - k
+        cases.append(("kinked_cross", _table(
+            lambda p: [p[r] ** 2 + sum(g(p[s]) for s in range(m) if s != r) for r in range(m)],
+            m, top), L))
+        cases.append(("sum_of_others", _table(
+            lambda p: [p[r] + (sum(p) - p[r]) ** 2 for r in range(m)], m, top), L))
+        cases.append(("square_of_total", _table(
+            lambda p: [p[r] + sum(p) ** 2 for r in range(m)], m, top), L))
+        cases.append(("product_of_others", _table(
+            lambda p: [p[r] + math.prod(p[s] for s in range(m) if s != r) for r in range(m)],
+            m, top), L))
+        for _ in range(3):
+            # affine in the other loads where x_r >= 1 and x <= L, arbitrary elsewhere
+            A = _symmetric(rng, m) if rng.random() < 0.7 else [
+                [Fraction(rng.randint(-2, 3)) for _ in range(m)] for _ in range(m)]
+            f = [[rng.randint(-3, 9) for _ in range(top + 1)] for _ in range(m)]
+            noise = {pt: [rng.randint(-2, 2) for _ in range(m)]
+                     for pt in product(range(top + 1), repeat=m)}
+
+            def local(p, A=A, f=f, noise=noise):
+                return [
+                    f[r][p[r]] + sum(A[r][s] * p[s] for s in range(m) if s != r)
+                    if p[r] >= 1 and max(p) <= L else noise[p][r]
+                    for r in range(m)
+                ]
+
+            cases.append(("locally_linear", _table(local, m, top), L))
+    return cases
+
+
+class TestMatchesReference:
+    """The checks give the reports and first witnesses of the entry-by-entry reference."""
+
+    CORPUS = _reference_corpus()
+
+    def test_pipeline_matches_reference(self):
+        for label, c, L in self.CORPUS:
+            assert _outcome(analyze_unweighted, c, L) == _outcome(_ref_analyze, c, L), label
+
+    def test_each_check_matches_reference(self):
+        pairs = ((check_jacobian_symmetry, _ref_jacobian), (check_cross_linearity, _ref_cross),
+                 (decompose_unweighted, _ref_decompose))
+        for label, c, L in self.CORPUS:
+            for check, ref in pairs:
+                assert _outcome(check, c, L) == _outcome(ref, c, L), (label, check.__name__)
+
+    def test_corpus_reaches_every_outcome(self):
+        seen = {_outcome(_ref_analyze, c, L)[:2] for _label, c, L in self.CORPUS}
+        kinds = {key[0] if key[0] != "violation" else key[1] for key in seen}
+        assert {"jacobian", "cross_a", "cross_b", "cross_distinct", "consistent",
+                "LoadRangeError"} <= kinds
+
+    def test_linearity_pass_never_fires(self):
+        for label, c, L in self.CORPUS:
+            try:
+                report = _ref_cross(c, L)
+            except LoadRangeError:
+                continue
+            assert report is None or report.lemma != "linearity", label

@@ -53,6 +53,9 @@ CASES = [
     ("cross_characterize", ["characterize", "cross_cost.json"], 1),
     ("cross_gadget_L4", ["gadget", "cross_cost.json", "--lemma", "L4", "--point", "0,1",
                          "--resources", "2,1", "--confirm"], 1),
+    ("crossb_characterize", ["characterize", "crossb_cost.json"], 1),
+    ("partial_characterize", ["characterize", "partial_cost.json"], 0),
+    ("partial_read_characterize", ["characterize", "partial_read_cost.json"], 2),
     ("triple_characterize", ["characterize", "triple_cost.json"], 1),
     ("triple_gadget_L5", ["gadget", "triple_cost.json", "--lemma", "L5", "--point", "0,0,1",
                           "--resources", "3,1,2", "--confirm"], 1),
