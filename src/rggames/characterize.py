@@ -2,8 +2,11 @@
 
 The unweighted checks are exact functional equations on bounded integer
 domains; a pass certifies consistency only up to the tested bound, which the
-report states explicitly.  The weighted classifier implements the
-affine-or-exponential dichotomy on a rational sample grid.
+report states explicitly.  Entries are read lazily, once per check: each
+check keeps a value table that evaluates c_r(x) on its first read, so a
+table may omit entries that no check reads, and a missing entry fails at the
+same first read as entry-by-entry evaluation would.  The weighted classifier
+implements the affine-or-exponential dichotomy on a rational sample grid.
 """
 
 from __future__ import annotations
@@ -47,12 +50,11 @@ class WeightedExponential:
 
 @dataclass(frozen=True)
 class Violation:
-    lemma: str  # jacobian | cross_a | cross_b | cross_distinct | linearity | weighted labels
+    lemma: str  # jacobian | cross_a | cross_b | cross_distinct | weighted labels
     r: Optional[int] = None
     s: Optional[int] = None
     t: Optional[int] = None
     x: Optional[tuple] = None
-    y: Optional[tuple] = None
 
 
 ConsistencyReport = Union[UnweightedConsistent, WeightedAffine, WeightedExponential, Violation]
@@ -73,6 +75,23 @@ def _require_range(c: Tabulated, L: int, extra: int, what: str) -> None:
         )
 
 
+def _values(c: Tabulated):
+    """The value table of c: value(x, r) is c_r(x), evaluated on first read and kept."""
+    seen = {}
+
+    def value(x: tuple, r: int):
+        if (x, r) not in seen:
+            seen[x, r] = eval_cost_entry(c, x, r)
+        return seen[x, r]
+
+    return value
+
+
+def _diff(value, x: tuple, r: int, s: int):
+    """c_r(x+1_s) - c_r(x), reading the bumped point first."""
+    return value(_bump(x, s), r) - value(x, r)
+
+
 def check_jacobian_symmetry(c: Tabulated, L: int) -> Optional[Violation]:
     """Unit-increment symmetry: the discrete Jacobian of c must be symmetric.
 
@@ -80,13 +99,12 @@ def check_jacobian_symmetry(c: Tabulated, L: int) -> Optional[Violation]:
     r < s and all x with entries <= L.  Returns the first violation or None.
     """
     _require_range(c, L, 1, "Jacobian symmetry check")
+    value = _values(c)
     m = c.m
     for x in product(range(L + 1), repeat=m):
         for r in range(m):
             for s in range(r + 1, m):
-                lhs = eval_cost_entry(c, _bump(x, r, s), r) - eval_cost_entry(c, _bump(x, r), r)
-                rhs = eval_cost_entry(c, _bump(x, r, s), s) - eval_cost_entry(c, _bump(x, s), s)
-                if lhs != rhs:
+                if _diff(value, _bump(x, r), r, s) != _diff(value, _bump(x, s), s, r):
                     return Violation(lemma="jacobian", r=r, s=s, x=x)
     return None
 
@@ -94,13 +112,19 @@ def check_jacobian_symmetry(c: Tabulated, L: int) -> Optional[Violation]:
 def check_cross_linearity(c: Tabulated, L: int) -> Optional[Violation]:
     """Cross effects must be linear: discrete Hessian diagonal in every off direction.
 
-    Four conditions over all x with entries <= L and x_r > 0:
-      cross_a:        c_r(x+1_s) - c_r(x)       = c_r(x+1_{rs}) - c_r(x+1_r)
-      cross_b:        c_r(x+2*1_s) - c_r(x+1_s) = c_r(x+1_s)   - c_r(x)
-      cross_distinct: c_r(x+1_s) - c_r(x)       = c_r(x+1_{st}) - c_r(x+1_t)   (r,s,t distinct)
-      linearity:      c_r(x+1_s) - c_r(x) is the same for every base point with x_r > 0
+    With d(x) = c_r(x+1_s) - c_r(x), three conditions over all x with
+    entries <= L and x_r > 0, for all s != r:
+      cross_a:        d(x) = d(x+1_r)
+      cross_b:        d(x) = d(x+1_s)
+      cross_distinct: d(x) = d(x+1_t)   (r, s, t distinct)
+    Together they make d constant on B = {x <= L : x_r > 0}, so c_r is
+    linear in every other load there: any two points of B are joined by unit
+    steps inside B, and the step from y to y+1_t is cross_a (t = r), cross_b
+    (t = s) or cross_distinct at the base point y in B, which the loop
+    checks.  Returns the first violation or None.
     """
     _require_range(c, L, 2, "cross-linearity check")
+    value = _values(c)
     m = c.m
     for x in product(range(L + 1), repeat=m):
         for r in range(m):
@@ -109,29 +133,16 @@ def check_cross_linearity(c: Tabulated, L: int) -> Optional[Violation]:
             for s in range(m):
                 if s == r:
                     continue
-                d0 = eval_cost_entry(c, _bump(x, s), r) - eval_cost_entry(c, x, r)
-                if d0 != eval_cost_entry(c, _bump(x, r, s), r) - eval_cost_entry(c, _bump(x, r), r):
+                d0 = _diff(value, x, r, s)
+                if _diff(value, _bump(x, r), r, s) != d0:
                     return Violation(lemma="cross_a", r=r, s=s, x=x)
-                if eval_cost_entry(c, _bump(x, s, s), r) - eval_cost_entry(c, _bump(x, s), r) != d0:
+                if _diff(value, _bump(x, s), r, s) != d0:
                     return Violation(lemma="cross_b", r=r, s=s, x=x)
                 for t in range(m):
                     if t == r or t == s:
                         continue
-                    if d0 != eval_cost_entry(c, _bump(x, s, t), r) - eval_cost_entry(c, _bump(x, t), r):
+                    if _diff(value, _bump(x, t), r, s) != d0:
                         return Violation(lemma="cross_distinct", r=r, s=s, t=t, x=x)
-    # consolidated linearity: compare every base point against the axis reference
-    for r in range(m):
-        ref = tuple(1 if u == r else 0 for u in range(m))
-        for s in range(m):
-            if s == r:
-                continue
-            dref = eval_cost_entry(c, _bump(ref, s), r) - eval_cost_entry(c, ref, r)
-            for x in product(range(L + 1), repeat=m):
-                if x[r] == 0:
-                    continue
-                d = eval_cost_entry(c, _bump(x, s), r) - eval_cost_entry(c, x, r)
-                if d != dref:
-                    return Violation(lemma="linearity", r=r, s=s, x=x, y=ref)
     return None
 
 
@@ -143,36 +154,30 @@ def decompose_unweighted(c: Tabulated, L: int) -> ConsistencyReport:
     every x <= L with x_r > 0; a mismatch means a bug or an insufficient L.
     """
     _require_range(c, L, 1, "decomposition")
+    value = _values(c)
     m = c.m
-    f = []
-    for r in range(m):
-        axis = []
-        for k in range(L + 1):
-            pt = tuple(k if u == r else 0 for u in range(m))
-            axis.append(eval_cost_entry(c, pt, r))
-        f.append(tuple(axis))
-    A = [[Fraction(0)] * m for _ in range(m)]
-    for r in range(m):
-        unit_r = tuple(1 if u == r else 0 for u in range(m))
-        for s in range(m):
-            if s == r:
-                continue
-            A[r][s] = eval_cost_entry(c, _bump(unit_r, s), r) - eval_cost_entry(c, unit_r, r)
+    zero = (0,) * m
+    f = tuple(
+        tuple(value(tuple(k if u == r else 0 for u in range(m)), r) for k in range(L + 1))
+        for r in range(m)
+    )
+    A = [[Fraction(0) if s == r else _diff(value, _bump(zero, r), r, s) for s in range(m)]
+         for r in range(m)]
     for r in range(m):
         for s in range(r + 1, m):
             if A[r][s] != A[s][r]:
-                return Violation(lemma="jacobian", r=r, s=s, x=tuple([0] * m))
+                return Violation(lemma="jacobian", r=r, s=s, x=zero)
     for x in product(range(L + 1), repeat=m):
         for r in range(m):
             if x[r] == 0:
                 continue
             rebuilt = f[r][x[r]] + sum(A[r][s] * x[s] for s in range(m) if x[s])
-            if rebuilt != eval_cost_entry(c, x, r):
+            if rebuilt != value(x, r):
                 raise GameError(
                     f"decomposition failed to reconstruct c_{r} at {x}; "
                     "run the consistency checks first or increase L"
                 )
-    return UnweightedConsistent(f=tuple(f), A=tuple(tuple(row) for row in A), L=L)
+    return UnweightedConsistent(f=f, A=tuple(tuple(row) for row in A), L=L)
 
 
 def analyze_unweighted(c: Tabulated, L: int) -> ConsistencyReport:

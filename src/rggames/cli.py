@@ -169,7 +169,7 @@ SPECS = {
             ("a", "a", nested(FLOAT)), ("phi", "phi", FLOAT), ("b", "b", nested(FLOAT)))),
         Spec(Violation, "kind", "violation", (  # fields left unset (None) are omitted
             ("lemma", "lemma", PLAIN), ("r", "r", PLAIN), ("s", "s", PLAIN), ("t", "t", PLAIN),
-            ("x", "x", nested(PLAIN)), ("y", "y", nested(PLAIN)))),
+            ("x", "x", nested(PLAIN)))),
     ),
 }
 _BY_CLASS = {spec.cls: spec for specs in SPECS.values() for spec in specs}

@@ -16,7 +16,7 @@ from typing import Optional, Tuple, Union
 
 from .characterize import Violation
 from .core import Explicit, Game, Player, Profile, load_of, pricer
-from .costs import CostModel, Tabulated, compose, eval_cost_entry
+from .costs import CostModel, Tabulated, compose
 from .dynamics import Certificate, NoPNEExists, PNEFound, brute_force_pne
 from .errors import GameError, StructureError, UsageError
 
@@ -175,40 +175,7 @@ def gadget_spec_for(c: Tabulated, violation: Violation) -> GadgetSpec:
         return GadgetSpec(lemma="L4", base_cost=c, point=shifted, resources=(s, r))
     if violation.lemma == "cross_distinct":
         return GadgetSpec(lemma="L5", base_cost=c, point=x, resources=(r, s, violation.t))
-    if violation.lemma == "linearity":
-        return _locate_chain_break(c, violation)
     raise UsageError(f"no gadget construction for violation {violation.lemma!r}")
-
-
-def _locate_chain_break(c: Tabulated, violation: Violation) -> GadgetSpec:
-    """Walk the induction path from x down to y and emit the first failing step."""
-    r, s = violation.r, violation.s
-    x, y = list(violation.x), list(violation.y)
-
-    def diff(pt):
-        bumped = tuple(v + (1 if u == s else 0) for u, v in enumerate(pt))
-        return eval_cost_entry(c, bumped, r) - eval_cost_entry(c, tuple(pt), r)
-
-    for hi, lo in ((x, y), (y, x)):
-        cur = list(hi)
-        while any(cur[u] > lo[u] for u in range(len(cur))):
-            t = next(u for u in range(len(cur)) if cur[u] > lo[u])
-            prev = list(cur)
-            prev[t] -= 1
-            base = tuple(prev)
-            if t == r:
-                sub = Violation(lemma="cross_a", r=r, s=s, x=base)
-                step_ok = diff(tuple(cur)) == diff(base)
-            elif t == s:
-                sub = Violation(lemma="cross_b", r=r, s=s, x=base)
-                step_ok = diff(tuple(cur)) == diff(base)
-            else:
-                sub = Violation(lemma="cross_distinct", r=r, s=s, t=t, x=base)
-                step_ok = diff(tuple(cur)) == diff(base)
-            if not step_ok and base[r] > 0:
-                return gadget_spec_for(c, sub)
-            cur = prev
-    raise GameError("linearity violation did not decompose into a failing induction step")
 
 
 def violation_to_counterexample(

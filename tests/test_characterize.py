@@ -1,6 +1,8 @@
+import contextlib
 import math
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -183,6 +185,62 @@ class TestPipeline:
         lhs = eval_cost_entry(c, bump(x, r, s), r) - eval_cost_entry(c, bump(x, r), r)
         rhs = eval_cost_entry(c, bump(x, r, s), s) - eval_cost_entry(c, bump(x, s), s)
         assert lhs != rhs
+
+
+@dataclass(frozen=True, eq=False)
+class CountingTable(Tabulated):
+    """A Tabulated that counts its entry reads per (x, r)."""
+
+    reads: Counter = field(default_factory=Counter, repr=False)
+
+    def entry(self, loads, r, player=None):
+        self.reads[tuple(loads), r] += 1
+        return super().entry(loads, r, player)
+
+
+def counting(c, drop=()):
+    """A fresh counting copy of c without the (key, r) table entries in drop."""
+    tables = tuple({k: v for k, v in table.items() if (k, r) not in drop}
+                   for r, table in enumerate(c.tables))
+    return CountingTable(m=c.m, neighborhoods=c.neighborhoods, tables=tables,
+                         max_load=c.max_load)
+
+
+class TestReadOnce:
+    SPL = SeparablePlusLinear(
+        f=tuple(tuple(Fraction(k * k + r) for k in range(5)) for r in range(3)),
+        A=((Fraction(0), Fraction(2), Fraction(-1)), (Fraction(2), Fraction(0), Fraction(3)),
+           (Fraction(-1), Fraction(3), Fraction(0))),
+    )
+    TABLES = (
+        as_tabulated(SPL, max_load=4),
+        tabulate(lambda p: (p[0] + p[1] * p[2], p[1] + p[0] * p[2], p[2] + p[0] * p[1]), 3, 4),
+        tabulate(lambda p: (p[0] ** 2 + 2 * p[1], 3 * p[1] + 2 * p[0]), 2, 4),
+    )
+
+    @pytest.mark.parametrize(
+        "check", [check_jacobian_symmetry, check_cross_linearity, decompose_unweighted])
+    def test_each_check_reads_every_entry_at_most_once(self, check):
+        for table in self.TABLES:
+            c = counting(table)
+            with contextlib.suppress(GameError):  # decomposing the product table fails
+                check(c, 2)
+            assert c.reads and max(c.reads.values()) == 1, check.__name__
+
+    def test_missing_entry_that_is_read_raises(self):
+        full = tabulate(lambda p: (p[0] ** 2 + 2 * p[1], 3 * p[1] + 2 * p[0]), 2, 4)
+        c = counting(full, drop={((1, 1), 0)})
+        for check in (check_jacobian_symmetry, decompose_unweighted, analyze_unweighted):
+            with pytest.raises(LoadRangeError) as info:
+                check(c, 2)
+            assert str(info.value) == "no table entry for resource 0 at (1, 1)"
+
+    def test_unread_corner_entries_may_be_missing(self):
+        full = tabulate(lambda p: (p[0] ** 2 + 2 * p[1], 3 * p[1] + 2 * p[0]), 2, 4)
+        corner = {(k, r) for k in ((4, 4), (4, 3), (3, 4)) for r in range(2)}
+        report = analyze_unweighted(counting(full, drop=corner), 2)
+        assert isinstance(report, UnweightedConsistent)
+        assert report == analyze_unweighted(full, 2)
 
 
 # --- frozen reference: the entry-by-entry checks, linearity pass included -----------------

@@ -7,7 +7,7 @@ from rggames.characterize import Violation, analyze_unweighted
 from rggames.core import load_of
 from rggames.costs import Affine, Tabulated, as_tabulated, eval_cost_entry
 from rggames.dynamics import NoPNEExists, PNEFound, brute_force_pne
-from rggames.errors import StructureError
+from rggames.errors import StructureError, UsageError
 from rggames.gadgets import (
     GadgetSpec,
     SymmetryFailure,
@@ -137,6 +137,12 @@ class TestViolationMapping:
         v = analyze_unweighted(c, 2)
         spec = gadget_spec_for(c, v)
         assert spec.lemma == "L3" and spec.resources == (v.r, v.s)
+
+    def test_linearity_violation_has_no_gadget(self):
+        # the three per-step cross identities imply linearity, so no check reports it
+        c = as_tabulated(SYM, max_load=4)
+        with pytest.raises(UsageError, match="no gadget construction"):
+            gadget_spec_for(c, Violation(lemma="linearity", r=0, s=1, x=(1, 0)))
 
     def test_cross_b_maps_through_the_shifted_point(self):
         c = tabulate(lambda p: (p[0] + p[1] ** 2, p[1] + p[0] ** 2), 2, 6)
