@@ -368,16 +368,6 @@ def _outcome(check, c, L):
     return "violation", report.lemma, report.r, report.s, report.t, report.x
 
 
-def _table(fn, m, top, drop=()):
-    """fn tabulated on the full box [0, top]^m, minus the (point, r) pairs in drop."""
-    grid = list(product(range(top + 1), repeat=m))
-    hoods = tuple(tuple(range(m)) for _ in range(m))
-    tables = tuple(
-        {pt: Fraction(fn(pt)[r]) for pt in grid if (pt, r) not in drop} for r in range(m)
-    )
-    return Tabulated(m=m, neighborhoods=hoods, tables=tables, max_load=top)
-
-
 def _symmetric(rng, m, lo=-2, hi=3):
     A = [[Fraction(0)] * m for _ in range(m)]
     for r in range(m):
@@ -411,23 +401,23 @@ def _reference_corpus():
                     for pt in product(range(top + 1), repeat=m)}
             pt, r = rng.choice(list(base)), rng.randrange(m)
             base[pt][r] += 1
-            cases.append(("perturbed", _table(lambda p: base[p], m, top), L))
+            cases.append(("perturbed", tabulate(lambda p: base[p], m, top), L))
             # a consistent table with a few entries missing
             drop = {(rng.choice(list(base)), rng.randrange(m)) for _ in range(3)}
-            cases.append(("partial", _table(lambda p: base[p], m, top, drop), L))
+            cases.append(("partial", counting(tabulate(lambda p: base[p], m, top), drop), L))
         raw = {pt: [rng.randint(0, 1) for _ in range(m)]
                for pt in product(range(top + 1), repeat=m)}
-        cases.append(("raw", _table(lambda p: raw[p], m, top), L))
+        cases.append(("raw", tabulate(lambda p: raw[p], m, top), L))
         kink = rng.randint(1, L + 1)
         g = lambda v, k=kink: v if v <= k else 2 * v - k
-        cases.append(("kinked_cross", _table(
+        cases.append(("kinked_cross", tabulate(
             lambda p: [p[r] ** 2 + sum(g(p[s]) for s in range(m) if s != r) for r in range(m)],
             m, top), L))
-        cases.append(("sum_of_others", _table(
+        cases.append(("sum_of_others", tabulate(
             lambda p: [p[r] + (sum(p) - p[r]) ** 2 for r in range(m)], m, top), L))
-        cases.append(("square_of_total", _table(
+        cases.append(("square_of_total", tabulate(
             lambda p: [p[r] + sum(p) ** 2 for r in range(m)], m, top), L))
-        cases.append(("product_of_others", _table(
+        cases.append(("product_of_others", tabulate(
             lambda p: [p[r] + math.prod(p[s] for s in range(m) if s != r) for r in range(m)],
             m, top), L))
         for _ in range(3):
@@ -445,7 +435,7 @@ def _reference_corpus():
                     for r in range(m)
                 ]
 
-            cases.append(("locally_linear", _table(local, m, top), L))
+            cases.append(("locally_linear", tabulate(local, m, top), L))
     return cases
 
 
