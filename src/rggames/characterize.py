@@ -2,7 +2,9 @@
 
 The unweighted checks are exact functional equations on bounded integer
 domains; a pass certifies consistency only up to the tested bound, which the
-report states explicitly.  Entries are read lazily, once per check: each
+report states explicitly.  They read any exact model through `entry`, up to
+its `max_load` if any (Affine and Bilevel have none); Exponential costs are
+floats and raise UsageError.  Entries are read lazily, once per check: each
 check keeps a value table that evaluates c_r(x) on its first read, so a
 table may omit entries that no check reads, and a missing entry fails at the
 same first read as entry-by-entry evaluation would.  The weighted classifier
@@ -21,7 +23,6 @@ from .costs import (
     Affine,
     CostModel,
     Exponential,
-    Tabulated,
     eval_cost,
     eval_cost_entry,
 )
@@ -67,15 +68,17 @@ def _bump(x: tuple, *indices: int) -> tuple:
     return tuple(out)
 
 
-def _require_range(c: Tabulated, L: int, extra: int, what: str) -> None:
-    if L + extra > c.max_load:
+def _require_range(c: CostModel, L: int, extra: int, what: str) -> None:
+    if isinstance(c, Exponential):
+        raise UsageError("unweighted characterization needs exact costs; use --weighted for floats")
+    if L + extra > getattr(c, "max_load", math.inf):
         raise LoadRangeError(
             f"{what} at bound {L} needs table entries up to {L + extra}, "
             f"model is bounded by {c.max_load}"
         )
 
 
-def _values(c: Tabulated):
+def _values(c: CostModel):
     """The value table of c: value(x, r) is c_r(x), evaluated on first read and kept."""
     seen = {}
 
@@ -92,7 +95,7 @@ def _diff(value, x: tuple, r: int, s: int):
     return value(_bump(x, s), r) - value(x, r)
 
 
-def check_jacobian_symmetry(c: Tabulated, L: int) -> Optional[Violation]:
+def check_jacobian_symmetry(c: CostModel, L: int) -> Optional[Violation]:
     """Unit-increment symmetry: the discrete Jacobian of c must be symmetric.
 
     Checks c_r(x+1_{rs}) - c_r(x+1_r) = c_s(x+1_{rs}) - c_s(x+1_s) for all
@@ -109,7 +112,7 @@ def check_jacobian_symmetry(c: Tabulated, L: int) -> Optional[Violation]:
     return None
 
 
-def check_cross_linearity(c: Tabulated, L: int) -> Optional[Violation]:
+def check_cross_linearity(c: CostModel, L: int) -> Optional[Violation]:
     """Cross effects must be linear: discrete Hessian diagonal in every off direction.
 
     With d(x) = c_r(x+1_s) - c_r(x), three conditions over all x with
@@ -146,7 +149,7 @@ def check_cross_linearity(c: Tabulated, L: int) -> Optional[Violation]:
     return None
 
 
-def decompose_unweighted(c: Tabulated, L: int) -> ConsistencyReport:
+def decompose_unweighted(c: CostModel, L: int) -> ConsistencyReport:
     """Recover (f, A) with f_r(k) = c_r(k*1_r), a_rs = c_r(1_{rs}) - c_r(1_r), a_rr = 0.
 
     Preconditions: the Jacobian and cross-linearity checks passed at bound L.
@@ -180,7 +183,7 @@ def decompose_unweighted(c: Tabulated, L: int) -> ConsistencyReport:
     return UnweightedConsistent(f=f, A=tuple(tuple(row) for row in A), L=L)
 
 
-def analyze_unweighted(c: Tabulated, L: int) -> ConsistencyReport:
+def analyze_unweighted(c: CostModel, L: int) -> ConsistencyReport:
     """Full necessity pipeline: Jacobian, cross-linearity, then decomposition."""
     violation = check_jacobian_symmetry(c, L)
     if violation is not None:

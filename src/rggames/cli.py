@@ -39,7 +39,6 @@ from .costs import (
     PlayerSpecificSeparable,
     SeparablePlusLinear,
     Tabulated,
-    as_tabulated,
 )
 from .dynamics import (
     IsPNE,
@@ -94,9 +93,10 @@ def _same(value):
     return value
 
 
-def _list(value) -> list:
+def _list(value, path: Optional[str] = None) -> list:
     if not isinstance(value, list):
-        raise StructureError(f"expected a list, got {value!r}")
+        where = f"{path}: " if path else ""
+        raise StructureError(f"{where}expected a list, got {value!r}")
     return value
 
 
@@ -232,7 +232,7 @@ def cost_from_json(obj: dict):
 
 def _from_support(indices, m: int, value, path: str) -> tuple:
     """The length-m vector with `value` on the indices; every index must lie in 0..m-1."""
-    for r in indices:
+    for r in _list(indices, path):
         if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r < m:
             raise StructureError(f"{path}: resource index {r!r} outside 0..{m - 1}")
     chosen = set(indices)
@@ -291,8 +291,10 @@ def game_from_json(doc: dict) -> Game:
 
 
 def profile_from_json(doc: dict, game: Game) -> tuple:
+    if not isinstance(doc, dict):
+        raise StructureError(f"profile: expected an object, got {doc!r}")
     doc = dict(doc)
-    choices = _pop(doc, "choices", "profile")
+    choices = _list(_pop(doc, "choices", "profile"), "profile.choices")
     _reject_unknown(doc, "profile")
     if len(choices) != game.n_players:
         raise StructureError("profile has wrong number of players")
@@ -392,8 +394,6 @@ def cmd_characterize(args) -> int:
         if L < 1:
             # at L = 0 the cross-linearity checks test nothing
             raise UsageError(f"characterize needs L >= 1 (and L <= max_load - 2), got L = {L}")
-        if not isinstance(cost, Tabulated):
-            cost = as_tabulated(cost, max_load=L + 2)
         report = analyze_unweighted(cost, L)
     payload = encode(report)
     print(_dump(_stamp(payload, raw)))

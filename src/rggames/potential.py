@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Callable, NamedTuple, Optional
 
 from .core import Game, Profile, deviate, load_of
-from .costs import Affine, SeparablePlusLinear
+from .costs import Affine, SeparablePlusLinear, _times
 from .dynamics import _deviations
 from .errors import UsageError
 
@@ -28,11 +29,7 @@ def _require_symmetric(A) -> None:
 def _quad(model, u, v):
     """u^T A v, exactly, over the sparse columns of the model's kernel."""
     D, cols, _ = model.kernel()
-    total = 0
-    for s, vs in enumerate(v):
-        if vs:
-            total += vs * sum(a * u[r] for r, a in cols[s].items())
-    return Fraction(total, D)
+    return Fraction(sum(map(mul, u, _times(cols, v))), D)
 
 
 def potential_unweighted(game: Game, profile: Profile):

@@ -21,13 +21,14 @@ from rggames.characterize import (
 )
 from rggames.costs import (
     Affine,
+    Bilevel,
     Exponential,
     SeparablePlusLinear,
     Tabulated,
     as_tabulated,
     eval_cost_entry,
 )
-from rggames.errors import GameError, LoadRangeError
+from rggames.errors import GameError, LoadRangeError, UsageError
 
 
 def tabulate(fn, m, L):
@@ -185,6 +186,23 @@ class TestPipeline:
         lhs = eval_cost_entry(c, bump(x, r, s), r) - eval_cost_entry(c, bump(x, r), r)
         rhs = eval_cost_entry(c, bump(x, r, s), s) - eval_cost_entry(c, bump(x, s), s)
         assert lhs != rhs
+
+    def test_models_without_a_table_bound_are_read_directly(self):
+        affine = Affine(A=((Fraction(1), Fraction(2)), (Fraction(2), Fraction(1, 3))),
+                        b=(Fraction(0), Fraction(1, 2)))
+        report = analyze_unweighted(affine, 4)
+        assert report == UnweightedConsistent(
+            f=tuple(tuple(affine.A[r][r] * k + affine.b[r] for k in range(5)) for r in range(2)),
+            A=((0, 2), (2, 0)), L=4)
+        assert analyze_unweighted(Bilevel(m=2, budget=Fraction(1)), 2) == Violation(
+            lemma="jacobian", r=0, s=1, x=(0, 1))
+
+    @pytest.mark.parametrize("check", [
+        check_jacobian_symmetry, check_cross_linearity, decompose_unweighted, analyze_unweighted])
+    def test_float_costs_refused(self, check):
+        model = Exponential(a=(1.0, 0.5), phi=0.25, b=(1.0, 0.0))
+        with pytest.raises(UsageError, match="^unweighted characterization needs exact costs"):
+            check(model, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,25 +457,73 @@ def _reference_corpus():
     return cases
 
 
+def _model_corpus():
+    """(label, model, L) triples from a fixed seed: exact models that are not tabulated."""
+    rng = random.Random(20201018)
+
+    def ratio(dens):
+        return Fraction(rng.randint(-6, 6), rng.choice(dens))
+
+    def matrix(m, dens):
+        if rng.random() < 0.7:
+            A = [[ratio(dens) for _ in range(m)] for _ in range(m)]
+            return tuple(tuple(A[min(r, s)][max(r, s)] for s in range(m)) for r in range(m))
+        return tuple(tuple(ratio(dens) for _ in range(m)) for _ in range(m))
+
+    cases = []
+    for m, L in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)):
+        for _ in range(3):
+            top = L + rng.choice((1, 2, 2, 3))  # a table one short of L + 2 fails the range rule
+            f = tuple(tuple(ratio((1, 2)) for _ in range(top + 1)) for _ in range(m))
+            cases.append(("separable_plus_linear", SeparablePlusLinear(f=f, A=matrix(m, (1,))), L))
+            cases.append(("affine D = 1", Affine(A=matrix(m, (1,)), b=tuple(
+                ratio((1,)) for _ in range(m))), L))
+            cases.append(("affine D > 1", Affine(A=matrix(m, (1, 2, 3, 5)), b=tuple(
+                ratio((1, 4)) + Fraction(1, 3) for _ in range(m))), L))
+            cases.append(("bilevel", Bilevel(m=m, budget=Fraction(rng.randint(1, 9),
+                                                                  rng.randint(1, 4))), L))
+    return cases
+
+
+def _kind(outcome):
+    return outcome[1] if outcome[0] == "violation" else outcome[0]
+
+
 class TestMatchesReference:
-    """The checks give the reports and first witnesses of the entry-by-entry reference."""
+    """The checks give the reports and first witnesses of the entry-by-entry reference.
+
+    A table is checked as it is; a model that is not tabulated is checked as it is and
+    compared with the reference on its tabulation up to L + 2, or up to its own bound.
+    """
 
     CORPUS = _reference_corpus()
+    MODELS = _model_corpus()
+    CASES = [(label, c, c, L) for label, c, L in CORPUS] + [
+        (label, model, as_tabulated(model, min(L + 2, getattr(model, "max_load", L + 2))), L)
+        for label, model, L in MODELS]
 
     def test_pipeline_matches_reference(self):
-        for label, c, L in self.CORPUS:
-            assert _outcome(analyze_unweighted, c, L) == _outcome(_ref_analyze, c, L), label
+        for label, c, table, L in self.CASES:
+            assert _outcome(analyze_unweighted, c, L) == _outcome(_ref_analyze, table, L), label
 
     def test_each_check_matches_reference(self):
         pairs = ((check_jacobian_symmetry, _ref_jacobian), (check_cross_linearity, _ref_cross),
                  (decompose_unweighted, _ref_decompose))
-        for label, c, L in self.CORPUS:
+        for label, c, table, L in self.CASES:
             for check, ref in pairs:
-                assert _outcome(check, c, L) == _outcome(ref, c, L), (label, check.__name__)
+                assert _outcome(check, c, L) == _outcome(ref, table, L), (label, check.__name__)
+
+    def test_model_corpus_reaches_every_shape(self):
+        kinds = {(label, _kind(_outcome(_ref_analyze, table, L)))
+                 for label, _model, table, L in self.CASES[len(self.CORPUS):]}
+        assert {(label, kind) for label in ("separable_plus_linear", "affine D = 1", "affine D > 1")
+                for kind in ("consistent", "jacobian")} <= kinds
+        assert {("separable_plus_linear", "LoadRangeError"), ("bilevel", "jacobian")} <= kinds
+        assert all(model.kernel()[0] > 1
+                   for label, model, _L in self.MODELS if label == "affine D > 1")
 
     def test_corpus_reaches_every_outcome(self):
-        seen = {_outcome(_ref_analyze, c, L)[:2] for _label, c, L in self.CORPUS}
-        kinds = {key[0] if key[0] != "violation" else key[1] for key in seen}
+        kinds = {_kind(_outcome(_ref_analyze, c, L)) for _label, c, L in self.CORPUS}
         assert {"jacobian", "cross_a", "cross_b", "cross_distinct", "consistent",
                 "LoadRangeError"} <= kinds
 

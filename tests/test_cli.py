@@ -1,12 +1,13 @@
 import json
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rggames import cli
+from rggames import cli, costs
 from rggames.cli import (
     decode,
     encode,
@@ -377,6 +378,18 @@ class TestInputHardening:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"choices": 5}, "profile.choices: expected a list, got 5"),
+        ({"choices": [5, [1]]}, "profile.choices[0]: expected a list, got 5"),
+        ({"choices": {"a": 1}}, "profile.choices: expected a list, got {'a': 1}"),
+        ([["choices", [[0], [1]]]], "profile: expected an object, got [['choices', [[0], [1]]]]"),
+    ])
+    def test_malformed_profile_names_the_path(self, doc, message, tmp_path, capsys):
+        profile = write_json(tmp_path, "profile.json", doc)
+        assert main(["verify", str(GOLDEN / "readme_game.json"), "--profile", profile]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
     def test_argparse_exit_passes_through(self, game_file):
         with pytest.raises(SystemExit):
             main(["solve"])
@@ -400,6 +413,32 @@ class TestCharacterizeBound:
     def test_explicit_zero_bound_rejected(self, game_file, capsys):
         assert main(["characterize", game_file, "--L", "0"]) == 2
         assert capsys.readouterr().out == ""
+
+
+class TestCharacterizeReadsTheModel:
+    @pytest.mark.parametrize("name, argv, code", [
+        ("readme_characterize", ["readme_game.json"], 0),
+        ("spl_characterize", ["spl_cost.json", "--L", "2"], 0),
+        ("asym_characterize", ["asym_affine_cost.json"], 1),
+        ("bilevel_characterize", ["bilevel_cost.json"], 1),
+    ])
+    def test_golden_output_without_tabulating(self, name, argv, code, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("characterize tabulated the model")
+
+        original = costs.as_tabulated
+        for module in list(sys.modules.values()):  # every binding of the name, cli's included
+            if module and module.__name__.startswith("rggames") and \
+                    getattr(module, "as_tabulated", None) is original:
+                monkeypatch.setattr(module, "as_tabulated", refuse)
+        assert main(["characterize", str(GOLDEN / argv[0]), *argv[1:]]) == code
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+    def test_exponential_points_to_weighted(self, capsys):
+        assert main(["characterize", str(GOLDEN / "exponential_cost.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: unweighted characterization needs exact costs; use --weighted for floats\n")
 
 
 class TestBilevelCostDocument:
