@@ -100,6 +100,12 @@ def _list(value, path: Optional[str] = None) -> list:
     return value
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise StructureError(f"{path}: expected an object, got {value!r}")
+    return value
+
+
 def nested(codec: Codec, depth: int = 1) -> Codec:
     """Lists of `codec` values, `depth` levels deep; tuples on the Python side."""
     for _ in range(depth):
@@ -204,9 +210,7 @@ def decode(family: str, obj, path: str, m: Optional[int] = None):
     m is the document's resource count: the classes that take one (Tabulated,
     Bilevel) get it, and every decoded model must then cover exactly m resources.
     """
-    if not isinstance(obj, dict):
-        raise StructureError(f"{path}: expected an object, got {obj!r}")
-    obj = dict(obj)
+    obj = dict(_object(obj, path))
     tag_key = SPECS[family][0].tag_key
     tag = _pop(obj, tag_key, path)
     spec = _BY_TAG.get((family, tag))
@@ -259,18 +263,19 @@ def game_to_json(game: Game, bounds=None) -> dict:
 
 
 def game_from_json(doc: dict) -> Game:
-    doc = json.loads(json.dumps(doc))  # defensive copy
+    doc = _object(json.loads(json.dumps(doc)), "$")  # defensive copy
     version = _pop(doc, "version", "$")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise StructureError(f"unsupported schema version {version!r}")
     m = integer(_pop(doc, "m", "$"))
     players = []
-    for i, pd in enumerate(_pop(doc, "players", "$")):
+    for i, pd in enumerate(_list(_pop(doc, "players", "$"), "players")):
         path = f"players[{i}]"
+        pd = _object(pd, path)
         weight = rat(_pop(pd, "weight", path))
-        sd = _pop(pd, "strategies", path)
+        sd = _object(_pop(pd, "strategies", path), path + ".strategies")
         if "explicit" in sd:
-            supports = sd.pop("explicit")
+            supports = _list(sd.pop("explicit"), path + ".strategies.explicit")
             vectors = tuple(
                 _from_support(sup, m, 1, f"{path}.strategies.explicit[{k}]")
                 for k, sup in enumerate(supports)
@@ -291,9 +296,7 @@ def game_from_json(doc: dict) -> Game:
 
 
 def profile_from_json(doc: dict, game: Game) -> tuple:
-    if not isinstance(doc, dict):
-        raise StructureError(f"profile: expected an object, got {doc!r}")
-    doc = dict(doc)
+    doc = dict(_object(doc, "profile"))
     choices = _list(_pop(doc, "choices", "profile"), "profile.choices")
     _reject_unknown(doc, "profile")
     if len(choices) != game.n_players:

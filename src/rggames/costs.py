@@ -12,8 +12,8 @@ SeparablePlusLinear and Affine price through an exact kernel built once per
 model: A kept as sparse columns and scaled, with the model's other
 coefficients, by one common denominator D, so that sums run in int with a single division by D.
 Their pricer computes A*base once; each y then costs O(|supp y|^2).  Affine
-also takes rational loads (weighted players) to ints over their common
-denominator, so its sums stay in int.  The
+also takes rational loads (weighted players, integral Fractions included) to
+ints over their common denominator, so its sums stay in int.  The
 other models price entry by entry at the full vector base + y (Bilevel
 splits the budget once per vector).
 
@@ -92,10 +92,19 @@ def _times(cols, loads: Loads) -> list:
     return out
 
 
+_INT = {int}
+
+
 def _over_common_denominator(values: Sequence) -> tuple:
-    """(q, ints): rational values as ints over their common denominator q."""
+    """(q, ints): rational values as ints over their common denominator q.
+
+    All-int values come back as they are; any Fraction, integral ones included,
+    is turned into an int numerator.
+    """
+    if set(map(type, values)) <= _INT:
+        return 1, values
     q = math.lcm(*{v.denominator for v in values})
-    return (1, values) if q == 1 else (q, [v.numerator * (q // v.denominator) for v in values])
+    return q, [v.numerator * (q // v.denominator) for v in values]
 
 
 def _quadratic(cols, supp, ys) -> Number:

@@ -8,13 +8,18 @@ spaces that each Player enumerates once and keeps (`core.Player.strategies`).
 A space can be exponentially large; that is the documented price of
 generality, so every enumeration takes an explicit cap and fails loudly
 instead of truncating, on a cached space too.
+
+`_sweep` is the one walk over every profile, shared by `brute_force_pne` and
+`potential.check_exact_potential`: it keeps the load vector as prefix sums
+over the players, so a step re-adds only the players from the first whose
+choice changed.  `brute_force_pne` runs `verify_pne`'s scan on those loads
+directly instead of calling `verify_pne` per profile.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Optional, Union
 
 from .core import Game, Profile, Vector, deviate, load_of, pricer, validate_profile
@@ -89,6 +94,12 @@ def verify_pne(game: Game, profile: Profile, cap: int = 10**6) -> Certificate:
     loads = load_of(game, profile)
     spaces = _spaces(game, cap)
     validate_profile(game, profile, cap, spaces)
+    return _scan(game, profile, spaces, loads)
+
+
+def _scan(game: Game, profile: Profile, spaces, loads: Vector) -> Certificate:
+    """verify_pne on a playable profile with its loads: players in index order, each
+    player's own choice priced first, stopping at the first strict improvement."""
     for i, space in enumerate(spaces):
         cur, deviations = _deviations(game, profile, i, space, loads)
         for y, alt in deviations:
@@ -148,8 +159,47 @@ def run_best_response_dynamics(
     return DynamicsTrace(tuple(steps), profile, converged, len(steps))
 
 
+def _sweep(game: Game, spaces):
+    """(indices, profile, loads) for every profile over `spaces`, in `product` order.
+
+    `indices[i]` is the position of player i's choice in spaces[i], and `loads`
+    equals `load_of(game, profile)`, summed in the same order: level i of the
+    prefix sums holds the loads of players 0..i-1, and a step recomputes only
+    the levels from the first player whose choice changed.
+    """
+    n = len(spaces)
+    if not all(spaces):
+        return
+    # (r, e) for every non-zero entry of every strategy, read once per sweep
+    adds = [[[(r, e) for r, e in enumerate(v) if e] for v in space] for space in spaces]
+    idx = [0] * n
+    choice = [space[0] for space in spaces]
+    prefix = [[0] * game.n_resources] + [None] * n
+    first = 0  # the first player whose choice changed since the last profile
+    while True:
+        for i in range(first, n):
+            loads = prefix[i][:]
+            for r, e in adds[i][idx[i]]:
+                loads[r] += e
+            prefix[i + 1] = loads
+        yield tuple(idx), tuple(choice), tuple(prefix[n])
+        first = n - 1
+        while first >= 0 and idx[first] == len(spaces[first]) - 1:
+            idx[first] = 0
+            choice[first] = spaces[first][0]
+            first -= 1
+        if first < 0:
+            return
+        idx[first] += 1
+        choice[first] = spaces[first][idx[first]]
+
+
 def brute_force_pne(game: Game, budget: int = 10**7, cap: int = 10**6) -> Certificate:
-    """Enumerate all profiles in canonical order; first PNE or an exhaustion certificate."""
+    """Enumerate all profiles in canonical order; first PNE or an exhaustion certificate.
+
+    The spaces are read once; each profile is checked with `verify_pne`'s scan on the
+    sweep's loads, without calling `verify_pne`, `load_of` or `validate_profile`.
+    """
     spaces = _spaces(game, cap)
     total = 1
     for s in spaces:
@@ -157,8 +207,8 @@ def brute_force_pne(game: Game, budget: int = 10**7, cap: int = 10**6) -> Certif
     if total > budget:
         raise CapacityError(f"{total} profiles exceed the budget {budget}")
     checked = 0
-    for choices in product(*spaces):
+    for _, profile, loads in _sweep(game, spaces):
         checked += 1
-        if isinstance(verify_pne(game, tuple(choices), cap=cap), IsPNE):
-            return PNEFound(profile=tuple(choices))
+        if isinstance(_scan(game, profile, spaces, loads), IsPNE):
+            return PNEFound(profile=profile)
     return NoPNEExists(profiles_checked=checked)

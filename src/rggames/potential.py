@@ -8,13 +8,12 @@ satisfy it in exact rational arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from operator import mul
 from typing import Callable, NamedTuple, Optional
 
 from .core import Game, Profile, deviate, load_of
-from .costs import Affine, SeparablePlusLinear, _times
-from .dynamics import _deviations
+from .costs import Affine, SeparablePlusLinear, _over_common_denominator, _times
+from .dynamics import _deviations, _sweep
 from .errors import UsageError
 
 
@@ -27,9 +26,12 @@ def _require_symmetric(A) -> None:
 
 
 def _quad(model, u, v):
-    """u^T A v, exactly, over the sparse columns of the model's kernel."""
+    """u^T A v, exactly, over the sparse columns of the model's kernel; rational
+    vectors are scaled to ints first, so the sums run in int."""
     D, cols, _ = model.kernel()
-    return Fraction(sum(map(mul, u, _times(cols, v))), D)
+    qu, iu = _over_common_denominator(u)
+    qv, iv = _over_common_denominator(v)
+    return Fraction(sum(map(mul, iu, _times(cols, iv))), D * qu * qv)
 
 
 def potential_unweighted(game: Game, profile: Profile):
@@ -85,21 +87,21 @@ def check_exact_potential(
     distinct profile and the value reused for every deviation reaching it.
     """
     spaces = [p.strategies(cap=cap) for p in game.players]
-    values: dict = {}
+    values: dict = {}  # P by the strategy indices of its profile
 
-    def value(x: Profile):
-        if x not in values:
-            values[x] = P(x)
-        return values[x]
-
-    for choices in product(*spaces):
-        x = tuple(choices)
-        px = value(x)
-        loads = load_of(game, x)
-        for i in range(game.n_players):
-            pi_x, deviations = _deviations(game, x, i, spaces[i], loads)
-            for y, pi_y in deviations:
-                diff = (value(deviate(x, i, y)) - px) - (pi_y - pi_x)
+    for idx, x, loads in _sweep(game, spaces):
+        if idx not in values:
+            values[idx] = P(x)
+        px = values[idx]
+        for i, space in enumerate(spaces):
+            pi_x, deviations = _deviations(game, x, i, space, loads)
+            # a space holds distinct strategies, so the deviations are the k != idx[i]
+            others = (k for k in range(len(space)) if k != idx[i])
+            for k, (y, pi_y) in zip(others, deviations):
+                key = idx[:i] + (k,) + idx[i + 1 :]
+                if key not in values:
+                    values[key] = P(deviate(x, i, y))
+                diff = (values[key] - px) - (pi_y - pi_x)
                 if (abs(diff) > tol) if tol else (diff != 0):
                     return PotentialCheck(False, (x, i, y))
     return PotentialCheck(True, None)

@@ -390,6 +390,28 @@ class TestInputHardening:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(players=5), "players: expected a list, got 5"),
+        (lambda d: d.update(players=[5]), "players[0]: expected an object, got 5"),
+        (lambda d: d["players"][0].update(strategies=5),
+         "players[0].strategies: expected an object, got 5"),
+        (lambda d: d["players"][0]["strategies"].update(explicit=5),
+         "players[0].strategies.explicit: expected a list, got 5"),
+        (lambda d: d.update(players=[["weight", "1"]]),
+         "players[0]: expected an object, got ['weight', '1']"),
+    ], ids=["players", "player", "strategies", "explicit", "player-as-list"])
+    def test_malformed_game_names_the_path(self, edit, message, tmp_path, capsys):
+        doc = json.loads((GOLDEN / "readme_game.json").read_text())
+        edit(doc)
+        assert main(["solve", write_json(tmp_path, "game.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    def test_game_document_must_be_an_object(self, tmp_path, capsys):
+        assert main(["solve", write_json(tmp_path, "game.json", [1, 2])]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: $: expected an object, got [1, 2]\n"
+
     def test_argparse_exit_passes_through(self, game_file):
         with pytest.raises(SystemExit):
             main(["solve"])

@@ -5,7 +5,9 @@ One golden game, profile, cost or forbidden-pairs document gets one mutation
 type, a tag renamed, or an integer pushed out of range); `solve`, `verify`,
 `characterize --weighted` and `reduce pairs` then replay through
 `rggames.cli.main`.  Every field of the forbidden-pairs document is an
-integer or a list, so a swapped value there must exit 2.
+integer or a list, so a swapped value there must exit 2.  Every list or object
+of the golden game above its cost is also swapped for each value of another JSON
+type, and `solve` must exit 2 with an error that names the swapped field.
 """
 
 import contextlib
@@ -115,3 +117,38 @@ def test_mutated_documents_exit_honestly(tmp_path_factory, case):
         else:
             negative = json.loads(out)["kind"] in NEGATIVE_KINDS
             assert negative == (code == 1), (argv, out)
+
+
+def _game_structure(node, path=()):
+    """Paths of the lists and objects in a game document above the cost model."""
+    if path:
+        yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        if key not in ("cost", "bounds") and isinstance(child, (dict, list)):
+            yield from _game_structure(child, path + (key,))
+
+
+def _json_path(path):
+    out = ""
+    for key in path:
+        out += f"[{key}]" if isinstance(key, int) else (f".{key}" if out else key)
+    return out
+
+
+def test_swapped_game_structure_names_the_field(tmp_path):
+    paths = list(_game_structure(DOCS["game"]))
+    assert ("players", 0, "strategies", "explicit", 1) in paths
+    assert ("players", 1, "strategies", "matroid") in paths
+    for path in paths:
+        for value in OTHER_TYPES:
+            doc = copy.deepcopy(DOCS["game"])
+            parent = _at(doc, path[:-1])
+            if type(value) is type(parent[path[-1]]):
+                continue
+            parent[path[-1]] = value
+            game = tmp_path / "game.json"
+            game.write_text(json.dumps(doc), encoding="utf-8")
+            code, out, err = _run(["solve", str(game)])
+            assert (code, out) == (2, ""), (path, value)
+            assert err.startswith(f"error: {_json_path(path)}: expected "), (path, value, err)

@@ -1,14 +1,27 @@
+import math
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 
-from rggames.core import Explicit, Game, MatroidBases, Player, deviate, private_cost
-from rggames.costs import Affine, SeparablePlusLinear
-from rggames.errors import UsageError
+from rggames import costs, potential
+from rggames.core import (
+    Explicit,
+    Game,
+    MatroidBases,
+    Player,
+    deviate,
+    load_of,
+    pricer,
+    private_cost,
+)
+from rggames.costs import Affine, Exponential, SeparablePlusLinear
+from rggames.errors import LoadRangeError, UsageError
 from rggames.matroid import Uniform
 from rggames.potential import (
+    PotentialCheck,
     check_exact_potential,
     potential_unweighted,
     potential_weighted_affine,
@@ -230,3 +243,184 @@ class TestExactPotentialCheck:
             assert result.ok == (name == "exact"), name
             if result.ok:
                 assert len(seen) == len(profiles) == 100
+
+
+# --- the profile sweep against a frozen copy of the product loop -------------
+
+
+def frozen_check(game, P, cap=10**6, tol=0.0):
+    """check_exact_potential as it was: a product loop, load_of per profile, and P
+    kept by profile."""
+    spaces = [p.strategies(cap=cap) for p in game.players]
+    values = {}
+
+    def value(x):
+        if x not in values:
+            values[x] = P(x)
+        return values[x]
+
+    for choices in product(*spaces):
+        x = tuple(choices)
+        px = value(x)
+        loads = load_of(game, x)
+        for i in range(game.n_players):
+            price = pricer(game, x, i, loads)
+            pi_x = price(x[i])
+            for y in spaces[i]:
+                if y == x[i]:
+                    continue
+                pi_y = price(y)
+                diff = (value(deviate(x, i, y)) - px) - (pi_y - pi_x)
+                if (abs(diff) > tol) if tol else (diff != 0):
+                    return PotentialCheck(False, (x, i, y))
+    return PotentialCheck(True, None)
+
+
+POTENTIAL_KINDS = ("spl", "affine_weighted", "affine_asym", "exponential", "short_spl",
+                   "matroid")
+
+
+def _symmetric(rng, m, dens):
+    A = [[Fraction(0)] * m for _ in range(m)]
+    for r in range(m):
+        for s in range(r, m):
+            A[r][s] = A[s][r] = Fraction(rng.randint(-3, 4), rng.choice(dens))
+    return tuple(map(tuple, A))
+
+
+def rosenthal(game, x):
+    """sum_r sum_{k <= x_r} c_r(k) for a separable exponential model (unit weights)."""
+    model = game.cost_model
+    return sum(model.entry(tuple(k if s == r else 0 for s in range(game.n_resources)), r)
+               for r, xr in enumerate(load_of(game, x)) for k in range(1, int(xr) + 1))
+
+
+def potential_case(seed):
+    """(kind, game, exact P): a small seeded game whose P is an exact potential
+    except for affine_asym (a symmetrized proxy) and short_spl (tables too short)."""
+    rng = random.Random(seed)
+    kind = POTENTIAL_KINDS[seed % len(POTENTIAL_KINDS)]
+    m, n = rng.randint(1, 4), rng.randint(1, 3)
+    vectors = [v for v in product((0, 1), repeat=m) if any(v)]
+    spaces = [Explicit(vectors=tuple(rng.sample(vectors, rng.randint(1, min(4, len(vectors))))))
+              for _ in range(n)]
+    weights = [1] * n
+    if kind == "matroid":
+        m = rng.randint(2, 4)
+        spaces = [MatroidBases(desc=Uniform(m, rng.randint(1, m))) for _ in range(n)]
+    if kind in ("spl", "short_spl", "matroid"):
+        top = n if kind != "short_spl" else n - rng.randint(1, 2)
+        f = tuple(tuple(Fraction(rng.randint(-4, 6), rng.choice((1, 2))) for _ in range(top + 1))
+                  for _ in range(m))
+        cost = SeparablePlusLinear(f=f, A=_symmetric(rng, m, (1, 2)))
+        game = make_game_spaces(cost, spaces, weights)
+        return kind, game, lambda x: potential_unweighted(game, x)
+    if kind == "exponential":
+        cost = Exponential(a=tuple(rng.uniform(0.1, 2) for _ in range(m)), phi=0.75,
+                           b=tuple(rng.uniform(-1, 1) for _ in range(m)))
+        game = make_game_spaces(cost, spaces, weights)
+        return kind, game, lambda x: rosenthal(game, x)
+    weights = [rng.choice((1, 2, Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 3)))
+               for _ in range(n)]
+    sym = Affine(A=_symmetric(rng, m, (1, 2, 3)),
+                 b=tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(m)))
+    proxy = make_game_spaces(sym, spaces, weights)
+    if kind == "affine_asym":
+        A = [list(row) for row in sym.A]
+        r, s = rng.randrange(m), rng.randrange(m)
+        A[r][s] += 1
+        game = make_game_spaces(Affine(A=tuple(map(tuple, A)), b=sym.b), spaces, weights)
+    else:
+        game = proxy
+    return kind, game, lambda x: potential_weighted_affine(proxy, x)
+
+
+def make_game_spaces(cost, spaces, weights):
+    players = tuple(Player(weight=w, strategy_space=sp) for w, sp in zip(weights, spaces))
+    return Game(n_resources=cost.m, players=players, cost_model=cost)
+
+
+def recorded(check, game, P, **kwargs):
+    """(result or (error type, message), the profiles P was called at, in order)."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return P(x)
+
+    try:
+        result = check(game, counted, **kwargs)
+    except Exception as exc:  # the error itself is what is compared
+        result = type(exc), str(exc)
+    return result, calls
+
+
+class TestSweepMatchesFrozenCheck:
+    SEEDS = range(360)
+
+    def candidates(self, seed, game, P):
+        profiles = list(product(*(p.strategies() for p in game.players)))
+        late = profiles[random.Random(seed).randrange(len(profiles))]
+        return {
+            "exact": P,
+            "zero": lambda x: 0,
+            "late mismatch": lambda x: P(x) + (x == late),
+            "raises late": lambda x: P(x) if x != late else math.log(-1),
+        }
+
+    def test_result_witness_error_and_calls_as_before(self):
+        seen = Counter()
+        for seed in self.SEEDS:
+            kind, game, P = potential_case(seed)
+            tols = (0.0, 1e-9) if kind == "exponential" else (0.0,)
+            for name, cand in self.candidates(seed, game, P).items():
+                for tol in tols:
+                    want = recorded(frozen_check, game, cand, tol=tol)
+                    assert recorded(check_exact_potential, game, cand, tol=tol) == want, (
+                        seed, name, tol)
+                    result = want[0]
+                    seen[kind, name, tol, result[0] if isinstance(result[0], type)
+                         else result.ok] += 1
+        for kind in ("spl", "affine_weighted", "matroid"):
+            assert seen[kind, "exact", 0.0, True] and seen[kind, "late mismatch", 0.0, False]
+            assert seen[kind, "raises late", 0.0, ValueError]
+        assert seen["affine_asym", "exact", 0.0, False]
+        assert seen["exponential", "exact", 1e-9, True]
+        assert seen["short_spl", "exact", 0.0, LoadRangeError]
+        assert seen["short_spl", "zero", 0.0, LoadRangeError]
+        assert seen["short_spl", "exact", 0.0, IndexError]  # P itself reads past f
+
+    def test_integral_fraction_weights_price_and_potential_in_int(self, monkeypatch):
+        """Weights such as Fraction(3) reach the kernel as ints: every vector handed to
+        _times, and every y handed to _quadratic, holds ints only."""
+        seen = []
+
+        def int_only(f, name, arg):
+            def checked(*args):
+                values = args[arg]
+                assert all(type(v) is int for v in values), (name, values)
+                seen.append(name)
+                return f(*args)
+
+            return checked
+
+        monkeypatch.setattr(costs, "_times", int_only(costs._times, "_times", 1))
+        monkeypatch.setattr(potential, "_times", int_only(potential._times, "_quad", 1))
+        monkeypatch.setattr(costs, "_quadratic", int_only(costs._quadratic, "_quadratic", 2))
+        A = ((Fraction(2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1)))
+        cost = Affine(A=A, b=(Fraction(1), Fraction(-1, 3)))
+        spaces = [((1, 0), (0, 1), (1, 1))] * 3
+        game = make_game(cost, spaces, weights=[Fraction(3), Fraction(2), 1])
+        result = check_exact_potential(game, lambda x: potential_weighted_affine(game, x))
+        assert result.ok and {"_times", "_quad", "_quadratic"} <= set(seen)
+        for x in product(*(p.strategies() for p in game.players)):
+            assert potential_weighted_affine(game, x) == sequential_sum(game, x)
+            for i in range(game.n_players):
+                assert private_cost(game, x, i) == reference_private_cost(game, x, i)
+
+
+def reference_private_cost(game, profile, i):
+    """x_i^T (A load + b), entry by entry in Fractions."""
+    model, loads = game.cost_model, load_of(game, profile)
+    return sum(e * (model.b[r] + sum(model.A[r][s] * loads[s] for s in range(len(loads))))
+               for r, e in enumerate(profile[i]) if e)
