@@ -53,9 +53,9 @@ def identity_nu(game: BilevelGame) -> PlayerSpecificSeparable:
     return PlayerSpecificSeparable(nu=tuple(tuple(table for _ in range(m)) for _ in range(n)))
 
 
-def solve_bilevel(game: BilevelGame, max_iters: int = 1000, cap: int = 10**6):
+def solve_bilevel(game: BilevelGame, max_iters: int = 1000):
     """Equilibrium via the separable identity-nu game, verified on the attack costs."""
-    return solve_via_theorem3(game.base, identity_nu(game), max_iters=max_iters, cap=cap)
+    return solve_via_theorem3(game.base, identity_nu(game), max_iters=max_iters)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .costs import (
     Affine,
@@ -26,7 +26,10 @@ from .costs import (
     eval_cost,
     eval_cost_entry,
 )
+from .dynamics import FLOAT_TOL
 from .errors import GameError, LoadRangeError, UsageError
+
+GRID = (0, 1, 2, 3)  # per-resource sample loads of the weighted classifier
 
 
 @dataclass(frozen=True)
@@ -194,18 +197,14 @@ def analyze_unweighted(c: CostModel, L: int) -> ConsistencyReport:
     return decompose_unweighted(c, L)
 
 
-def _close(a, b, tol: float) -> bool:
+def _close(a, b) -> bool:
     if isinstance(a, float) or isinstance(b, float):
-        return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+        return abs(a - b) <= FLOAT_TOL * max(1.0, abs(a), abs(b))
     return a == b
 
 
-def classify_weighted(
-    model: CostModel,
-    grid: Optional[Sequence] = None,
-    tol: float = 1e-9,
-) -> ConsistencyReport:
-    """Affine/exponential dichotomy on a rational sample grid.
+def classify_weighted(model: CostModel) -> ConsistencyReport:
+    """Affine/exponential dichotomy on the sample grid GRID^m.
 
     Structured Affine and Exponential models are classified directly (only
     the symmetry of A needs checking).  Any other model evaluable at the grid
@@ -222,21 +221,10 @@ def classify_weighted(
     if isinstance(model, Exponential):
         return WeightedExponential(a=model.a, phi=model.phi, b=model.b)
 
-    if grid is None:
-        grid = (0, 1, 2, 3)
-    grid = tuple(grid)
-    if len(grid) < 3:
-        raise UsageError("classification needs at least three grid points")
-    if grid[0] != 0:
-        raise UsageError("the sample grid must start at 0")
-    delta = grid[1] - grid[0]
-    if any(grid[k + 1] - grid[k] != delta for k in range(len(grid) - 1)) or delta <= 0:
-        raise UsageError("the sample grid must be an increasing arithmetic progression")
     dim = model.m
-
-    points = list(product(grid, repeat=dim))
+    points = list(product(GRID, repeat=dim))
     values = {pt: eval_cost(model, pt) for pt in points}
-    top = grid[-1]
+    top = GRID[-1]
 
     affine_witness = None
     diffs = {}
@@ -246,11 +234,11 @@ def classify_weighted(
             for pt in points:
                 if pt[s] == top:
                     continue
-                nxt = pt[:s] + (pt[s] + delta,) + pt[s + 1 :]
+                nxt = pt[:s] + (pt[s] + 1,) + pt[s + 1 :]
                 d = values[nxt][r] - values[pt][r]
                 if base is None:
                     base = d
-                elif not _close(d, base, tol):
+                elif not _close(d, base):
                     affine_witness = Violation(lemma="not_affine", r=r, s=s, x=pt)
                     break
             diffs[(r, s)] = base
@@ -259,11 +247,11 @@ def classify_weighted(
 
     if affine_witness is None:
         A = tuple(
-            tuple(Fraction(diffs[(r, s)]) / delta for s in range(dim)) for r in range(dim)
+            tuple(Fraction(diffs[(r, s)]) for s in range(dim)) for r in range(dim)
         )
         for r in range(dim):
             for s in range(r + 1, dim):
-                if not _close(A[r][s], A[s][r], tol):
+                if not _close(A[r][s], A[s][r]):
                     return Violation(lemma="affine_asymmetric", r=r, s=s)
         b = values[tuple([0] * dim)]
         return WeightedAffine(A=A, b=tuple(b))
@@ -273,25 +261,25 @@ def classify_weighted(
     for r in range(dim):
         for pt in points:
             axis = tuple(pt[r] if u == r else 0 for u in range(dim))
-            if not _close(values[pt][r], values[axis][r], tol):
+            if not _close(values[pt][r], values[axis][r]):
                 return Violation(lemma="not_affine_or_exponential", r=r, s=None, x=pt)
     a_out, b_out, phis = [], [], []
     for r in range(dim):
-        axis_val = lambda k: float(values[tuple(grid[k] if u == r else 0 for u in range(dim))][r])
+        axis_val = lambda k: float(values[tuple(k if u == r else 0 for u in range(dim))][r])
         v0, v1, v2 = axis_val(0), axis_val(1), axis_val(2)
         d1, d2 = v1 - v0, v2 - v1
-        if abs(d1) <= tol and abs(d2) <= tol:
+        if abs(d1) <= FLOAT_TOL and abs(d2) <= FLOAT_TOL:
             a_out.append(0.0)
             b_out.append(v0)
             continue
         if d1 == 0 or (d2 / d1) <= 0:
             return affine_witness
-        phi_r = math.log(d2 / d1) / float(delta)
-        a_r = d1 / (math.exp(phi_r * float(delta)) - 1.0)
+        phi_r = math.log(d2 / d1)
+        a_r = d1 / (math.exp(phi_r) - 1.0)
         b_r = v0 - a_r
-        for k in range(len(grid)):
-            fitted = a_r * math.exp(phi_r * float(grid[k])) + b_r
-            if not _close(fitted, axis_val(k), tol):
+        for k in GRID:
+            fitted = a_r * math.exp(phi_r * float(k)) + b_r
+            if not _close(fitted, axis_val(k)):
                 return affine_witness
         a_out.append(a_r)
         b_out.append(b_r)
@@ -302,6 +290,6 @@ def classify_weighted(
             A=tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim)),
             b=values[zero],
         )
-    if any(abs(p - phis[0]) > tol for p in phis[1:]):
+    if any(abs(p - phis[0]) > FLOAT_TOL for p in phis[1:]):
         return Violation(lemma="exponential_phi_mismatch")
     return WeightedExponential(a=tuple(a_out), phi=phis[0], b=tuple(b_out))

@@ -345,10 +345,7 @@ def cmd_solve(args) -> int:
         payload = encode(brute_force_pne(game))
     elif args.method == "dynamics":
         start = tuple(p.strategies()[0] for p in game.players)
-        trace = run_best_response_dynamics(
-            game, start, max_iters=args.max_iters,
-            schedule="random" if args.seed is not None else "round-robin", seed=args.seed,
-        )
+        trace = run_best_response_dynamics(game, start, max_iters=args.max_iters, seed=args.seed)
         if trace.converged:
             payload = {**encode(PNEFound(trace.terminal)), "iterations": trace.iterations}
         else:
@@ -470,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("bruteforce", "dynamics", "theorem3"),
                    default="bruteforce")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-iters", type=int, default=1000, help="cap on improving steps")
+    p.add_argument("--max-iters", type=int, default=1000, help="limit on improving steps")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check whether a profile is an equilibrium")

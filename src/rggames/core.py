@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .errors import CapacityError, StructureError
+from .errors import StructureError
 
 Number = Union[int, Fraction]
 Vector = Tuple[Number, ...]
@@ -68,25 +68,24 @@ class Player:
         if self.strategy_space is None:
             raise StructureError("player needs a strategy space")
 
-    def strategies(self, cap: int = 10**6) -> tuple:
+    def strategies(self) -> tuple:
         """Playable vectors: weight-scaled copies of the 0/1 base vectors, in canonical order.
 
         The tuple is computed on the first call and kept on this object, never
-        shared with another Player.  A matroid space with more than `cap` bases
-        raises CapacityError on every call, cached or not, and a call that
-        raised caches nothing; an explicit space is returned whole.
+        shared with another Player.  A matroid space is enumerated by
+        `matroid.enumerate_bases`, which raises CapacityError past its basis
+        limit; a call that raised caches nothing.  An explicit space is
+        returned whole.
         """
         cached = self._strategies
         if cached is not None:
-            if len(cached) > cap and isinstance(self.strategy_space, MatroidBases):
-                raise CapacityError(f"more than {cap} bases")
             return cached
         if isinstance(self.strategy_space, Explicit):
             base = self.strategy_space.vectors
         else:
             from .matroid import enumerate_bases
 
-            base = enumerate_bases(self.strategy_space.desc, cap=cap)
+            base = enumerate_bases(self.strategy_space.desc)
         w = self.weight
         cached = base if w == 1 else tuple(tuple(w * e for e in v) for v in base)
         object.__setattr__(self, "_strategies", cached)
@@ -162,9 +161,7 @@ def deviate(profile: Profile, i: int, y: Vector) -> Profile:
     return profile[:i] + (tuple(y),) + profile[i + 1 :]
 
 
-def validate_profile(
-    game: Game, profile: Profile, cap: int = 10**6, spaces: Optional[list] = None
-) -> None:
+def validate_profile(game: Game, profile: Profile, spaces: Optional[list] = None) -> None:
     """Check that every choice is playable; raises StructureError otherwise.
 
     `spaces`, when given, holds each player's strategies as already read.
@@ -172,7 +169,7 @@ def validate_profile(
     if len(profile) != game.n_players:
         raise StructureError("profile has wrong number of players")
     if spaces is None:
-        spaces = [p.strategies(cap=cap) for p in game.players]
+        spaces = [p.strategies() for p in game.players]
     for i, (space, v) in enumerate(zip(spaces, profile)):
         if tuple(v) not in space:
             raise StructureError(f"player {i} cannot play resources {support(v)}")

@@ -6,8 +6,8 @@ pluggable responder; `_deviations` is its one deviation scan.
 Verification scans every unilateral deviation of each player, over strategy
 spaces that each Player enumerates once and keeps (`core.Player.strategies`).
 A space can be exponentially large; that is the documented price of
-generality, so every enumeration takes an explicit cap and fails loudly
-instead of truncating, on a cached space too.
+generality, so a matroid space past `matroid.enumerate_bases`'s basis limit
+fails loudly, naming the player, instead of truncating.
 
 `_sweep` is the one walk over every profile, shared by `brute_force_pne` and
 `potential.check_exact_potential`: it keeps the load vector as prefix sums
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .core import Game, Profile, Vector, deviate, load_of, pricer, validate_profile
-from .errors import CapacityError, UsageError
+from .errors import CapacityError
 
-FLOAT_TOL = 1e-9
+FLOAT_TOL = 1e-9  # float costs compare within this; `characterize` shares it
 
 
 def _improves(candidate, incumbent) -> bool:
@@ -68,11 +68,12 @@ class DynamicsTrace:
     iterations: int
 
 
-def _spaces(game: Game, cap: int):
+def _spaces(game: Game):
+    """Each player's strategies; an enumeration past the basis limit names the player."""
     out = []
     for i, p in enumerate(game.players):
         try:
-            out.append(p.strategies(cap=cap))
+            out.append(p.strategies())
         except CapacityError as exc:
             raise CapacityError(f"player {i}: {exc}") from None
     return out
@@ -86,14 +87,14 @@ def _deviations(game: Game, profile: Profile, i: int, space, loads: Vector):
     return price(current), ((y, price(y)) for y in space if y != current)
 
 
-def verify_pne(game: Game, profile: Profile, cap: int = 10**6) -> Certificate:
+def verify_pne(game: Game, profile: Profile) -> Certificate:
     """IsPNE iff no player has a strictly improving unilateral deviation.
 
     Raises StructureError when a player's choice is not in their strategy space.
     """
     loads = load_of(game, profile)
-    spaces = _spaces(game, cap)
-    validate_profile(game, profile, cap, spaces)
+    spaces = _spaces(game)
+    validate_profile(game, profile, spaces)
     return _scan(game, profile, spaces, loads)
 
 
@@ -108,10 +109,10 @@ def _scan(game: Game, profile: Profile, spaces, loads: Vector) -> Certificate:
     return IsPNE()
 
 
-def best_response(game: Game, profile: Profile, i: int, cap: int = 10**6) -> tuple:
+def best_response(game: Game, profile: Profile, i: int) -> tuple:
     """(y, cost change) for player i's cheapest y; ties keep the incumbent, then lexicographic."""
     loads = load_of(game, profile)
-    cur, deviations = _deviations(game, profile, i, game.players[i].strategies(cap=cap), loads)
+    cur, deviations = _deviations(game, profile, i, game.players[i].strategies(), loads)
     best, best_cost = profile[i], cur
     for y, cost in deviations:
         if _improves(cost, best_cost):
@@ -123,19 +124,17 @@ def run_best_response_dynamics(
     game: Game,
     start: Profile,
     max_iters: int = 1000,
-    schedule: str = "round-robin",
     seed: Optional[int] = None,
-    cap: int = 10**6,
     responder: Optional[Callable] = None,
 ) -> DynamicsTrace:
     """Apply strict best responses until none exists or max_iters steps were taken.
 
-    `responder` has the signature and result of `best_response`, the default.
+    Each round visits the players in index order; with a `seed`, the order of
+    every round is shuffled by `random.Random(seed)` instead.  `responder` has
+    the signature and result of `best_response`, the default.
     """
-    if schedule not in ("round-robin", "random"):
-        raise UsageError(f"unknown schedule {schedule!r}")
     respond = best_response if responder is None else responder
-    rng = random.Random(seed) if schedule == "random" else None
+    rng = None if seed is None else random.Random(seed)
     profile = tuple(tuple(v) for v in start)
     steps = []
     n = game.n_players
@@ -145,7 +144,7 @@ def run_best_response_dynamics(
             rng.shuffle(order)
         moved = False
         for i in order:
-            y, delta = respond(game, profile, i, cap=cap)
+            y, delta = respond(game, profile, i)
             if y == profile[i]:
                 continue
             steps.append((i, profile[i], y, delta))
@@ -155,7 +154,7 @@ def run_best_response_dynamics(
                 break
         if not moved:
             return DynamicsTrace(tuple(steps), profile, True, len(steps))
-    converged = isinstance(verify_pne(game, profile, cap=cap), IsPNE)
+    converged = isinstance(verify_pne(game, profile), IsPNE)
     return DynamicsTrace(tuple(steps), profile, converged, len(steps))
 
 
@@ -194,13 +193,13 @@ def _sweep(game: Game, spaces):
         choice[first] = spaces[first][idx[first]]
 
 
-def brute_force_pne(game: Game, budget: int = 10**7, cap: int = 10**6) -> Certificate:
+def brute_force_pne(game: Game, budget: int = 10**7) -> Certificate:
     """Enumerate all profiles in canonical order; first PNE or an exhaustion certificate.
 
     The spaces are read once; each profile is checked with `verify_pne`'s scan on the
     sweep's loads, without calling `verify_pne`, `load_of` or `validate_profile`.
     """
-    spaces = _spaces(game, cap)
+    spaces = _spaces(game)
     total = 1
     for s in spaces:
         total *= len(s)

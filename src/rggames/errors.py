@@ -14,7 +14,7 @@ class LoadRangeError(GameError):
 
 
 class CapacityError(GameError):
-    """An enumeration exceeded its configured cap or budget."""
+    """An enumeration exceeded its limit or budget."""
 
 
 class IncompatibleModelsError(GameError):

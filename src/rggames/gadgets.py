@@ -135,11 +135,9 @@ def build_gadget(spec: GadgetSpec) -> Game:
     return Game(n_resources=M, players=tuple(free + dummies), cost_model=big)
 
 
-def check_AB_symmetry(
-    game: Game, i: int, j: int, cap: int = 10**6
-) -> Union[SymmetryWitness, SymmetryFailure]:
+def check_AB_symmetry(game: Game, i: int, j: int) -> Union[SymmetryWitness, SymmetryFailure]:
     """Verify the constant-pair and swap conditions over all profiles."""
-    spaces = [p.strategies(cap=cap) for p in game.players]
+    spaces = [p.strategies() for p in game.players]
     pair = None
     swap_at_first = None
     for choices in product(*spaces):
@@ -178,13 +176,11 @@ def gadget_spec_for(c: Tabulated, violation: Violation) -> GadgetSpec:
     raise UsageError(f"no gadget construction for violation {violation.lemma!r}")
 
 
-def violation_to_counterexample(
-    c: Tabulated, report: Violation, budget: int = 10**7
-) -> Tuple[Game, Certificate]:
+def violation_to_counterexample(c: Tabulated, report: Violation) -> Tuple[Game, Certificate]:
     """Build the gadget for a violation and certify non-existence by brute force."""
     spec = gadget_spec_for(c, report)
     game = build_gadget(spec)
-    certificate = brute_force_pne(game, budget=budget)
+    certificate = brute_force_pne(game)
     if isinstance(certificate, PNEFound):
         raise GameError(
             "gadget unexpectedly admits an equilibrium; the violation mapping is broken"

@@ -226,7 +226,6 @@ def check_local_monotonicity(
     descs: Sequence[MatroidDesc],
     L: int,
     nu: Callable[[MatroidDesc, int, int], object],
-    cap: int = 10**6,
 ) -> Optional[tuple]:
     """Guard-conditioned exchange inequality over the full background grid.
 
@@ -241,7 +240,7 @@ def check_local_monotonicity(
             m = desc.m
         elif desc.m != m:
             raise StructureError("all matroids must share the resource set")
-        for t in enumerate_bases(desc, cap=cap):
+        for t in enumerate_bases(desc):
             supp = support(t)
             for r in supp:
                 for s in range(desc.m):
@@ -264,7 +263,7 @@ def check_local_monotonicity(
     return None
 
 
-def _greedy_response(game: Game, profile: Profile, i: int, cap: int = 10**6) -> tuple:
+def _greedy_response(game: Game, profile: Profile, i: int) -> tuple:
     """`best_response` on a separable nu-game: the greedy basis if strictly cheaper, else x_i."""
     nu = game.cost_model.nu[i]
     x = profile[i]
@@ -275,12 +274,7 @@ def _greedy_response(game: Game, profile: Profile, i: int, cap: int = 10**6) -> 
     return (y, delta) if delta < 0 else (x, 0)
 
 
-def solve_via_theorem3(
-    game: Game,
-    nu_tables: PlayerSpecificSeparable,
-    max_iters: int = 1000,
-    cap: int = 10**6,
-):
+def solve_via_theorem3(game: Game, nu_tables: PlayerSpecificSeparable, max_iters: int = 1000):
     """Equilibrium lift: solve the separable nu-game, then verify on the original game.
 
     Runs `run_best_response_dynamics` on the associated player-specific
@@ -296,16 +290,16 @@ def solve_via_theorem3(
         if p.weight != 1:
             raise UsageError("the lift is defined for unweighted players")
     nu_game = Game(n_resources=game.n_resources, players=game.players, cost_model=nu_tables)
-    start = tuple(p.strategies(cap=cap)[0] for p in game.players)
+    start = tuple(p.strategies()[0] for p in game.players)
     profile = run_best_response_dynamics(
-        nu_game, start, max_iters=max_iters, cap=cap, responder=_greedy_response
+        nu_game, start, max_iters=max_iters, responder=_greedy_response
     ).terminal
-    if not isinstance(verify_pne(nu_game, profile, cap=cap), IsPNE):
-        certificate = brute_force_pne(nu_game, cap=cap)
+    if not isinstance(verify_pne(nu_game, profile), IsPNE):
+        certificate = brute_force_pne(nu_game)
         if not isinstance(certificate, PNEFound):
             raise UsageError("the separable nu-game has no equilibrium; nu is not valid")
         profile = certificate.profile
-    outcome = verify_pne(game, profile, cap=cap)
+    outcome = verify_pne(game, profile)
     if not isinstance(outcome, IsPNE):
         raise AssertionError(
             "nu-game equilibrium failed to lift; local monotonicity does not hold for nu"

@@ -76,17 +76,14 @@ class PotentialCheck(NamedTuple):
 
 
 def check_exact_potential(
-    game: Game,
-    P: Callable[[Profile], object],
-    cap: int = 10**6,
-    tol: float = 0.0,
+    game: Game, P: Callable[[Profile], object], tol: float = 0.0
 ) -> PotentialCheck:
     """Verify dP = dpi_i over all profiles, players, and unilateral deviations.
 
     P must be a function of the profile alone: it is evaluated once per
     distinct profile and the value reused for every deviation reaching it.
     """
-    spaces = [p.strategies(cap=cap) for p in game.players]
+    spaces = [p.strategies() for p in game.players]
     values: dict = {}  # P by the strategy indices of its profile
 
     for idx, x, loads in _sweep(game, spaces):

@@ -19,6 +19,8 @@ from .costs import SeparablePlusLinear, Tabulated
 from .errors import CapacityError, StructureError
 from .matroid import Partition
 
+MAX_PATHS = 10**5  # simple s-t paths a forbidden-pairs instance may have
+
 
 @dataclass(frozen=True)
 class SatInstance:
@@ -80,7 +82,7 @@ def reduce_sat(inst: SatInstance) -> Game:
     return Game(n_resources=m, players=(player,), cost_model=cost)
 
 
-def _simple_st_paths(inst: ForbiddenPairsInstance, cap: int) -> tuple:
+def _simple_st_paths(inst: ForbiddenPairsInstance) -> tuple:
     adjacency: dict = {}
     for idx, (u, v) in enumerate(inst.edges):
         adjacency.setdefault(u, []).append((idx, v))
@@ -89,8 +91,8 @@ def _simple_st_paths(inst: ForbiddenPairsInstance, cap: int) -> tuple:
     def walk(vertex, visited, used_edges):
         if vertex == inst.t:
             paths.append(tuple(sorted(used_edges)))
-            if len(paths) > cap:
-                raise CapacityError(f"more than {cap} simple paths")
+            if len(paths) > MAX_PATHS:
+                raise CapacityError(f"more than {MAX_PATHS} simple paths")
             return
         for idx, nxt in adjacency.get(vertex, ()):
             if nxt not in visited:
@@ -100,7 +102,7 @@ def _simple_st_paths(inst: ForbiddenPairsInstance, cap: int) -> tuple:
     return tuple(paths)
 
 
-def reduce_forbidden_pairs(inst: ForbiddenPairsInstance, cap: int = 10**5) -> Game:
+def reduce_forbidden_pairs(inst: ForbiddenPairsInstance) -> Game:
     """Resources are edges; paired edges charge each other's load; strategies
     are the incidence vectors of all simple s-t paths."""
     m = len(inst.edges)
@@ -118,7 +120,7 @@ def reduce_forbidden_pairs(inst: ForbiddenPairsInstance, cap: int = 10**5) -> Ga
             hoods.append(())
             tables.append({(): Fraction(0)})
     cost = Tabulated(m=m, neighborhoods=tuple(hoods), tables=tuple(tables), max_load=max_load)
-    paths = _simple_st_paths(inst, cap)
+    paths = _simple_st_paths(inst)
     if not paths:
         raise StructureError("no s-t path exists; the strategy space would be empty")
     vectors = tuple(tuple(1 if r in set(path) else 0 for r in range(m)) for path in paths)
@@ -134,25 +136,25 @@ def sat_oracle(inst: SatInstance) -> bool:
     return False
 
 
-def forbidden_pairs_oracle(inst: ForbiddenPairsInstance, cap: int = 10**5) -> bool:
+def forbidden_pairs_oracle(inst: ForbiddenPairsInstance) -> bool:
     """Exhaustive filter over simple s-t paths."""
-    for path in _simple_st_paths(inst, cap):
+    for path in _simple_st_paths(inst):
         edge_set = set(path)
         if all(len(edge_set & {a, b}) <= 1 for a, b in inst.pairs):
             return True
     return False
 
 
-def check_reduction(inst, game: Game, oracle_answer: bool, cap: int = 10**6) -> bool:
+def check_reduction(inst, game: Game, oracle_answer: bool) -> bool:
     """Zero-min-cost equivalence plus the equilibrium framing of verification."""
-    strategies = game.players[0].strategies(cap=cap)
+    strategies = game.players[0].strategies()
     price = game.cost_model.pricer((0,) * game.n_resources, 0)  # the only player: no other load
     costs = [price(y) for y in strategies]
     zero_exists = min(costs) == 0
     if zero_exists != oracle_answer:
         return False
     worst = strategies[costs.index(max(costs))]
-    is_pne = isinstance(verify_pne(game, (worst,), cap=cap), IsPNE)
+    is_pne = isinstance(verify_pne(game, (worst,)), IsPNE)
     return is_pne == (max(costs) == min(costs))
 
 

@@ -204,25 +204,19 @@ class TestStrategyCache:
         assert p.strategies() is first
         assert enumerations == [Uniform(4, 2)]
 
-    def test_smaller_cap_on_warm_cache_raises(self, enumerations):
-        p = uniform_player()
-        assert len(p.strategies(cap=6)) == 6
-        with pytest.raises(CapacityError, match="more than 5 bases"):
-            p.strategies(cap=5)
-        assert len(p.strategies(cap=6)) == 6
-        assert len(enumerations) == 1
-
     def test_call_that_raised_caches_nothing(self, enumerations):
-        p = uniform_player()
-        with pytest.raises(CapacityError):
-            p.strategies(cap=5)
-        assert len(p.strategies(cap=6)) == 6
-        assert len(enumerations) == 2
+        p = Player(strategy_space=MatroidBases(desc=Uniform(30, 15)))  # C(30, 15) > 10**6
+        for _ in range(2):
+            with pytest.raises(CapacityError, match="^more than 1000000 bases$"):
+                p.strategies()
+        assert enumerations == [Uniform(30, 15)] * 2
 
-    def test_explicit_space_ignores_cap(self):
+    def test_explicit_space_ignores_cap(self, enumerations):
+        """An explicit space never reaches enumerate_bases, where the basis limit lives."""
         p = Player(strategy_space=Explicit(vectors=((1, 0), (0, 1))))
-        assert len(p.strategies(cap=1)) == 2
-        assert len(p.strategies(cap=1)) == 2
+        assert p.strategies() == ((0, 1), (1, 0))
+        assert p.strategies() == ((0, 1), (1, 0))
+        assert enumerations == []
 
     def test_equal_descriptors_do_not_share_a_cache(self, enumerations):
         a, b = uniform_player(), uniform_player()

@@ -152,8 +152,8 @@ class TestDynamics:
     def test_random_schedule_deterministic_given_seed(self):
         game = make_game(LINEAR_2, [((1, 0), (0, 1))] * 2)
         start = ((1, 0), (1, 0))
-        a = run_best_response_dynamics(game, start, schedule="random", seed=7)
-        b = run_best_response_dynamics(game, start, schedule="random", seed=7)
+        a = run_best_response_dynamics(game, start, seed=7)
+        b = run_best_response_dynamics(game, start, seed=7)
         assert a == b
 
 
@@ -185,7 +185,7 @@ class TestBruteForce:
 # --- the profile sweep against a frozen copy of the per-profile loop ----------
 
 
-def reference_brute_force(game, budget=10**7, cap=10**6, where=None):
+def reference_brute_force(game, budget=10**7, where=None):
     """brute_force_pne as it was: verify_pne run afresh on every profile of the product.
 
     When pricing raises, `where` (a list) receives (profile number, player, whether
@@ -194,7 +194,7 @@ def reference_brute_force(game, budget=10**7, cap=10**6, where=None):
     spaces = []
     for i, p in enumerate(game.players):
         try:
-            spaces.append(p.strategies(cap=cap))
+            spaces.append(p.strategies())
         except CapacityError as exc:
             raise CapacityError(f"player {i}: {exc}") from None
     total = 1
@@ -207,7 +207,7 @@ def reference_brute_force(game, budget=10**7, cap=10**6, where=None):
         profile = tuple(choices)
         checked += 1
         loads = load_of(game, profile)
-        validate_profile(game, profile, cap, spaces)
+        validate_profile(game, profile, spaces)
         if reference_is_pne(game, profile, spaces, loads, checked, where):
             return PNEFound(profile=profile)
     return NoPNEExists(profiles_checked=checked)
@@ -376,9 +376,11 @@ class TestSweepMatchesReference:
             reference_brute_force, game, budget=total - 1)
         assert outcome(brute_force_pne, game, budget=total) == outcome(
             reference_brute_force, game, budget=total)
-        uniform = Player(strategy_space=MatroidBases(desc=Uniform(4, 2)))
-        wide = Game(n_resources=4, players=(Player(strategy_space=_explicit(random.Random(1), 4)),
-                                           uniform), cost_model=Bilevel(m=4, budget=Fraction(1)))
-        got = outcome(brute_force_pne, wide, cap=5)
-        assert got == outcome(reference_brute_force, wide, cap=5)
-        assert got == (CapacityError, "player 1: more than 5 bases")
+        # C(30, 15) bases exceed the limit, which raises before any basis is built
+        uniform = Player(strategy_space=MatroidBases(desc=Uniform(30, 15)))
+        explicit = Player(strategy_space=Explicit(vectors=((1,) + (0,) * 29, (0,) * 29 + (1,))))
+        wide = Game(n_resources=30, players=(explicit, uniform),
+                    cost_model=Bilevel(m=30, budget=Fraction(1)))
+        got = outcome(brute_force_pne, wide)
+        assert got == outcome(reference_brute_force, wide)
+        assert got == (CapacityError, "player 1: more than 1000000 bases")

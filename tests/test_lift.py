@@ -65,10 +65,10 @@ def _support(v):
     return frozenset(r for r, e in enumerate(v) if e)
 
 
-def reference_lift(game, nu_tables, max_iters=1000, cap=10**6):
+def reference_lift(game, nu_tables, max_iters=1000):
     """The original loop of `solve_via_theorem3`; `max_iters` counts rounds."""
     nu_game = Game(n_resources=game.n_resources, players=game.players, cost_model=nu_tables)
-    profile = tuple(p.strategies(cap=cap)[0] for p in game.players)
+    profile = tuple(p.strategies()[0] for p in game.players)
     converged = False
     for _ in range(max_iters):
         moved = False
@@ -90,8 +90,8 @@ def reference_lift(game, nu_tables, max_iters=1000, cap=10**6):
         if not moved:
             converged = True
             break
-    if not converged or not isinstance(verify_pne(nu_game, profile, cap=cap), IsPNE):
-        certificate = brute_force_pne(nu_game, cap=cap)
+    if not converged or not isinstance(verify_pne(nu_game, profile), IsPNE):
+        certificate = brute_force_pne(nu_game)
         assert isinstance(certificate, PNEFound)
         profile = certificate.profile
     return profile

@@ -248,10 +248,10 @@ class TestExactPotentialCheck:
 # --- the profile sweep against a frozen copy of the product loop -------------
 
 
-def frozen_check(game, P, cap=10**6, tol=0.0):
+def frozen_check(game, P, tol=0.0):
     """check_exact_potential as it was: a product loop, load_of per profile, and P
     kept by profile."""
-    spaces = [p.strategies(cap=cap) for p in game.players]
+    spaces = [p.strategies() for p in game.players]
     values = {}
 
     def value(x):
