@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Tuple, Union
 
 from .characterize import Violation
-from .core import Explicit, Game, Player, Profile, load_of, pricer
+from .core import Explicit, Game, Player, Profile, pricer
 from .costs import CostModel, Tabulated, compose
-from .dynamics import Certificate, NoPNEExists, PNEFound, brute_force_pne
+from .dynamics import Certificate, NoPNEExists, PNEFound, _spaces, _sweep, brute_force_pne
 from .errors import GameError, StructureError, UsageError
 
 LEMMAS = ("L3", "L4", "L5", "weighted-eps")
@@ -137,12 +136,10 @@ def build_gadget(spec: GadgetSpec) -> Game:
 
 def check_AB_symmetry(game: Game, i: int, j: int) -> Union[SymmetryWitness, SymmetryFailure]:
     """Verify the constant-pair and swap conditions over all profiles."""
-    spaces = [p.strategies() for p in game.players]
+    spaces = _spaces(game)
     pair = None
     swap_at_first = None
-    for choices in product(*spaces):
-        x = tuple(choices)
-        loads = load_of(game, x)
+    for _, x, loads in _sweep(game, spaces):
         price_i, price_j = pricer(game, x, i, loads), pricer(game, x, j, loads)
         pi_i, pi_j = price_i(x[i]), price_j(x[j])
         key = tuple(sorted((pi_i, pi_j)))

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .core import Game, Profile, deviate, load_of
 from .costs import Affine, SeparablePlusLinear, _over_common_denominator, _times
-from .dynamics import _deviations, _sweep
+from .dynamics import _deviations, _spaces, _sweep
 from .errors import UsageError
 
 
@@ -83,7 +83,7 @@ def check_exact_potential(
     P must be a function of the profile alone: it is evaluated once per
     distinct profile and the value reused for every deviation reaching it.
     """
-    spaces = [p.strategies() for p in game.players]
+    spaces = _spaces(game)
     values: dict = {}  # P by the strategy indices of its profile
 
     for idx, x, loads in _sweep(game, spaces):

@@ -17,8 +17,8 @@ from rggames.core import (
     pricer,
     private_cost,
 )
-from rggames.costs import Affine, Exponential, SeparablePlusLinear
-from rggames.errors import LoadRangeError, UsageError
+from rggames.costs import Affine, Bilevel, Exponential, SeparablePlusLinear
+from rggames.errors import CapacityError, LoadRangeError, UsageError
 from rggames.matroid import Uniform
 from rggames.potential import (
     PotentialCheck,
@@ -212,6 +212,15 @@ class TestExactPotentialCheck:
         proxy = Game(n_resources=2, players=game.players, cost_model=sym)
         result = check_exact_potential(game, lambda x: potential_weighted_affine(proxy, x))
         assert not result.ok
+
+    def test_basis_limit_names_the_player(self):
+        # C(30, 15) bases exceed the limit, which raises before any basis is built
+        explicit = Player(strategy_space=Explicit(vectors=((1,) + (0,) * 29,)))
+        wide = Player(strategy_space=MatroidBases(desc=Uniform(30, 15)))
+        game = Game(n_resources=30, players=(explicit, wide),
+                    cost_model=Bilevel(m=30, budget=Fraction(1)))
+        with pytest.raises(CapacityError, match="^player 1: more than 1000000 bases$"):
+            check_exact_potential(game, lambda x: 0)
 
     def test_potential_evaluated_once_per_profile(self):
         # two players on the 10 bases of Uniform(5, 2): 100 profiles, 1,900 deviations
