@@ -72,9 +72,10 @@ def rat(text) -> Fraction:
     return Fraction(text)
 
 
-def integer(value) -> int:
+def integer(value, path: Optional[str] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise StructureError(f"expected an integer, got {value!r}")
+        where = f"{path}: " if path else ""
+        raise StructureError(f"{where}expected an integer, got {value!r}")
     return value
 
 
@@ -207,6 +208,8 @@ def _reject_unknown(obj: dict, path: str) -> None:
 def decode(family: str, obj, path: str, m: Optional[int] = None):
     """Build the matroid or cost model that `obj` describes; `path` names it in errors.
 
+    A field whose value does not decode is named as `path.key`; the name is
+    formatted only then, so decoding a large matrix formats no string.
     m is the document's resource count: the classes that take one (Tabulated,
     Bilevel) get it, and every decoded model must then cover exactly m resources.
     """
@@ -216,7 +219,13 @@ def decode(family: str, obj, path: str, m: Optional[int] = None):
     spec = _BY_TAG.get((family, tag))
     if spec is None:
         raise StructureError(f"{path}: unknown {family} {tag_key} {tag!r}")
-    kwargs = {attr: codec.decode(_pop(obj, key, path)) for key, attr, codec in spec.fields}
+    kwargs = {}
+    for key, attr, codec in spec.fields:
+        value = _pop(obj, key, path)
+        try:
+            kwargs[attr] = codec.decode(value)
+        except (StructureError, ValueError) as exc:
+            raise StructureError(f"{path}.{key}: {exc}") from None
     _reject_unknown(obj, path)
     if spec.m is not None:
         kwargs["m"] = spec.m(kwargs) if m is None else m
@@ -262,6 +271,14 @@ def game_to_json(game: Game, bounds=None) -> dict:
     return doc
 
 
+def _bound(doc: dict) -> int:
+    """Pop the document's optional `bounds` object and return its integer L (default 2)."""
+    bounds = dict(_object(doc.pop("bounds", {}), "bounds"))
+    L = integer(bounds.pop("L"), "bounds.L") if "L" in bounds else 2
+    _reject_unknown(bounds, "bounds")
+    return L
+
+
 def game_from_json(doc: dict) -> Game:
     doc = _object(json.loads(json.dumps(doc)), "$")  # defensive copy
     version = _pop(doc, "version", "$")
@@ -290,7 +307,7 @@ def game_from_json(doc: dict) -> Game:
         _reject_unknown(pd, path)
         players.append(Player(weight=weight, strategy_space=space))
     cost = decode("cost", _pop(doc, "cost", "$"), "cost", m)
-    doc.pop("bounds", None)
+    _bound(doc)
     _reject_unknown(doc, "$")
     return Game(n_resources=m, players=tuple(players), cost_model=cost)
 
@@ -331,16 +348,18 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> tuple:
+    """The file's bytes, which the certificate stamp hashes, and the JSON document."""
+    raw = _read(path)
     try:
-        return json.loads(_read(path).decode("utf-8"))
-    except json.JSONDecodeError as exc:
+        return raw, json.loads(raw)
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise StructureError(f"{path}: not valid JSON ({exc})") from None
 
 
 def cmd_solve(args) -> int:
-    raw = _read(args.file)
-    game = game_from_json(json.loads(raw))
+    raw, doc = _load_json(args.file)
+    game = game_from_json(doc)
     if args.method == "bruteforce":
         payload = encode(brute_force_pne(game))
     elif args.method == "dynamics":
@@ -361,30 +380,30 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    raw = _read(args.file)
-    game = game_from_json(json.loads(raw))
-    profile = profile_from_json(_load_json(args.profile), game)
+    raw, doc = _load_json(args.file)
+    game = game_from_json(doc)
+    profile = profile_from_json(_load_json(args.profile)[1], game)
     payload = encode(verify_pne(game, profile))
     print(_dump(_stamp(payload, raw)))
     return 1 if payload["kind"] in NEGATIVE_KINDS else 0
 
 
-def _cost_and_bounds(doc: dict):
+def _cost_and_bound(doc) -> tuple:
+    """The cost model and the `bounds.L` of a game or standalone cost document."""
+    doc = dict(_object(doc, "$"))
     if "players" in doc:
-        game = game_from_json(doc)
-        return game.cost_model, doc.get("bounds", {})
-    doc = dict(doc)
+        return game_from_json(doc).cost_model, _bound(doc)
     m = doc.pop("m", None)
     cost = decode("cost", _pop(doc, "cost", "$"), "cost", None if m is None else integer(m))
-    bounds = doc.pop("bounds", {})
+    L = _bound(doc)
     _reject_unknown(doc, "$")
-    return cost, bounds
+    return cost, L
 
 
 def cmd_characterize(args) -> int:
-    raw = _read(args.file)
-    cost, bounds = _cost_and_bounds(json.loads(raw))
-    L = args.L if args.L is not None else bounds.get("L", 2)
+    raw, doc = _load_json(args.file)
+    cost, bound = _cost_and_bound(doc)
+    L = args.L if args.L is not None else bound
     if args.weighted:
         report = classify_weighted(cost)
     else:
@@ -401,8 +420,8 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_gadget(args) -> int:
-    raw = _read(args.file)
-    cost, _bounds = _cost_and_bounds(json.loads(raw))
+    raw, doc = _load_json(args.file)
+    cost = _cost_and_bound(doc)[0]
     point = tuple(int(v) for v in args.point.split(","))
     resources = tuple(int(v) - 1 for v in args.resources.split(","))
     spec = GadgetSpec(
@@ -424,9 +443,8 @@ def cmd_gadget(args) -> int:
 
 
 def cmd_potential(args) -> int:
-    raw = _read(args.file)
-    game = game_from_json(json.loads(raw))
-    profile = profile_from_json(_load_json(args.profile), game)
+    game = game_from_json(_load_json(args.file)[1])
+    profile = profile_from_json(_load_json(args.profile)[1], game)
     validate_profile(game, profile)
     if isinstance(game.cost_model, Affine):
         value = potential_weighted_affine(game, profile)
@@ -437,12 +455,13 @@ def cmd_potential(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    raw = _read(args.instance)
     if args.kind == "sat":
+        raw = _read(args.instance)
         inst = parse_dimacs(raw.decode("utf-8"))
         game = reduce_sat(inst)
     else:
-        doc = json.loads(raw)
+        raw, doc = _load_json(args.instance)
+        doc = _object(doc, "$")
         inst = ForbiddenPairsInstance(
             n_vertices=integer(_pop(doc, "vertices", "$")),
             edges=nested(INT, 2).decode(_pop(doc, "edges", "$")),

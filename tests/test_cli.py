@@ -412,6 +412,80 @@ class TestInputHardening:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: $: expected an object, got [1, 2]\n"
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("readme_game.json", set_cost_field("A", 5), "cost.A: expected a list, got 5"),
+        ("readme_game.json", set_cost_field("A", [[True, "0"], ["0", "1"]]),
+         "cost.A: expected a rational string, got True"),
+        ("readme_game.json", set_cost_field("b", {}), "cost.b: expected a list, got {}"),
+        ("spl_game.json", set_cost_field("f", [5] * 4), "cost.f: expected a list, got 5"),
+        ("player_specific_game.json", set_cost_field("nu", 5), "cost.nu: expected a list, got 5"),
+        ("tabulated_game.json", set_cost_field("neighborhoods", 5),
+         "cost.neighborhoods: expected a list, got 5"),
+        ("tabulated_game.json", set_cost_field("tables", 5), "cost.tables: expected a list, got 5"),
+        ("bilevel_game.json", set_cost_field("budget", True),
+         "cost.budget: expected a rational string, got True"),
+        ("bilevel_game.json", set_matroid_field(1, "blocks", 5),
+         "players[1].strategies.matroid.blocks: expected a list, got 5"),
+        ("bilevel_game.json", set_matroid_field(1, "quotas", [True, 1]),
+         "players[1].strategies.matroid.quotas: expected an integer, got True"),
+        ("spl_game.json", set_matroid_field(2, "edges", 5),
+         "players[2].strategies.matroid.edges: expected a list, got 5"),
+    ], ids=["A", "A-entry", "b", "f", "nu", "neighborhoods", "tables", "budget", "blocks",
+            "quotas", "edges"])
+    def test_malformed_spec_field_names_the_field(self, name, edit, message, tmp_path, capsys):
+        doc = golden_doc(name)
+        edit(doc)
+        assert main(["solve", write_json(tmp_path, "game.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("bounds, message", [
+        (5, "bounds: expected an object, got 5"),
+        (None, "bounds: expected an object, got None"),
+        ({"L": "x"}, "bounds.L: expected an integer, got 'x'"),
+        ({"L": True}, "bounds.L: expected an integer, got True"),
+        ({"L": 2, "M": 1}, "bounds: unknown fields ['M']"),
+    ], ids=["number", "null", "string-L", "boolean-L", "unknown-field"])
+    @pytest.mark.parametrize("name, command", [
+        ("readme_game.json", "solve"),
+        ("readme_game.json", "characterize"),
+        ("asym_affine_cost.json", "characterize"),
+    ], ids=["game-solve", "game-characterize", "cost-characterize"])
+    def test_malformed_bounds_rejected(self, name, command, bounds, message, tmp_path, capsys):
+        doc = golden_doc(name)
+        doc["bounds"] = bounds
+        assert main([command, write_json(tmp_path, "doc.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["characterize", "{doc}"],
+        ["gadget", "{doc}", "--lemma", "L3", "--point", "0,0", "--resources", "1,2"],
+        ["reduce", "pairs", "{doc}"],
+    ], ids=lambda argv: argv[0])
+    def test_cost_and_pairs_documents_must_be_objects(self, argv, tmp_path, capsys):
+        doc = write_json(tmp_path, "doc.json", 5)
+        assert main([arg.format(doc=doc) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: $: expected an object, got 5\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{bad}"],
+        ["verify", "{bad}", "--profile", "{profile}"],
+        ["characterize", "{bad}"],
+        ["gadget", "{bad}", "--lemma", "L3", "--point", "0,0", "--resources", "1,2"],
+        ["potential", "{bad}", "--profile", "{profile}"],
+        ["reduce", "pairs", "{bad}"],
+    ], ids=lambda argv: argv[0])
+    def test_invalid_json_names_the_file(self, argv, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        files = {"bad": str(bad), "profile": str(GOLDEN / "readme_profile.json")}
+        assert main([arg.format(**files) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {bad}: not valid JSON (")
+        assert err.count("\n") == 1
+
     def test_argparse_exit_passes_through(self, game_file):
         with pytest.raises(SystemExit):
             main(["solve"])

@@ -6,8 +6,9 @@ type, a tag renamed, or an integer pushed out of range); `solve`, `verify`,
 `characterize --weighted` and `reduce pairs` then replay through
 `rggames.cli.main`.  Every field of the forbidden-pairs document is an
 integer or a list, so a swapped value there must exit 2.  Every list or object
-of the golden game above its cost is also swapped for each value of another JSON
-type, and `solve` must exit 2 with an error that names the swapped field.
+of the golden game outside its cost, `bounds` included, is also swapped for each
+value of another JSON type, and `solve` must exit 2 with an error that names the
+swapped field.
 """
 
 import contextlib
@@ -120,12 +121,12 @@ def test_mutated_documents_exit_honestly(tmp_path_factory, case):
 
 
 def _game_structure(node, path=()):
-    """Paths of the lists and objects in a game document above the cost model."""
+    """Paths of the lists and objects in a game document outside the cost model."""
     if path:
         yield path
     items = node.items() if isinstance(node, dict) else enumerate(node)
     for key, child in items:
-        if key not in ("cost", "bounds") and isinstance(child, (dict, list)):
+        if key != "cost" and isinstance(child, (dict, list)):
             yield from _game_structure(child, path + (key,))
 
 
@@ -140,6 +141,7 @@ def test_swapped_game_structure_names_the_field(tmp_path):
     paths = list(_game_structure(DOCS["game"]))
     assert ("players", 0, "strategies", "explicit", 1) in paths
     assert ("players", 1, "strategies", "matroid") in paths
+    assert ("bounds",) in paths
     for path in paths:
         for value in OTHER_TYPES:
             doc = copy.deepcopy(DOCS["game"])
