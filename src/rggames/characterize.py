@@ -8,7 +8,7 @@ floats and raise UsageError.  Entries are read lazily, once per check: each
 check keeps a value table that evaluates c_r(x) on its first read, so a
 table may omit entries that no check reads, and a missing entry fails at the
 same first read as entry-by-entry evaluation would.  The weighted classifier
-implements the affine-or-exponential dichotomy on a rational sample grid.
+implements the affine-or-exponential dichotomy on the sample grid GRID^m.
 """
 
 from __future__ import annotations
