@@ -69,7 +69,16 @@ SCHEMA_VERSION = 1
 def rat(text) -> Fraction:
     if isinstance(text, bool) or not isinstance(text, (int, str)):
         raise StructureError(f"expected a rational string, got {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise StructureError(f"expected a rational string, got {text!r}") from None
+
+
+def real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise StructureError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def integer(value, path: Optional[str] = None) -> int:
@@ -101,9 +110,10 @@ def _list(value, path: Optional[str] = None) -> list:
     return value
 
 
-def _object(value, path: str) -> dict:
+def _object(value, path: Optional[str] = None) -> dict:
     if not isinstance(value, dict):
-        raise StructureError(f"{path}: expected an object, got {value!r}")
+        where = f"{path}: " if path else ""
+        raise StructureError(f"{where}expected an object, got {value!r}")
     return value
 
 
@@ -120,11 +130,12 @@ def nested(codec: Codec, depth: int = 1) -> Codec:
 PLAIN = Codec(_same, _same)
 INT = Codec(integer, _same)
 RAT = Codec(rat, unrat)
-FLOAT = Codec(float, _same)
+FLOAT = Codec(real, _same)
 NUMBER = Codec(None, lambda v: v if isinstance(v, float) else unrat(v))  # exact or float value
 SUPPORT = Codec(None, support)  # a strategy vector as the list of its resources
 TABLE = Codec(  # a tabulated cost table keyed by "x1,x2,..." neighborhood loads
-    lambda t: {tuple(int(k) for k in key.split(",") if k != ""): rat(v) for key, v in t.items()},
+    lambda t: {tuple(int(k) for k in key.split(",") if k != ""): rat(v)
+               for key, v in _object(t).items()},
     lambda t: {",".join(map(str, key)): unrat(v) for key, v in sorted(t.items())},
 )
 

@@ -9,8 +9,9 @@ A space can be exponentially large; that is the documented price of
 generality, so a matroid space past `matroid.enumerate_bases`'s basis limit
 fails loudly, naming the player, instead of truncating.
 
-`_sweep` is the one walk over every profile, shared by `brute_force_pne` and
-`potential.check_exact_potential`: it keeps the load vector as prefix sums
+`_sweep` is the one walk over every profile, shared by `brute_force_pne`,
+`potential.check_exact_potential` and `gadgets.check_AB_symmetry`, each over
+the spaces read by `_spaces`: it keeps the load vector as prefix sums
 over the players, so a step re-adds only the players from the first whose
 choice changed.  `brute_force_pne` runs `verify_pne`'s scan on those loads
 directly instead of calling `verify_pne` per profile.

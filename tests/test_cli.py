@@ -416,12 +416,27 @@ class TestInputHardening:
         ("readme_game.json", set_cost_field("A", 5), "cost.A: expected a list, got 5"),
         ("readme_game.json", set_cost_field("A", [[True, "0"], ["0", "1"]]),
          "cost.A: expected a rational string, got True"),
+        ("readme_game.json", set_cost_field("A", [["1/0", "0"], ["0", "1"]]),
+         "cost.A: expected a rational string, got '1/0'"),
+        ("readme_game.json", set_cost_field("b", ["x", "0"]),
+         "cost.b: expected a rational string, got 'x'"),
         ("readme_game.json", set_cost_field("b", {}), "cost.b: expected a list, got {}"),
         ("spl_game.json", set_cost_field("f", [5] * 4), "cost.f: expected a list, got 5"),
         ("player_specific_game.json", set_cost_field("nu", 5), "cost.nu: expected a list, got 5"),
         ("tabulated_game.json", set_cost_field("neighborhoods", 5),
          "cost.neighborhoods: expected a list, got 5"),
-        ("tabulated_game.json", set_cost_field("tables", 5), "cost.tables: expected a list, got 5"),
+        ("tabulated_game.json", set_cost_field("tables", 5),
+         "cost.tables: expected a list, got 5"),
+        ("tabulated_game.json", set_cost_field("tables", [5, {}]),
+         "cost.tables: expected an object, got 5"),
+        ("tabulated_game.json", set_cost_field("tables", [{"x": "0"}, {}]),
+         "cost.tables: invalid literal for int() with base 10: 'x'"),
+        ("exponential_game.json", set_cost_field("phi", None),
+         "cost.phi: expected a number, got None"),
+        ("exponential_game.json", set_cost_field("phi", True),
+         "cost.phi: expected a number, got True"),
+        ("exponential_game.json", set_cost_field("b", [0.0, "x"]),
+         "cost.b: could not convert string to float: 'x'"),
         ("bilevel_game.json", set_cost_field("budget", True),
          "cost.budget: expected a rational string, got True"),
         ("bilevel_game.json", set_matroid_field(1, "blocks", 5),
@@ -430,8 +445,9 @@ class TestInputHardening:
          "players[1].strategies.matroid.quotas: expected an integer, got True"),
         ("spl_game.json", set_matroid_field(2, "edges", 5),
          "players[2].strategies.matroid.edges: expected a list, got 5"),
-    ], ids=["A", "A-entry", "b", "f", "nu", "neighborhoods", "tables", "budget", "blocks",
-            "quotas", "edges"])
+    ], ids=["A", "A-entry", "A-zero-denominator", "b-entry", "b", "f", "nu", "neighborhoods",
+            "tables", "table", "table-key", "phi-null", "phi-boolean", "float-entry", "budget",
+            "blocks", "quotas", "edges"])
     def test_malformed_spec_field_names_the_field(self, name, edit, message, tmp_path, capsys):
         doc = golden_doc(name)
         edit(doc)
