@@ -81,10 +81,9 @@ def real(value) -> float:
     return float(value)
 
 
-def integer(value, path: Optional[str] = None) -> int:
+def integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        where = f"{path}: " if path else ""
-        raise StructureError(f"{where}expected an integer, got {value!r}")
+        raise StructureError(f"expected an integer, got {value!r}")
     return value
 
 
@@ -216,11 +215,18 @@ def _reject_unknown(obj: dict, path: str) -> None:
         raise StructureError(f"{path}: unknown fields {sorted(obj)}")
 
 
+def _field(codec: Codec, value, path: str, key: str):
+    """`codec.decode(value)`; a value that does not decode is named as `path.key`,
+    which is formatted only then, so decoding a large matrix formats no string."""
+    try:
+        return codec.decode(value)
+    except (StructureError, ValueError) as exc:
+        raise StructureError(f"{path}.{key}: {exc}") from None
+
+
 def decode(family: str, obj, path: str, m: Optional[int] = None):
     """Build the matroid or cost model that `obj` describes; `path` names it in errors.
 
-    A field whose value does not decode is named as `path.key`; the name is
-    formatted only then, so decoding a large matrix formats no string.
     m is the document's resource count: the classes that take one (Tabulated,
     Bilevel) get it, and every decoded model must then cover exactly m resources.
     """
@@ -230,13 +236,9 @@ def decode(family: str, obj, path: str, m: Optional[int] = None):
     spec = _BY_TAG.get((family, tag))
     if spec is None:
         raise StructureError(f"{path}: unknown {family} {tag_key} {tag!r}")
-    kwargs = {}
-    for key, attr, codec in spec.fields:
-        value = _pop(obj, key, path)
-        try:
-            kwargs[attr] = codec.decode(value)
-        except (StructureError, ValueError) as exc:
-            raise StructureError(f"{path}.{key}: {exc}") from None
+    kwargs = {
+        attr: _field(codec, _pop(obj, key, path), path, key) for key, attr, codec in spec.fields
+    }
     _reject_unknown(obj, path)
     if spec.m is not None:
         kwargs["m"] = spec.m(kwargs) if m is None else m
@@ -285,7 +287,7 @@ def game_to_json(game: Game, bounds=None) -> dict:
 def _bound(doc: dict) -> int:
     """Pop the document's optional `bounds` object and return its integer L (default 2)."""
     bounds = dict(_object(doc.pop("bounds", {}), "bounds"))
-    L = integer(bounds.pop("L"), "bounds.L") if "L" in bounds else 2
+    L = _field(INT, bounds.pop("L"), "bounds", "L") if "L" in bounds else 2
     _reject_unknown(bounds, "bounds")
     return L
 
