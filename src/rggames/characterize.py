@@ -7,8 +7,21 @@ its `max_load` if any (Affine and Bilevel have none); Exponential costs are
 floats and raise UsageError.  Entries are read lazily, once per check: each
 check keeps a value table that evaluates c_r(x) on its first read, so a
 table may omit entries that no check reads, and a missing entry fails at the
-same first read as entry-by-entry evaluation would.  The weighted classifier
-implements the affine-or-exponential dichotomy on the sample grid GRID^m.
+same first read as entry-by-entry evaluation would.
+
+`analyze_unweighted` first tries a one-pass accept.  On a consistent model
+(m >= 2) the ordered checks read c_r exactly on f_r(0) = c_r(0) and on
+
+    S_r = {y : 1 <= y_r <= L+1, sum_u max(0, y_u - L) <= 2},
+
+and nothing else (for m = 1 only on k*1_r, k = 0..L).  The fast pass reads
+f and A off the axes, then checks c_r(y) = f_r(y_r) + sum_{s != r} a_rs y_s
+once on every y in S_r.  If it holds everywhere and A is symmetric, every
+difference the ordered checks compare equals a_rs, so they would all pass
+and decompose into the same (f, A), which is returned.  Any mismatch or
+error reruns the ordered checks from fresh value tables, so witnesses and
+errors are theirs.  The weighted classifier implements the
+affine-or-exponential dichotomy on the sample grid GRID^m.
 """
 
 from __future__ import annotations
@@ -16,7 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, combinations, product
+from operator import mul
 from typing import Optional, Union
 
 from .costs import (
@@ -152,6 +166,18 @@ def check_cross_linearity(c: CostModel, L: int) -> Optional[Violation]:
     return None
 
 
+def _axes(value, m: int, top: int) -> tuple:
+    """(f, A) off the axes: f_r(k) = c_r(k*1_r) for k = 0..top, a_rs = c_r(1_{rs}) - c_r(1_r)."""
+    zero = (0,) * m
+    f = tuple(
+        tuple(value(tuple(k if u == r else 0 for u in range(m)), r) for k in range(top + 1))
+        for r in range(m)
+    )
+    A = tuple(tuple(Fraction(0) if s == r else _diff(value, _bump(zero, r), r, s) for s in range(m))
+              for r in range(m))
+    return f, A
+
+
 def decompose_unweighted(c: CostModel, L: int) -> ConsistencyReport:
     """Recover (f, A) with f_r(k) = c_r(k*1_r), a_rs = c_r(1_{rs}) - c_r(1_r), a_rr = 0.
 
@@ -162,17 +188,11 @@ def decompose_unweighted(c: CostModel, L: int) -> ConsistencyReport:
     _require_range(c, L, 1, "decomposition")
     value = _values(c)
     m = c.m
-    zero = (0,) * m
-    f = tuple(
-        tuple(value(tuple(k if u == r else 0 for u in range(m)), r) for k in range(L + 1))
-        for r in range(m)
-    )
-    A = [[Fraction(0) if s == r else _diff(value, _bump(zero, r), r, s) for s in range(m)]
-         for r in range(m)]
+    f, A = _axes(value, m, L)
     for r in range(m):
         for s in range(r + 1, m):
             if A[r][s] != A[s][r]:
-                return Violation(lemma="jacobian", r=r, s=s, x=zero)
+                return Violation(lemma="jacobian", r=r, s=s, x=(0,) * m)
     for x in product(range(L + 1), repeat=m):
         for r in range(m):
             if x[r] == 0:
@@ -183,11 +203,74 @@ def decompose_unweighted(c: CostModel, L: int) -> ConsistencyReport:
                     f"decomposition failed to reconstruct c_{r} at {x}; "
                     "run the consistency checks first or increase L"
                 )
-    return UnweightedConsistent(f=f, A=tuple(tuple(row) for row in A), L=L)
+    return UnweightedConsistent(f=f, A=A, L=L)
+
+
+def _overshot(m: int, L: int):
+    """Every y in {0..L+2}^m with sum_u max(0, y_u - L) <= 2, each once."""
+    box = range(L + 1)
+    yield from product(box, repeat=m)
+    for u in range(m):
+        for top in (L + 1, L + 2):
+            yield from product(*((top,) if w == u else box for w in range(m)))
+    for u, v in combinations(range(m), 2):
+        yield from product(*((L + 1,) if w in (u, v) else box for w in range(m)))
+
+
+def _accept(c: CostModel, L: int) -> Optional[UnweightedConsistent]:
+    """The ordered checks' report on c if c_r(y) = f_r(y_r) + sum_{s != r} a_rs y_s on S_r.
+
+    f and A are read off the axes as `decompose_unweighted` reads them, f_r
+    up to L+1 when m >= 2 (S_r reaches y_r = L+1), and the identity is then
+    checked once per (y, r) with y in S_r.  The axis points k*1_r and the
+    points 1_{rs} that define f and A satisfy it by construction and are not
+    read again.  The comparison runs in int: over a common denominator D of
+    f and A, c_r(y) = n/d equals the right side iff n*D = (D*rhs)*d.
+
+    Soundness: if the identity holds on S_r and A is symmetric, then every
+    difference the checks compare, c_r(y+1_s) - c_r(y) with y and y+1_s in
+    S_r, equals a_rs (f_r(y_r) cancels), so Jacobian symmetry, cross_a,
+    cross_b and cross_distinct all pass, the axis reads give the same (f, A),
+    and the reconstruction on x <= L, x_r > 0 holds.  Returns None if the
+    identity or the symmetry of A fails; errors propagate.
+    """
+    _require_range(c, L, 2, "cross-linearity check")
+    m = c.m
+    f, A = _axes(_values(c), m, L + 1 if m > 1 else L)
+    for r in range(m):
+        for s in range(r + 1, m):
+            if A[r][s] != A[s][r]:
+                return None
+    D = math.lcm(*(v.denominator for row in chain(f, A) for v in row))
+    Df = [[v.numerator * (D // v.denominator) for v in row] for row in f]
+    DA = [[v.numerator * (D // v.denominator) for v in row] for row in A]
+    for y in _overshot(m, L):
+        total = sum(y)
+        for r, yr in enumerate(y):
+            if not 1 <= yr <= L + 1 or yr == total or (yr == 1 and total == 2):
+                continue  # outside S_r, or on the axes read above
+            v = eval_cost_entry(c, y, r)
+            if v.numerator * D != (Df[r][yr] + sum(map(mul, DA[r], y))) * v.denominator:
+                return None
+    return UnweightedConsistent(f=tuple(row[:L + 1] for row in f), A=A, L=L)
 
 
 def analyze_unweighted(c: CostModel, L: int) -> ConsistencyReport:
-    """Full necessity pipeline: Jacobian, cross-linearity, then decomposition."""
+    """Full necessity pipeline: Jacobian, cross-linearity, then decomposition.
+
+    A one-pass accept (`_accept`) runs first: it reads c_r once on f_r(0)
+    and on S_r = {y : 1 <= y_r <= L+1, sum_u max(0, y_u - L) <= 2}, the
+    exact read set of the ordered checks on a consistent model, and returns
+    their report when c_r(y) = f_r(y_r) + sum_{s != r} a_rs y_s holds there
+    with A symmetric.  On any mismatch or error the ordered checks run from
+    fresh value tables, so violations, witnesses and errors are theirs.
+    """
+    try:
+        report = _accept(c, L)
+    except Exception:  # the ordered checks raise it again, as their own error
+        report = None
+    if report is not None:
+        return report
     violation = check_jacobian_symmetry(c, L)
     if violation is not None:
         return violation

@@ -297,12 +297,12 @@ def game_from_json(doc: dict) -> Game:
     version = _pop(doc, "version", "$")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise StructureError(f"unsupported schema version {version!r}")
-    m = integer(_pop(doc, "m", "$"))
+    m = _field(INT, _pop(doc, "m", "$"), "$", "m")
     players = []
     for i, pd in enumerate(_list(_pop(doc, "players", "$"), "players")):
         path = f"players[{i}]"
         pd = _object(pd, path)
-        weight = rat(_pop(pd, "weight", path))
+        weight = _field(RAT, _pop(pd, "weight", path), path, "weight")
         sd = _object(_pop(pd, "strategies", path), path + ".strategies")
         if "explicit" in sd:
             supports = _list(sd.pop("explicit"), path + ".strategies.explicit")
@@ -407,7 +407,8 @@ def _cost_and_bound(doc) -> tuple:
     if "players" in doc:
         return game_from_json(doc).cost_model, _bound(doc)
     m = doc.pop("m", None)
-    cost = decode("cost", _pop(doc, "cost", "$"), "cost", None if m is None else integer(m))
+    cost = decode("cost", _pop(doc, "cost", "$"), "cost",
+                  None if m is None else _field(INT, m, "$", "m"))
     L = _bound(doc)
     _reject_unknown(doc, "$")
     return cost, L
@@ -432,11 +433,22 @@ def cmd_characterize(args) -> int:
     return 1 if payload["kind"] in NEGATIVE_KINDS else 0
 
 
+def _integers(text: str, flag: str) -> tuple:
+    """The comma-separated integers of a command-line flag; a bad one is named with the flag."""
+    values = []
+    for v in text.split(","):
+        try:
+            values.append(int(v))
+        except ValueError:
+            raise UsageError(f"{flag}: expected an integer, got {v!r}") from None
+    return tuple(values)
+
+
 def cmd_gadget(args) -> int:
     raw, doc = _load_json(args.file)
     cost = _cost_and_bound(doc)[0]
-    point = tuple(int(v) for v in args.point.split(","))
-    resources = tuple(int(v) - 1 for v in args.resources.split(","))
+    point = _integers(args.point, "--point")
+    resources = tuple(v - 1 for v in _integers(args.resources, "--resources"))
     spec = GadgetSpec(
         lemma=args.lemma,
         base_cost=cost,
@@ -476,11 +488,11 @@ def cmd_reduce(args) -> int:
         raw, doc = _load_json(args.instance)
         doc = _object(doc, "$")
         inst = ForbiddenPairsInstance(
-            n_vertices=integer(_pop(doc, "vertices", "$")),
-            edges=nested(INT, 2).decode(_pop(doc, "edges", "$")),
-            s=integer(_pop(doc, "s", "$")),
-            t=integer(_pop(doc, "t", "$")),
-            pairs=nested(INT, 2).decode(_pop(doc, "pairs", "$")),
+            n_vertices=_field(INT, _pop(doc, "vertices", "$"), "$", "vertices"),
+            edges=_field(nested(INT, 2), _pop(doc, "edges", "$"), "$", "edges"),
+            s=_field(INT, _pop(doc, "s", "$"), "$", "s"),
+            t=_field(INT, _pop(doc, "t", "$"), "$", "t"),
+            pairs=_field(nested(INT, 2), _pop(doc, "pairs", "$"), "$", "pairs"),
         )
         _reject_unknown(doc, "$")
         game = reduce_forbidden_pairs(inst)

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rggames.characterize import (
     UnweightedConsistent,
@@ -534,3 +535,104 @@ class TestMatchesReference:
             except LoadRangeError:
                 continue
             assert report is None or report.lemma != "linearity", label
+
+
+# --- the one-pass accept -------------------------------------------------------------------
+
+
+def _read_set(m, L):
+    """The (x, r) entries the ordered checks read on a consistent model, by brute force."""
+    if m == 1:
+        return {((k,), 0) for k in range(L + 1)}
+    return {((0,) * m, r) for r in range(m)} | {
+        (y, r) for y in product(range(L + 3), repeat=m) for r in range(m)
+        if 1 <= y[r] <= L + 1 and sum(max(0, v - L) for v in y) <= 2}
+
+
+def _consistent_corpus():
+    """(m, L, dense table) triples from a fixed seed, boxed at L + 2, every one consistent."""
+    rng = random.Random(20201118)
+    cases = []
+    for m, L in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)):
+        top = L + 2
+        A = _symmetric(rng, m)
+        for r in range(m):
+            A[r][r] = Fraction(0)
+        f = tuple(tuple(Fraction(rng.randint(-3, 9), rng.choice((1, 2))) for _ in range(top + 1))
+                  for _ in range(m))
+        spl = SeparablePlusLinear(f=f, A=tuple(map(tuple, A)))
+        cases.append((m, L, tabulate(lambda p: [spl.entry(p, r) for r in range(m)], m, top)))
+    return cases
+
+
+def _moved(table, key, r, by=Fraction(1, 3)):
+    """A copy of table with its resource-r entry at `key` moved by `by`."""
+    tables = tuple(dict(t) for t in table.tables)
+    tables[r][key] += by
+    return Tabulated(m=table.m, neighborhoods=table.neighborhoods, tables=tables,
+                     max_load=table.max_load)
+
+
+class TestOnePassAccept:
+    """The one-pass accept returns the ordered checks' report and reads each entry once."""
+
+    CONSISTENT = _consistent_corpus()
+
+    def test_each_read_entry_moved_matches_reference(self):
+        seen = Counter()
+        for m, L, table in self.CONSISTENT:
+            for y, r in sorted(_read_set(m, L)):
+                if m * L > 6 and r != sum(y) % m:
+                    continue  # m = 4, L = 2: one resource per point, a quarter of the 940
+                c = _moved(table, y, r)
+                outcome = _outcome(analyze_unweighted, c, L)
+                assert outcome == _outcome(_ref_analyze, c, L), (m, L, y, r)
+                seen[_kind(outcome)] += 1
+        # a moved f_r(0) is still consistent; every other move is caught by some check
+        assert {"consistent", "jacobian", "cross_b", "cross_distinct"} <= set(seen)
+
+    @pytest.mark.parametrize("m, L", [(1, 1), (1, 3), (2, 1), (2, 3), (3, 2), (4, 1), (4, 2)])
+    def test_consistent_table_read_once_on_the_read_set(self, m, L):
+        spl = SeparablePlusLinear(
+            f=tuple(tuple(Fraction(k * k - r, 1 + k % 2) for k in range(L + 3)) for r in range(m)),
+            A=tuple(tuple(Fraction(0) if r == s else Fraction(r + s - 2) for s in range(m))
+                    for r in range(m)))
+        c = counting(tabulate(lambda p: [spl.entry(p, r) for r in range(m)], m, L + 2))
+        report = analyze_unweighted(c, L)
+        assert isinstance(report, UnweightedConsistent)
+        assert report == _ref_analyze(c, L)
+        c.reads.clear()
+        analyze_unweighted(c, L)
+        assert set(c.reads) == _read_set(m, L)
+        assert set(c.reads.values()) == {1}
+
+    def test_read_set_is_that_of_the_ordered_checks(self):
+        for m, L, table in self.CONSISTENT:
+            c = counting(table)
+            for check in (check_jacobian_symmetry, check_cross_linearity, decompose_unweighted):
+                check(c, L)
+            assert set(c.reads) == _read_set(m, L), (m, L)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_models_match_reference(self, data):
+        m = data.draw(st.integers(min_value=1, max_value=4), label="m")
+        L = data.draw(st.integers(min_value=1, max_value=2), label="L")
+        ratio = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+        upper = data.draw(st.lists(ratio, min_size=m * m, max_size=m * m), label="A")
+        A = tuple(tuple(upper[min(r, s) * m + max(r, s)] for s in range(m)) for r in range(m))
+        if data.draw(st.booleans(), label="affine"):
+            model = Affine(A=A, b=tuple(data.draw(st.lists(ratio, min_size=m, max_size=m))))
+        else:
+            A = tuple(tuple(Fraction(0) if r == s else a for s, a in enumerate(row))
+                      for r, row in enumerate(A))
+            f = tuple(tuple(data.draw(st.lists(ratio, min_size=L + 3, max_size=L + 3)))
+                      for _ in range(m))
+            model = SeparablePlusLinear(f=f, A=A)
+        table = as_tabulated(model, max_load=L + 2)
+        if data.draw(st.booleans(), label="perturbed"):
+            r = data.draw(st.integers(0, m - 1), label="r")
+            key = data.draw(st.sampled_from(sorted(table.tables[r])), label="key")
+            model = table = _moved(table, key, r,
+                                   data.draw(st.sampled_from((Fraction(1), Fraction(-1, 2)))))
+        assert _outcome(analyze_unweighted, model, L) == _outcome(_ref_analyze, table, L)

@@ -274,14 +274,14 @@ class TestInputHardening:
         mutate(doc)
         assert main(["reduce", "pairs", write_json(tmp_path, "pairs.json", doc)]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == f"error: expected an integer, got {bad!r}\n"
+        assert out == "" and err == f"error: $.{field}: expected an integer, got {bad!r}\n"
 
     def test_object_for_list_rejected(self, tmp_path, capsys):
         doc = golden_doc("pairs.json")
         doc["pairs"] = {}
         assert main(["reduce", "pairs", write_json(tmp_path, "pairs.json", doc)]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == "error: expected a list, got {}\n"
+        assert out == "" and err == "error: $.pairs: expected a list, got {}\n"
 
     def test_graphic_without_vertices_rejected(self, tmp_path, capsys):
         doc = {"version": 1, "m": 0, "players": [{"weight": "1", "strategies": {
@@ -315,7 +315,33 @@ class TestInputHardening:
         doc["m"] = True
         assert main(["characterize", "--weighted", write_json(tmp_path, "c.json", doc)]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == "error: expected an integer, got True\n"
+        assert out == "" and err == "error: $.m: expected an integer, got True\n"
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d["players"][0].__setitem__("weight", "x"),
+         "players[0].weight: expected a rational string, got 'x'"),
+        (lambda d: d["players"][1].__setitem__("weight", True),
+         "players[1].weight: expected a rational string, got True"),
+        (lambda d: d.__setitem__("m", "2"), "$.m: expected an integer, got '2'"),
+    ], ids=["weight string", "weight boolean", "m string"])
+    def test_game_weight_and_m_named(self, mutate, message, tmp_path, capsys):
+        doc = golden_doc("readme_game.json")
+        mutate(doc)
+        assert main(["solve", write_json(tmp_path, "game.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag, value, bad", [
+        ("--point", "a", "a"), ("--point", "1,,2", ""), ("--point", "0,1.5", "1.5"),
+        ("--resources", "1,x", "x"), ("--resources", "", ""),
+    ])
+    def test_gadget_bad_integer_names_its_flag(self, flag, value, bad, capsys):
+        args = {"--point": "0,0", "--resources": "1,2", flag: value}
+        argv = ["gadget", str(GOLDEN / "asym_affine_cost.json"), "--lemma", "L3",
+                "--point", args["--point"], "--resources", args["--resources"]]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {flag}: expected an integer, got {bad!r}\n"
 
     def test_out_of_range_support_rejected(self, tmp_path, capsys):
         doc = game_to_json(sample_game())
