@@ -167,6 +167,13 @@ class TestClassifyWeighted:
         report = classify_weighted(c)
         assert isinstance(report, Violation)
 
+    def test_curved_separable_is_not_exponential(self):
+        # c_r(x) = (x_r - 1)^2: the axis steps -1, then 1, fit no exponential
+        f = (tuple(Fraction((k - 1) ** 2) for k in range(4)),) * 2
+        zero = (Fraction(0),) * 2
+        report = classify_weighted(SeparablePlusLinear(f=f, A=(zero, zero)))
+        assert report == Violation(lemma="not_affine", r=0, s=0, x=(1, 0))
+
     def test_constant_cost_reads_as_affine(self):
         c = tabulate(lambda p: (5, 7), 2, 3)
         report = classify_weighted(c)

@@ -255,7 +255,107 @@ PAIRS_NON_INTEGER_FIELDS = {
 }
 
 
+def edited(name, edit):
+    doc = golden_doc(name)
+    edit(doc)
+    return doc
+
+
+def spl_partition(**fields):
+    """spl_game.json with fields of player 1's partition matroid replaced."""
+    return edited("spl_game.json",
+                  lambda doc: doc["players"][1]["strategies"]["matroid"].update(fields))
+
+
+def with_cost(name, **fields):
+    return edited(name, lambda doc: doc["cost"].update(fields))
+
+
+def golden(name):
+    return str(GOLDEN / name)
+
+
+def gadget(cost, lemma, point, resources):
+    return ["gadget", golden(cost), "--lemma", lemma, f"--point={point}", "--resources", resources]
+
+
+# Input checks that only the model and instance constructors make, each reached from
+# the command line.  In an argv a dict is written as a JSON file and bytes as a raw file.
+INPUT_CHECKS = {
+    "partition overlapping blocks": (
+        ["solve", spl_partition(blocks=[[0, 1], [1, 2]])],
+        "blocks must be disjoint subsets of the resources"),
+    "partition quota count": (
+        ["solve", spl_partition(quotas=[1])], "one quota per block required"),
+    "partition quota above block": (
+        ["solve", spl_partition(quotas=[3, 1])], "quota 3 exceeds block size 2"),
+    "tabulated max_load": (
+        ["solve", with_cost("tabulated_game.json", max_load=-1)],
+        "max_load must be non-negative"),
+    "tabulated neighborhood": (
+        ["solve", with_cost("tabulated_game.json", neighborhoods=[[0], [0, 2]])],
+        "neighborhood of resource 1 out of range"),
+    "exponential a and b": (
+        ["solve", with_cost("exponential_game.json", a=[1.0])],
+        "a and b must have the same length"),
+    "player_specific empty nu": (
+        ["solve", with_cost("player_specific_game.json", nu=[])],
+        "need at least one player table"),
+    "player_specific ragged nu": (
+        ["solve", with_cost("player_specific_game.json",
+                            nu=[[["0", "1", "4"]] * 3, [["0", "2", "2"]] * 2])],
+        "player 1 table has wrong resource count"),
+    "gadget L5 with two resources": (
+        gadget("triple_cost.json", "L5", "0,0,1", "3,1"), "L5 needs three resources"),
+    "gadget repeated resource": (
+        gadget("asym_affine_cost.json", "L3", "0,0", "1,1"), "gadget resources must be distinct"),
+    "gadget point dimension": (
+        gadget("asym_affine_cost.json", "L3", "0", "1,2"),
+        "background point has wrong dimension"),
+    "gadget negative point": (
+        gadget("asym_affine_cost.json", "L3", "-1,0", "1,2"),
+        "background load must be non-negative"),
+    "gadget bilevel cost": (
+        gadget("bilevel_cost.json", "L3", "0,0", "1,2"),
+        "Bilevel has no structural composition; normalize with as_tabulated first"),
+    "gadget player_specific cost": (
+        gadget("player_specific_game.json", "L3", "0,0,0", "1,2"),
+        "PlayerSpecificSeparable has no structural composition; "
+        "normalize with as_tabulated first"),
+    "potential tabulated": (
+        ["potential", golden("tabulated_game.json"), "--profile", {"choices": [[0], [0]]}],
+        "unweighted potential needs a separable-plus-linear cost model"),
+    "potential weighted spl": (
+        ["potential", edited("spl_game.json", lambda doc: doc["players"][0].update(weight="2")),
+         "--profile", golden("spl_profile.json")],
+        "unweighted potential requires unit weights"),
+    "dimacs header": (
+        ["reduce", "sat", b"p dnf 3 1\n1 -2 3 0\n"], "bad DIMACS header: 'p dnf 3 1'"),
+    "dimacs variable": (
+        ["reduce", "sat", b"p cnf 3 1\n1 -2 4 0\n"], "variable 3 out of range"),
+    "pairs s equals t": (
+        ["reduce", "pairs", edited("pairs.json", lambda doc: doc.update(t=0))],
+        "source and target must differ"),
+}
+
+
 class TestInputHardening:
+    @pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
+    def test_model_and_instance_checks_reach_the_cli(self, name, tmp_path, capsys):
+        argv, message = INPUT_CHECKS[name]
+        args = []
+        for k, arg in enumerate(argv):
+            if isinstance(arg, bytes):
+                path = tmp_path / f"input{k}"
+                path.write_bytes(arg)
+                arg = str(path)
+            elif isinstance(arg, dict):
+                arg = write_json(tmp_path, f"input{k}.json", arg)
+            args.append(arg)
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
     @pytest.mark.parametrize("field", sorted(NON_INTEGER_FIELDS))
     def test_non_integer_field_rejected(self, field, tmp_path, capsys):
         build, mutate = NON_INTEGER_FIELDS[field]

@@ -119,6 +119,15 @@ class TestCompose:
         with pytest.raises(IncompatibleModelsError):
             compose([a, e])
 
+    def test_separable_plus_linear_copies(self):
+        spl = SeparablePlusLinear(f=(tuple(Fraction(k * k) for k in range(3)),) * 2,
+                                  A=frac_matrix([[0, 1], [2, 0]]))
+        big = compose([spl, spl])
+        assert big.f == spl.f * 2 and big.max_load == 2
+        assert big.A == frac_matrix([[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]])
+        for loads in product(range(3), repeat=4):
+            assert eval_cost(big, loads) == eval_cost(spl, loads[:2]) + eval_cost(spl, loads[2:])
+
     def test_tabulated_compose_preserves_locality(self):
         tab = Tabulated(
             m=1,

@@ -59,6 +59,10 @@ CASES = [
     ("triple_characterize", ["characterize", "triple_cost.json"], 1),
     ("triple_gadget_L5", ["gadget", "triple_cost.json", "--lemma", "L5", "--point", "0,0,1",
                           "--resources", "3,1,2", "--confirm"], 1),
+    ("spl_gadget_L3", ["gadget", "spl_cost.json", "--lemma", "L3", "--point", "0,0,0",
+                       "--resources", "1,2", "--confirm"], 0),
+    ("exponential_gadget_L3", ["gadget", "exponential_cost.json", "--lemma", "L3",
+                               "--point", "0,0", "--resources", "1,2", "--confirm"], 0),
     ("quadratic_characterize_weighted", ["characterize", "quadratic_cost.json", "--weighted"], 1),
     ("exponential_characterize_weighted",
      ["characterize", "exponential_cost.json", "--weighted"], 0),
