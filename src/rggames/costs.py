@@ -365,28 +365,16 @@ CostModel = Union[
 ]
 
 
-@dataclass(frozen=True)
-class ArgmaxSet:
-    """Indices attaining the maximum load, together with that maximum."""
-
-    indices: frozenset
-    value: Number
-
-
-def argmax_set(loads: Loads) -> ArgmaxSet:
+def kappa_star(loads: Loads, budget: Number) -> tuple:
+    """Even split of the budget over the resources of maximal load (the argmax set)."""
+    if budget <= 0:
+        raise StructureError("budget must be positive")
     if not loads:
         raise StructureError("argmax of an empty load vector")
     top = max(loads)
-    return ArgmaxSet(frozenset(r for r, v in enumerate(loads) if v == top), top)
-
-
-def kappa_star(loads: Loads, budget: Number) -> tuple:
-    """Even split of the budget over the resources with maximal load."""
-    if budget <= 0:
-        raise StructureError("budget must be positive")
-    top = argmax_set(loads)
-    share = Fraction(budget) / len(top.indices)
-    return tuple(share if r in top.indices else Fraction(0) for r in range(len(loads)))
+    at_top = [v == top for v in loads]
+    share = Fraction(budget) / sum(at_top)
+    return tuple(share if hit else Fraction(0) for hit in at_top)
 
 
 def eval_cost_entry(model: CostModel, loads: Loads, r: int, player: Optional[int] = None) -> Number:
@@ -399,65 +387,34 @@ def eval_cost(model: CostModel, loads: Loads, player: Optional[int] = None) -> t
     return tuple(eval_cost_entry(model, loads, r, player) for r in range(model.m))
 
 
-def compose(models: Sequence[CostModel]) -> CostModel:
-    """Block-diagonal composition of same-variant models on the disjoint resource union."""
-    if not models:
-        raise UsageError("compose needs at least one model")
-    kinds = {type(mod) for mod in models}
-    if len(kinds) != 1:
-        raise IncompatibleModelsError(
-            "mixed variants cannot be composed structurally; normalize with as_tabulated first"
-        )
-    kind = kinds.pop()
+def compose(model: CostModel, copies: int) -> CostModel:
+    """`copies` disjoint copies of one model: copy k acts on resources k*m .. k*m + m - 1.
+
+    The gadgets run on four copies of their base cost.  Tables are shared
+    between copies, since no code mutates them.
+    """
+    kind, m = type(model), model.m
     if kind is Tabulated:
-        total_m = sum(mod.m for mod in models)
-        hoods, tables = [], []
-        offset = 0
-        for mod in models:
-            for r in range(mod.m):
-                hoods.append(tuple(s + offset for s in mod.neighborhoods[r]))
-                tables.append(dict(mod.tables[r]))
-            offset += mod.m
-        return Tabulated(
-            m=total_m,
-            neighborhoods=tuple(hoods),
-            tables=tuple(tables),
-            max_load=min(mod.max_load for mod in models),
-        )
+        hoods = tuple(tuple(s + k * m for s in hood)
+                      for k in range(copies) for hood in model.neighborhoods)
+        return Tabulated(m=m * copies, neighborhoods=hoods, tables=model.tables * copies,
+                         max_load=model.max_load)
     if kind is SeparablePlusLinear:
-        L = min(mod.max_load for mod in models)
-        f = []
-        for mod in models:
-            f.extend(tuple(row[: L + 1]) for row in mod.f)
-        return SeparablePlusLinear(f=tuple(f), A=_blockdiag([mod.A for mod in models]))
+        return SeparablePlusLinear(f=model.f * copies, A=_blockdiag(model.A, copies))
     if kind is Affine:
-        b = tuple(v for mod in models for v in mod.b)
-        return Affine(A=_blockdiag([mod.A for mod in models]), b=b)
+        return Affine(A=_blockdiag(model.A, copies), b=model.b * copies)
     if kind is Exponential:
-        phis = {mod.phi for mod in models}
-        if len(phis) != 1:
-            raise IncompatibleModelsError("exponential models must share the exponent")
-        return Exponential(
-            a=tuple(v for mod in models for v in mod.a),
-            phi=models[0].phi,
-            b=tuple(v for mod in models for v in mod.b),
-        )
+        return Exponential(a=model.a * copies, phi=model.phi, b=model.b * copies)
     raise IncompatibleModelsError(
         f"{kind.__name__} has no structural composition; normalize with as_tabulated first"
     )
 
 
-def _blockdiag(blocks: Sequence[Sequence[Sequence[Number]]]) -> tuple:
-    total = sum(len(b) for b in blocks)
-    rows = [[Fraction(0)] * total for _ in range(total)]
-    offset = 0
-    for block in blocks:
-        k = len(block)
-        for i in range(k):
-            for j in range(k):
-                rows[offset + i][offset + j] = block[i][j]
-        offset += k
-    return tuple(tuple(row) for row in rows)
+def _blockdiag(A: Sequence[Sequence[Number]], copies: int) -> tuple:
+    """The block-diagonal matrix of `copies` copies of the square matrix A."""
+    zeros = (Fraction(0),) * len(A)
+    return tuple(zeros * k + tuple(row) + zeros * (copies - 1 - k)
+                 for k in range(copies) for row in A)
 
 
 def as_tabulated(

@@ -1,7 +1,7 @@
 """Gadget games on four resource copies that turn characterization violations
 into concrete games without a pure Nash equilibrium.
 
-Each gadget composes the base cost with itself four times, pins a background
+Each gadget runs on four disjoint copies of the base cost, pins a background
 load with single-strategy dummy players, and adds two free players whose
 payoffs form a constant pair {A, B} in every profile with swap deviations
 available.  If A != B, no equilibrium can exist.
@@ -74,7 +74,7 @@ def _unit(total: int, *indices: int) -> tuple:
 def build_gadget(spec: GadgetSpec) -> Game:
     """Materialize the gadget game on 4m resources."""
     m = spec.base_cost.m
-    big = compose([spec.base_cost] * 4)
+    big = compose(spec.base_cost, 4)
     M = 4 * m
 
     def idx(copy: int, res: int) -> int:

@@ -13,7 +13,6 @@ from rggames.costs import (
     PlayerSpecificSeparable,
     SeparablePlusLinear,
     Tabulated,
-    argmax_set,
     as_tabulated,
     compose,
     eval_cost,
@@ -76,8 +75,15 @@ class TestKappaStar:
         assert kappa_star((0,), Fraction(1)) == (1,)
 
     def test_argmax_set(self):
-        top = argmax_set((1, 3, 3))
-        assert top.indices == frozenset({1, 2}) and top.value == 3
+        assert kappa_star((1, 3, 3), Fraction(2)) == (0, 1, 1)
+
+    @pytest.mark.parametrize("loads, budget, message", [
+        ((1, 2), Fraction(0), "budget must be positive"),
+        ((), Fraction(1), "argmax of an empty load vector"),
+    ])
+    def test_rejected_input(self, loads, budget, message):
+        with pytest.raises(StructureError, match=message):
+            kappa_star(loads, budget)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=5),
@@ -89,40 +95,41 @@ class TestKappaStar:
 
 class TestCompose:
     def test_affine_blockdiag(self):
-        a1 = Affine(A=frac_matrix([[1]]), b=(Fraction(2),))
-        a2 = Affine(A=frac_matrix([[3]]), b=(Fraction(4),))
-        big = compose([a1, a2])
-        assert big.A == frac_matrix([[1, 0], [0, 3]])
-        assert big.b == (2, 4)
+        a = Affine(A=frac_matrix([[1, 2], [3, 4]]), b=(Fraction(5), Fraction(6)))
+        big = compose(a, 2)
+        assert big.A == frac_matrix([[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 1, 2], [0, 0, 3, 4]])
+        assert big.b == (5, 6, 5, 6)
 
     def test_k_fold_dimension(self):
         base = Affine(A=frac_matrix([[1]]), b=(Fraction(0),))
-        assert compose([base] * 5).m == 5
+        assert compose(base, 5).m == 5
 
     def test_eval_concatenates(self):
-        a1 = Affine(A=frac_matrix([[0, 1], [1, 0]]), b=(Fraction(0), Fraction(0)))
-        a2 = Affine(A=frac_matrix([[2]]), b=(Fraction(1),))
-        big = compose([a1, a2])
-        for loads in product(range(3), repeat=3):
-            assert eval_cost(big, loads) == eval_cost(a1, loads[:2]) + eval_cost(a2, loads[2:])
+        a = Affine(A=frac_matrix([[0, 1], [2, 0]]), b=(Fraction(1), Fraction(0)))
+        big = compose(a, 3)
+        for loads in product(range(3), repeat=6):
+            assert eval_cost(big, loads) == sum((eval_cost(a, loads[k:k + 2])
+                                                 for k in (0, 2, 4)), ())
 
-    def test_exponential_needs_shared_phi(self):
-        e1 = Exponential(a=(1.0,), phi=1.0, b=(0.0,))
-        e2 = Exponential(a=(1.0,), phi=2.0, b=(0.0,))
-        with pytest.raises(IncompatibleModelsError):
-            compose([e1, e2])
-        assert compose([e1, e1]).m == 2
+    def test_exponential_copies(self):
+        e = Exponential(a=(1.0, 2.0), phi=0.5, b=(0.0, 3.0))
+        big = compose(e, 2)
+        assert (big.a, big.phi, big.b) == ((1.0, 2.0, 1.0, 2.0), 0.5, (0.0, 3.0, 0.0, 3.0))
 
-    def test_mixed_variants_rejected(self):
-        a = Affine(A=frac_matrix([[1]]), b=(Fraction(0),))
-        e = Exponential(a=(1.0,), phi=1.0, b=(0.0,))
-        with pytest.raises(IncompatibleModelsError):
-            compose([a, e])
+    @pytest.mark.parametrize("model", [
+        Bilevel(m=2, budget=Fraction(1)),
+        PlayerSpecificSeparable(nu=(((Fraction(0), Fraction(1)),),)),
+    ], ids=lambda model: type(model).__name__)
+    def test_models_without_copies_rejected(self, model):
+        name = type(model).__name__
+        with pytest.raises(IncompatibleModelsError, match=re.escape(
+                f"{name} has no structural composition; normalize with as_tabulated first")):
+            compose(model, 4)
 
     def test_separable_plus_linear_copies(self):
         spl = SeparablePlusLinear(f=(tuple(Fraction(k * k) for k in range(3)),) * 2,
                                   A=frac_matrix([[0, 1], [2, 0]]))
-        big = compose([spl, spl])
+        big = compose(spl, 2)
         assert big.f == spl.f * 2 and big.max_load == 2
         assert big.A == frac_matrix([[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]])
         for loads in product(range(3), repeat=4):
@@ -135,8 +142,8 @@ class TestCompose:
             tables=({(k,): Fraction(k) for k in range(3)},),
             max_load=2,
         )
-        big = compose([tab, tab])
-        assert big.neighborhoods == ((0,), (1,))
+        big = compose(tab, 2)
+        assert big.neighborhoods == ((0,), (1,)) and big.max_load == 2
         assert eval_cost(big, (1, 2)) == (1, 2)
 
 

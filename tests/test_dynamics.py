@@ -22,7 +22,6 @@ from rggames.costs import (
     PlayerSpecificSeparable,
     SeparablePlusLinear,
     Tabulated,
-    compose,
 )
 from rggames.dynamics import (
     IsPNE,
@@ -261,8 +260,10 @@ def _gadget_beside(rng):
         space = _explicit(rng, extra_m)
         players.append(Player(strategy_space=Explicit(
             vectors=tuple((0,) * M + v for v in space.vectors))))
-    return Game(n_resources=M + extra_m, players=tuple(players),
-                cost_model=compose([gadget.cost_model, extra]))
+    big, pad_A = gadget.cost_model, (Fraction(0),) * extra_m
+    cost = Affine(A=tuple(row + pad_A for row in big.A)
+                  + tuple((Fraction(0),) * M + row for row in extra.A), b=big.b + extra.b)
+    return Game(n_resources=M + extra_m, players=tuple(players), cost_model=cost)
 
 
 def sweep_game(seed):
