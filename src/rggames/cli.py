@@ -265,7 +265,7 @@ def _from_support(indices, m: int, value, path: str) -> tuple:
     return tuple(value if r in chosen else 0 for r in range(m))
 
 
-def game_to_json(game: Game, bounds=None) -> dict:
+def game_to_json(game: Game) -> dict:
     players = []
     for p in game.players:
         if isinstance(p.strategy_space, Explicit):
@@ -273,15 +273,12 @@ def game_to_json(game: Game, bounds=None) -> dict:
         else:
             strategies = {"matroid": encode(p.strategy_space.desc)}
         players.append({"weight": unrat(p.weight), "strategies": strategies})
-    doc = {
+    return {
         "version": SCHEMA_VERSION,
         "m": game.n_resources,
         "players": players,
         "cost": encode(game.cost_model),
     }
-    if bounds is not None:
-        doc["bounds"] = bounds
-    return doc
 
 
 def _bound(doc: dict) -> int:
@@ -382,12 +379,10 @@ def cmd_solve(args) -> int:
             payload = {**encode(PNEFound(trace.terminal)), "iterations": trace.iterations}
         else:
             payload = {"kind": "no_convergence", "iterations": trace.iterations}
-    elif args.method == "theorem3":
+    else:  # theorem3
         bilevel = BilevelGame(base=game)
         profile, _cert = solve_bilevel(bilevel, max_iters=args.max_iters)
         payload = encode(PNEFound(profile))
-    else:
-        raise StructureError(f"unknown method {args.method!r}")
     print(_dump(_stamp(payload, raw)))
     return 1 if payload["kind"] in NEGATIVE_KINDS else 0
 
@@ -449,12 +444,14 @@ def cmd_gadget(args) -> int:
     cost = _cost_and_bound(doc)[0]
     point = _integers(args.point, "--point")
     resources = tuple(v - 1 for v in _integers(args.resources, "--resources"))
+    epsilon = None
+    if args.epsilon is not None:
+        try:
+            epsilon = rat(args.epsilon)
+        except StructureError as exc:
+            raise UsageError(f"--epsilon: {exc}") from None
     spec = GadgetSpec(
-        lemma=args.lemma,
-        base_cost=cost,
-        point=point,
-        resources=resources,
-        epsilon=rat(args.epsilon) if args.epsilon else None,
+        lemma=args.lemma, base_cost=cost, point=point, resources=resources, epsilon=epsilon
     )
     game = build_gadget(spec)
     payload = {"game": game_to_json(game)}

@@ -480,7 +480,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     )
     game = Game(n_resources=2, players=players, cost_model=cost)
     game_path = tmp_path / "game.json"
-    game_path.write_text(json.dumps(game_to_json(game, bounds={"L": 2})))
+    game_path.write_text(json.dumps({**game_to_json(game), "bounds": {"L": 2}}))
     profile_path = tmp_path / "profile.json"
     profile_path.write_text(json.dumps({"choices": [[0], [1]]}))
     asym = Affine(A=((Fraction(1), Fraction(1)), (Fraction(3), Fraction(1))),

@@ -38,7 +38,7 @@ def sample_game():
 
 @pytest.fixture
 def game_file(tmp_path):
-    doc = game_to_json(sample_game(), bounds={"L": 2})
+    doc = {**game_to_json(sample_game()), "bounds": {"L": 2}}
     path = tmp_path / "game.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -57,9 +57,9 @@ def asym_cost_file(tmp_path):
 
 class TestGameFormat:
     def test_round_trip(self):
-        doc = game_to_json(sample_game(), bounds={"L": 2})
+        doc = {**game_to_json(sample_game()), "bounds": {"L": 2}}
         rebuilt = game_from_json(doc)
-        assert game_to_json(rebuilt, bounds={"L": 2}) == doc
+        assert {**game_to_json(rebuilt), "bounds": {"L": 2}} == doc
 
     def test_canonical_reserialization_is_byte_identical(self):
         doc = game_to_json(sample_game())
@@ -430,6 +430,14 @@ class TestInputHardening:
         assert main(["solve", write_json(tmp_path, "game.json", doc)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["x", "", "1/0"])
+    def test_gadget_bad_epsilon_names_its_flag(self, value, capsys):
+        argv = ["gadget", str(GOLDEN / "asym_affine_cost.json"), "--lemma", "weighted-eps",
+                "--point", "1,0", "--resources", "1,2", "--epsilon", value]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --epsilon: expected a rational string, got {value!r}\n"
 
     @pytest.mark.parametrize("flag, value, bad", [
         ("--point", "a", "a"), ("--point", "1,,2", ""), ("--point", "0,1.5", "1.5"),
