@@ -267,6 +267,11 @@ def spl_partition(**fields):
                   lambda doc: doc["players"][1]["strategies"]["matroid"].update(fields))
 
 
+def bilevel_player0(**fields):
+    """bilevel_game.json with fields of player 0 replaced."""
+    return edited("bilevel_game.json", lambda doc: doc["players"][0].update(fields))
+
+
 def with_cost(name, **fields):
     return edited(name, lambda doc: doc["cost"].update(fields))
 
@@ -336,6 +341,15 @@ INPUT_CHECKS = {
     "pairs s equals t": (
         ["reduce", "pairs", edited("pairs.json", lambda doc: doc.update(t=0))],
         "source and target must differ"),
+    "theorem3 affine cost": (
+        ["solve", golden("readme_game.json"), "--method", "theorem3"],
+        "bilevel games need the budget-attack cost model"),
+    "theorem3 explicit space": (
+        ["solve", bilevel_player0(strategies={"explicit": [[0]]}), "--method", "theorem3"],
+        "player 0 needs a matroid strategy space"),
+    "theorem3 weighted player": (
+        ["solve", bilevel_player0(weight="2"), "--method", "theorem3"],
+        "bilevel games are defined for unit weights"),
 }
 
 
