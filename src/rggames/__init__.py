@@ -8,7 +8,7 @@ and solving matroid-constrained security games.
 
 __version__ = "0.1.0"
 
-from .core import Explicit, Game, MatroidBases, Player, load_of, private_cost  # noqa: F401
+from .core import Explicit, Game, Player, load_of, private_cost  # noqa: F401
 from .errors import (  # noqa: F401
     CapacityError,
     GameError,

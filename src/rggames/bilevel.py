@@ -1,5 +1,9 @@
 """Bilevel load balancing: attacker budget split over the most loaded
 resources, folded into the cost function, with the matroid equilibrium lift.
+
+A bilevel game is a plain `Game` with the `Bilevel` cost model whose players
+have weight 1 and matroid strategy spaces; `solve_bilevel` checks the cost
+model and `matroid.solve_via_theorem3` checks the players.
 """
 
 from __future__ import annotations
@@ -8,54 +12,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Game, MatroidBases, Player
+from .core import Game, Player
 from .costs import Bilevel, PlayerSpecificSeparable, kappa_star
 from .errors import StructureError, UsageError
 from .matroid import solve_via_theorem3
 
 
-@dataclass(frozen=True, eq=False)
-class BilevelGame:
-    """An unweighted game on matroid strategy spaces with budget-attack costs."""
-
-    base: Game
-
-    def __post_init__(self):
-        model = self.base.cost_model
-        if not isinstance(model, Bilevel):
-            raise StructureError("bilevel games need the budget-attack cost model")
-        for i, p in enumerate(self.base.players):
-            if p.weight != 1:
-                raise StructureError("bilevel games are defined for unit weights")
-            if not isinstance(p.strategy_space, MatroidBases):
-                raise StructureError(f"player {i} needs a matroid strategy space")
-
-    @property
-    def budget(self) -> Fraction:
-        return self.base.cost_model.budget
-
-
-def make_bilevel_game(n_resources: int, descs: Sequence, budget) -> BilevelGame:
-    players = tuple(Player(strategy_space=MatroidBases(desc=d)) for d in descs)
-    game = Game(
+def make_bilevel_game(n_resources: int, descs: Sequence, budget) -> Game:
+    players = tuple(Player(strategy_space=d) for d in descs)
+    return Game(
         n_resources=n_resources,
         players=players,
         cost_model=Bilevel(m=n_resources, budget=Fraction(budget)),
     )
-    return BilevelGame(base=game)
 
 
-def identity_nu(game: BilevelGame) -> PlayerSpecificSeparable:
+def identity_nu(game: Game) -> PlayerSpecificSeparable:
     """nu_{T,g}(x) = x for every type and resource, tabulated up to the player count."""
-    n = game.base.n_players
-    m = game.base.n_resources
+    n, m = game.n_players, game.n_resources
     table = tuple(range(n + 2))
     return PlayerSpecificSeparable(nu=tuple(tuple(table for _ in range(m)) for _ in range(n)))
 
 
-def solve_bilevel(game: BilevelGame, max_iters: int = 1000):
+def solve_bilevel(game: Game, max_iters: int = 1000):
     """Equilibrium via the separable identity-nu game, verified on the attack costs."""
-    return solve_via_theorem3(game.base, identity_nu(game), max_iters=max_iters)
+    if not isinstance(game.cost_model, Bilevel):
+        raise StructureError("bilevel games need the budget-attack cost model")
+    return solve_via_theorem3(game, identity_nu(game), max_iters=max_iters)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
-from .bilevel import BilevelGame, solve_bilevel
+from .bilevel import solve_bilevel
 from .characterize import (
     UnweightedConsistent,
     Violation,
@@ -31,7 +31,7 @@ from .characterize import (
     analyze_unweighted,
     classify_weighted,
 )
-from .core import Explicit, Game, MatroidBases, Player, support, validate_profile
+from .core import Explicit, Game, Player, support, validate_profile
 from .costs import (
     Affine,
     Bilevel,
@@ -271,7 +271,7 @@ def game_to_json(game: Game) -> dict:
         if isinstance(p.strategy_space, Explicit):
             strategies = {"explicit": [support(v) for v in p.strategy_space.vectors]}
         else:
-            strategies = {"matroid": encode(p.strategy_space.desc)}
+            strategies = {"matroid": encode(p.strategy_space)}
         players.append({"weight": unrat(p.weight), "strategies": strategies})
     return {
         "version": SCHEMA_VERSION,
@@ -309,8 +309,7 @@ def game_from_json(doc: dict) -> Game:
             )
             space = Explicit(vectors=vectors)
         elif "matroid" in sd:
-            space = MatroidBases(desc=decode("matroid", sd.pop("matroid"),
-                                             path + ".strategies.matroid", m))
+            space = decode("matroid", sd.pop("matroid"), path + ".strategies.matroid", m)
         else:
             raise StructureError(f"{path}: strategies must be explicit or matroid")
         _reject_unknown(sd, path + ".strategies")
@@ -380,8 +379,7 @@ def cmd_solve(args) -> int:
         else:
             payload = {"kind": "no_convergence", "iterations": trace.iterations}
     else:  # theorem3
-        bilevel = BilevelGame(base=game)
-        profile, _cert = solve_bilevel(bilevel, max_iters=args.max_iters)
+        profile, _cert = solve_bilevel(game, max_iters=args.max_iters)
         payload = encode(PNEFound(profile))
     print(_dump(_stamp(payload, raw)))
     return 1 if payload["kind"] in NEGATIVE_KINDS else 0

@@ -2,6 +2,8 @@
 
 Strategy vectors are tuples over the m resources.  Unweighted players play
 0/1 incidence vectors; a player of weight w plays w times a 0/1 vector.
+A player's strategy space is an `Explicit` list of vectors or a matroid
+descriptor (`matroid.Uniform`, `Partition`, `Graphic`), whose bases it plays.
 Games and profiles are immutable; every operation here is a pure function.
 A Player keeps its enumerated strategy tuple once computed (`strategies`).
 """
@@ -43,23 +45,9 @@ class Explicit:
 
 
 @dataclass(frozen=True, eq=False)
-class MatroidBases:
-    """Strategy space given by the bases of a matroid descriptor (see matroid module)."""
-
-    desc: object
-
-    @property
-    def m(self) -> int:
-        return self.desc.m
-
-
-StrategySpace = Union[Explicit, MatroidBases]
-
-
-@dataclass(frozen=True, eq=False)
 class Player:
     weight: Number = 1
-    strategy_space: StrategySpace = None
+    strategy_space: object = None  # an Explicit or a matroid descriptor
     _strategies: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -85,7 +73,7 @@ class Player:
         else:
             from .matroid import enumerate_bases
 
-            base = enumerate_bases(self.strategy_space.desc)
+            base = enumerate_bases(self.strategy_space)
         w = self.weight
         cached = base if w == 1 else tuple(tuple(w * e for e in v) for v in base)
         object.__setattr__(self, "_strategies", cached)

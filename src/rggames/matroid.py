@@ -16,7 +16,7 @@ from itertools import combinations, product
 from math import comb, prod
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
-from .core import Game, MatroidBases, Profile, load_of, support
+from .core import Explicit, Game, Profile, load_of, support
 from .costs import CostModel, PlayerSpecificSeparable, eval_cost_entry
 from .dynamics import IsPNE, PNEFound, brute_force_pne, run_best_response_dynamics, verify_pne
 from .errors import CapacityError, StructureError, UsageError
@@ -269,7 +269,7 @@ def _greedy_response(game: Game, profile: Profile, i: int) -> tuple:
     x = profile[i]
     loads = load_of(game, profile)
     weights = [nu[r][loads[r] - x[r] + 1] for r in range(game.n_resources)]
-    y = greedy_best_response(game.players[i].strategy_space.desc, weights)
+    y = greedy_best_response(game.players[i].strategy_space, weights)
     delta = sum(weights[r] for r in support(y)) - sum(weights[r] for r in support(x))
     return (y, delta) if delta < 0 else (x, 0)
 
@@ -277,18 +277,19 @@ def _greedy_response(game: Game, profile: Profile, i: int) -> tuple:
 def solve_via_theorem3(game: Game, nu_tables: PlayerSpecificSeparable, max_iters: int = 1000):
     """Equilibrium lift: solve the separable nu-game, then verify on the original game.
 
-    Runs `run_best_response_dynamics` on the associated player-specific
-    separable game with the matroid greedy as responder, for at most
-    max_iters improving steps; falls back to brute force on the nu-game if
-    the dynamics end outside an equilibrium of it.  The terminal profile must
-    verify as an equilibrium of the original non-separable game; a failure
-    there signals a nu/monotonicity mismatch and raises.
+    Every player needs a matroid strategy space and weight 1.  Runs
+    `run_best_response_dynamics` on the associated player-specific separable
+    game with the matroid greedy as responder, for at most max_iters
+    improving steps; falls back to brute force on the nu-game if the dynamics
+    end outside an equilibrium of it.  The terminal profile must verify as an
+    equilibrium of the original non-separable game; a failure there signals a
+    nu/monotonicity mismatch and raises.
     """
-    for p in game.players:
-        if not isinstance(p.strategy_space, MatroidBases):
-            raise UsageError("the lift needs matroid strategy spaces")
+    for i, p in enumerate(game.players):
+        if isinstance(p.strategy_space, Explicit):
+            raise StructureError(f"player {i} needs a matroid strategy space")
         if p.weight != 1:
-            raise UsageError("the lift is defined for unweighted players")
+            raise StructureError(f"player {i} needs weight 1, got {p.weight}")
     nu_game = Game(n_resources=game.n_resources, players=game.players, cost_model=nu_tables)
     start = tuple(p.strategies()[0] for p in game.players)
     profile = run_best_response_dynamics(

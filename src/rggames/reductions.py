@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .core import Explicit, Game, MatroidBases, Player
+from .core import Explicit, Game, Player
 from .dynamics import IsPNE, verify_pne
 from .costs import SeparablePlusLinear, Tabulated
 from .errors import CapacityError, StructureError
@@ -78,7 +78,7 @@ def reduce_sat(inst: SatInstance) -> Game:
     cost = SeparablePlusLinear(f=f, A=tuple(tuple(row) for row in A))
     blocks = tuple(tuple(range(3 * i, 3 * i + 3)) for i in range(n_clauses))
     desc = Partition(m=m, blocks=blocks, quotas=tuple(1 for _ in blocks))
-    player = Player(strategy_space=MatroidBases(desc=desc))
+    player = Player(strategy_space=desc)
     return Game(n_resources=m, players=(player,), cost_model=cost)
 
 

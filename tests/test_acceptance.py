@@ -319,7 +319,7 @@ def test_criterion_06_bilevel_pipeline():
                 game = make_bilevel_game(desc.m, [desc] * n, budget)
                 profile, cert = solve_bilevel(game)
                 assert isinstance(cert, IsPNE), "lifted profile failed verification"
-                assert isinstance(brute_force_pne(game.base), PNEFound)
+                assert isinstance(brute_force_pne(game), PNEFound)
                 games += 1
     # mixed-type rosters on a shared resource set
     for budget in BUDGETS:
@@ -331,7 +331,7 @@ def test_criterion_06_bilevel_pipeline():
         )
         profile, cert = solve_bilevel(mixed)
         assert isinstance(cert, IsPNE)
-        assert isinstance(brute_force_pne(mixed.base), PNEFound)
+        assert isinstance(brute_force_pne(mixed), PNEFound)
         games += 1
     # conservation on every load vector of the full evaluation grid
     for m in range(1, 5):

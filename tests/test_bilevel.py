@@ -4,15 +4,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rggames.bilevel import (
-    BilevelGame,
-    case_audit,
-    identity_nu,
-    make_bilevel_game,
-    solve_bilevel,
-)
+from rggames.bilevel import case_audit, identity_nu, make_bilevel_game, solve_bilevel
 from rggames.core import Explicit, Game, Player, load_of, private_cost
-from rggames.costs import Bilevel, kappa_star
+from rggames.costs import Bilevel, PlayerSpecificSeparable, kappa_star
 from rggames.dynamics import IsPNE, PNEFound, brute_force_pne
 from rggames.errors import StructureError, UsageError
 from rggames.matroid import Uniform, enumerate_bases
@@ -22,18 +16,18 @@ class TestConstruction:
     def test_requires_bilevel_cost(self):
         players = (Player(strategy_space=Explicit(vectors=((1, 0),))),)
         game = Game(n_resources=2, players=players, cost_model=Bilevel(m=2, budget=Fraction(1)))
-        with pytest.raises(StructureError):
-            BilevelGame(base=game)  # explicit space, not a matroid
+        with pytest.raises(StructureError, match="^player 0 needs a matroid strategy space$"):
+            solve_bilevel(game)  # explicit space, not a matroid
+        nu = PlayerSpecificSeparable(nu=(((0, 1, 2),) * 2,))
+        game = Game(n_resources=2, players=(Player(strategy_space=Uniform(2, 1)),), cost_model=nu)
+        with pytest.raises(StructureError, match="^bilevel games need the budget-attack cost"):
+            solve_bilevel(game)
 
     def test_rejects_weighted_players(self):
-        from rggames.core import MatroidBases
-
-        players = (
-            Player(weight=Fraction(2), strategy_space=MatroidBases(desc=Uniform(2, 1))),
-        )
+        players = (Player(weight=Fraction(2), strategy_space=Uniform(2, 1)),)
         game = Game(n_resources=2, players=players, cost_model=Bilevel(m=2, budget=Fraction(1)))
-        with pytest.raises(StructureError):
-            BilevelGame(base=game)
+        with pytest.raises(StructureError, match="^player 0 needs weight 1, got 2$"):
+            solve_bilevel(game)
 
 
 class TestAttackAllocation:
@@ -56,10 +50,10 @@ class TestSolveBilevel:
         game = make_bilevel_game(2, [Uniform(2, 1)] * 2, 2)
         profile, cert = solve_bilevel(game)
         assert isinstance(cert, IsPNE)
-        loads = load_of(game.base, profile)
+        loads = load_of(game, profile)
         assert sorted(loads) == [1, 1]
         # each pays 1 + B/2 = 2; sharing would cost 2 + 2 = 4
-        assert private_cost(game.base, profile, 0) == 2
+        assert private_cost(game, profile, 0) == 2
 
     def test_single_player_trivial(self):
         game = make_bilevel_game(3, [Uniform(3, 2)], 1)
@@ -70,8 +64,8 @@ class TestSolveBilevel:
         game = make_bilevel_game(2, [Uniform(2, 1)] * 3, 3)
         profile, cert = solve_bilevel(game)
         assert isinstance(cert, IsPNE)
-        assert sorted(load_of(game.base, profile)) == [1, 2]
-        assert isinstance(brute_force_pne(game.base), PNEFound)
+        assert sorted(load_of(game, profile)) == [1, 2]
+        assert isinstance(brute_force_pne(game), PNEFound)
 
     def test_identity_tables_shape(self):
         game = make_bilevel_game(2, [Uniform(2, 1)] * 2, 1)

@@ -16,7 +16,7 @@ from rggames.cli import (
     main,
     profile_from_json,
 )
-from rggames.core import Explicit, Game, MatroidBases, Player
+from rggames.core import Explicit, Game, Player
 from rggames.costs import Affine, SeparablePlusLinear
 from rggames.errors import StructureError
 from rggames.matroid import Partition, Uniform
@@ -31,7 +31,7 @@ def sample_game():
     )
     players = (
         Player(strategy_space=Explicit(vectors=((1, 0), (0, 1)))),
-        Player(weight=Fraction(1), strategy_space=MatroidBases(desc=Uniform(2, 1))),
+        Player(weight=Fraction(1), strategy_space=Uniform(2, 1)),
     )
     return Game(n_resources=2, players=players, cost_model=cost)
 
@@ -86,14 +86,14 @@ class TestGameFormat:
         desc = Partition(m=3, blocks=((0, 1), (2,)), quotas=(1, 1))
         game = Game(
             n_resources=3,
-            players=(Player(strategy_space=MatroidBases(desc=desc)),),
+            players=(Player(strategy_space=desc),),
             cost_model=Affine(
                 A=tuple(tuple(Fraction(0) for _ in range(3)) for _ in range(3)),
                 b=(Fraction(0),) * 3,
             ),
         )
         rebuilt = game_from_json(game_to_json(game))
-        assert rebuilt.players[0].strategy_space.desc == desc
+        assert rebuilt.players[0].strategy_space == desc
 
 
 class TestCommands:
@@ -349,7 +349,7 @@ INPUT_CHECKS = {
         "player 0 needs a matroid strategy space"),
     "theorem3 weighted player": (
         ["solve", bilevel_player0(weight="2"), "--method", "theorem3"],
-        "bilevel games are defined for unit weights"),
+        "player 0 needs weight 1, got 2"),
 }
 
 
@@ -494,7 +494,6 @@ class TestInputHardening:
         def broken_lift(*args, **kwargs):
             raise AssertionError("nu-game equilibrium failed to lift")
 
-        monkeypatch.setattr(cli, "BilevelGame", lambda base: base)
         monkeypatch.setattr(cli, "solve_bilevel", broken_lift)
         assert main(["solve", game_file, "--method", "theorem3"]) == 2
         out, err = capsys.readouterr()

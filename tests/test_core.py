@@ -9,7 +9,6 @@ from rggames import costs, matroid
 from rggames.core import (
     Explicit,
     Game,
-    MatroidBases,
     Player,
     deviate,
     load_of,
@@ -194,7 +193,7 @@ def enumerations(monkeypatch):
 
 
 def uniform_player(weight=1):
-    return Player(weight=weight, strategy_space=MatroidBases(desc=Uniform(4, 2)))  # 6 bases
+    return Player(weight=weight, strategy_space=Uniform(4, 2))  # 6 bases
 
 
 class TestStrategyCache:
@@ -205,7 +204,7 @@ class TestStrategyCache:
         assert enumerations == [Uniform(4, 2)]
 
     def test_call_that_raised_caches_nothing(self, enumerations):
-        p = Player(strategy_space=MatroidBases(desc=Uniform(30, 15)))  # C(30, 15) > 10**6
+        p = Player(strategy_space=Uniform(30, 15))  # C(30, 15) > 10**6
         for _ in range(2):
             with pytest.raises(CapacityError, match="^more than 1000000 bases$"):
                 p.strategies()
@@ -231,7 +230,7 @@ class TestStrategyCache:
         Graphic(n_vertices=3, edges=((0, 1), (1, 2), (0, 2))),
     ])
     def test_weighted_copies(self, desc, weight):
-        p = Player(weight=weight, strategy_space=MatroidBases(desc=desc))
+        p = Player(weight=weight, strategy_space=desc)
         expected = tuple(tuple(weight * e for e in v) for v in enumerate_bases(desc))
         assert p.strategies() == expected
         assert p.strategies() == expected

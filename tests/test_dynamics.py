@@ -7,7 +7,6 @@ import pytest
 from rggames.core import (
     Explicit,
     Game,
-    MatroidBases,
     Player,
     deviate,
     load_of,
@@ -378,7 +377,7 @@ class TestSweepMatchesReference:
         assert outcome(brute_force_pne, game, budget=total) == outcome(
             reference_brute_force, game, budget=total)
         # C(30, 15) bases exceed the limit, which raises before any basis is built
-        uniform = Player(strategy_space=MatroidBases(desc=Uniform(30, 15)))
+        uniform = Player(strategy_space=Uniform(30, 15))
         explicit = Player(strategy_space=Explicit(vectors=((1,) + (0,) * 29, (0,) * 29 + (1,))))
         wide = Game(n_resources=30, players=(explicit, uniform),
                     cost_model=Bilevel(m=30, budget=Fraction(1)))

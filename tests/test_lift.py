@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from rggames.bilevel import identity_nu, make_bilevel_game
-from rggames.core import Game, MatroidBases, Player
+from rggames.core import Game, Player
 from rggames.costs import PlayerSpecificSeparable
 from rggames.dynamics import (
     IsPNE,
@@ -74,7 +74,7 @@ def reference_lift(game, nu_tables, max_iters=1000):
         moved = False
         loads = [sum(v[r] for v in profile) for r in range(game.n_resources)]
         for i, p in enumerate(game.players):
-            desc = p.strategy_space.desc
+            desc = p.strategy_space
             other = [loads[r] - profile[i][r] for r in range(game.n_resources)]
             weights = [nu_tables.nu[i][r][other[r] + 1] for r in range(game.n_resources)]
             y = greedy_best_response(desc, weights)
@@ -113,7 +113,7 @@ def random_separable_game(rng):
             rows.append(tuple(row))
         tables.append(tuple(rows))
     nu = PlayerSpecificSeparable(nu=tuple(tables))
-    players = tuple(Player(strategy_space=MatroidBases(desc=d)) for d in descs)
+    players = tuple(Player(strategy_space=d) for d in descs)
     return Game(n_resources=m, players=players, cost_model=nu), nu
 
 
@@ -123,9 +123,9 @@ def test_lift_matches_reference_on_bilevel_rosters():
         for budget in BUDGETS:
             game = make_bilevel_game(descs[0].m, descs, budget)
             nu = identity_nu(game)
-            profile, cert = solve_via_theorem3(game.base, nu)
+            profile, cert = solve_via_theorem3(game, nu)
             assert isinstance(cert, IsPNE)
-            assert profile == reference_lift(game.base, nu), (descs, budget)
+            assert profile == reference_lift(game, nu), (descs, budget)
 
 
 def test_lift_matches_reference_on_random_separable_tables():
@@ -141,14 +141,14 @@ def test_binding_step_cap_still_returns_a_verified_equilibrium():
     # four players crowd resource 1 at the start; two improving steps spread them
     game = make_bilevel_game(2, [Uniform(2, 1)] * 4, 1)
     nu = identity_nu(game)
-    nu_game = Game(n_resources=2, players=game.base.players, cost_model=nu)
-    start = tuple(p.strategies()[0] for p in game.base.players)
+    nu_game = Game(n_resources=2, players=game.players, cost_model=nu)
+    start = tuple(p.strategies()[0] for p in game.players)
     trace = run_best_response_dynamics(nu_game, start, responder=_greedy_response)
     assert trace.converged and trace.iterations == 2
     for cap in (0, 1):
         assert not run_best_response_dynamics(
             nu_game, start, max_iters=cap, responder=_greedy_response).converged
-        profile, cert = solve_via_theorem3(game.base, nu, max_iters=cap)
+        profile, cert = solve_via_theorem3(game, nu, max_iters=cap)
         assert isinstance(cert, IsPNE)
-        assert isinstance(verify_pne(game.base, profile), IsPNE)
+        assert isinstance(verify_pne(game, profile), IsPNE)
         assert isinstance(verify_pne(nu_game, profile), IsPNE)

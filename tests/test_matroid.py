@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from rggames.core import Game, MatroidBases, Player
+from rggames.core import Explicit, Game, Player
 from rggames.costs import Bilevel, PlayerSpecificSeparable, Tabulated, as_tabulated
 from rggames.dynamics import IsPNE, verify_pne
 from rggames.errors import CapacityError, StructureError
@@ -340,7 +340,7 @@ class TestLocalMonotonicity:
 
 class TestEquilibriumLift:
     def make_bilevel(self, descs, budget):
-        players = tuple(Player(strategy_space=MatroidBases(desc=d)) for d in descs)
+        players = tuple(Player(strategy_space=d) for d in descs)
         return Game(
             n_resources=descs[0].m,
             players=players,
@@ -373,7 +373,24 @@ class TestEquilibriumLift:
             for _ in range(n)
         )
         nu = PlayerSpecificSeparable(nu=tables)
-        players = tuple(Player(strategy_space=MatroidBases(desc=Uniform(m, 1))) for _ in range(n))
+        players = tuple(Player(strategy_space=Uniform(m, 1)) for _ in range(n))
         game = Game(n_resources=m, players=players, cost_model=nu)
         profile, cert = solve_via_theorem3(game, nu)
         assert isinstance(cert, IsPNE)
+
+    @pytest.mark.parametrize("player, message", [
+        (Player(strategy_space=Explicit(vectors=((1, 0, 0),))),
+         "player 1 needs a matroid strategy space"),
+        (Player(weight=Fraction(3, 2), strategy_space=Uniform(3, 1)),
+         "player 1 needs weight 1, got 3/2"),
+        # the space is checked before the weight
+        (Player(weight=2, strategy_space=Explicit(vectors=((1, 0, 0),))),
+         "player 1 needs a matroid strategy space"),
+    ])
+    def test_rejects_explicit_space_and_weight(self, player, message):
+        nu = self.identity_tables(2, 3, 4)
+        players = (Player(strategy_space=Uniform(3, 1)), player)
+        game = Game(n_resources=3, players=players, cost_model=nu)
+        with pytest.raises(StructureError) as info:
+            solve_via_theorem3(game, nu)
+        assert str(info.value) == message

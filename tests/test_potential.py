@@ -10,7 +10,6 @@ from rggames import costs, potential
 from rggames.core import (
     Explicit,
     Game,
-    MatroidBases,
     Player,
     deviate,
     load_of,
@@ -216,7 +215,7 @@ class TestExactPotentialCheck:
     def test_basis_limit_names_the_player(self):
         # C(30, 15) bases exceed the limit, which raises before any basis is built
         explicit = Player(strategy_space=Explicit(vectors=((1,) + (0,) * 29,)))
-        wide = Player(strategy_space=MatroidBases(desc=Uniform(30, 15)))
+        wide = Player(strategy_space=Uniform(30, 15))
         game = Game(n_resources=30, players=(explicit, wide),
                     cost_model=Bilevel(m=30, budget=Fraction(1)))
         with pytest.raises(CapacityError, match="^player 1: more than 1000000 bases$"):
@@ -230,7 +229,7 @@ class TestExactPotentialCheck:
             A=tuple(tuple(Fraction(1 if r + s == m - 1 else 0) for s in range(m))
                     for r in range(m)),
         )
-        space = MatroidBases(desc=Uniform(m, 2))
+        space = Uniform(m, 2)
         game = Game(n_resources=m, players=(Player(strategy_space=space),) * 2, cost_model=cost)
         profiles = list(product(*(p.strategies() for p in game.players)))
         candidates = {
@@ -316,7 +315,7 @@ def potential_case(seed):
     weights = [1] * n
     if kind == "matroid":
         m = rng.randint(2, 4)
-        spaces = [MatroidBases(desc=Uniform(m, rng.randint(1, m))) for _ in range(n)]
+        spaces = [Uniform(m, rng.randint(1, m)) for _ in range(n)]
     if kind in ("spl", "short_spl", "matroid"):
         top = n if kind != "short_spl" else n - rng.randint(1, 2)
         f = tuple(tuple(Fraction(rng.randint(-4, 6), rng.choice((1, 2))) for _ in range(top + 1))
