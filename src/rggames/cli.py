@@ -367,6 +367,8 @@ def _load_json(path: str) -> tuple:
 
 
 def cmd_solve(args) -> int:
+    if args.max_iters < 0:
+        raise UsageError(f"--max-iters: expected a non-negative integer, got {args.max_iters}")
     raw, doc = _load_json(args.file)
     game = game_from_json(doc)
     if args.method == "bruteforce":

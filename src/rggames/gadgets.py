@@ -28,7 +28,7 @@ class GadgetSpec:
     base_cost: CostModel
     point: tuple  # background load on the original resources
     resources: tuple  # (r, s) or (r, s, t), 0-based
-    epsilon: Optional[Fraction] = None  # weighted variant only
+    epsilon: Optional[Fraction] = None  # weighted-eps only, where it defaults to 1
 
     def __post_init__(self):
         if self.lemma not in LEMMAS:
@@ -49,6 +49,13 @@ class GadgetSpec:
             raise StructureError("background load must be non-negative")
         if self.lemma in ("L4", "L5") and self.point[self.resources[0]] <= 0:
             raise StructureError(f"{self.lemma} requires a positive load on resource r")
+        if self.lemma == "weighted-eps":
+            if self.epsilon is None:
+                object.__setattr__(self, "epsilon", Fraction(1))
+            if self.epsilon <= 0:
+                raise StructureError("epsilon must be positive")
+        elif self.epsilon is not None:
+            raise StructureError(f"{self.lemma} takes no epsilon; only weighted-eps does")
 
 
 @dataclass(frozen=True)
@@ -112,10 +119,10 @@ def build_gadget(spec: GadgetSpec) -> Game:
         )
 
     if spec.lemma == "weighted-eps":
-        eps = spec.epsilon if spec.epsilon is not None else Fraction(1)
-        if eps <= 0:
-            raise StructureError("epsilon must be positive")
-        free = [Player(weight=eps, strategy_space=Explicit(vectors=strats)) for strats in (x1, x2)]
+        free = [
+            Player(weight=spec.epsilon, strategy_space=Explicit(vectors=strats))
+            for strats in (x1, x2)
+        ]
         dummies = [
             Player(
                 weight=Fraction(background[u]),

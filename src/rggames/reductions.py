@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Optional
 
 from .core import Explicit, Game, Player
 from .dynamics import IsPNE, verify_pne
@@ -158,21 +158,32 @@ def check_reduction(inst, game: Game, oracle_answer: bool) -> bool:
     return is_pne == (max(costs) == min(costs))
 
 
+def _integer(token: str) -> Optional[int]:
+    """The integer a DIMACS token spells, or None."""
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
 def parse_dimacs(text: str) -> SatInstance:
     """DIMACS CNF with exactly three literals per clause."""
     n_vars = 0
     clauses = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith(("c", "%")):
             continue
+        tokens = line.split()
         if line.startswith("p"):
-            parts = line.split()
-            if len(parts) < 4 or parts[1] != "cnf":
+            n_vars = _integer(tokens[2]) if len(tokens) >= 4 and tokens[1] == "cnf" else None
+            if n_vars is None or n_vars < 0:
                 raise StructureError(f"bad DIMACS header: {line!r}")
-            n_vars = int(parts[2])
             continue
-        lits = [int(tok) for tok in line.split()]
+        lits = [_integer(tok) for tok in tokens]
+        if None in lits:
+            bad = tokens[lits.index(None)]
+            raise StructureError(f"line {number}: expected an integer literal, got {bad!r}")
         if lits and lits[-1] == 0:
             lits = lits[:-1]
         if not lits:

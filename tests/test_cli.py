@@ -320,6 +320,12 @@ INPUT_CHECKS = {
     "gadget negative point": (
         gadget("asym_affine_cost.json", "L3", "-1,0", "1,2"),
         "background load must be non-negative"),
+    "gadget epsilon on L3": (
+        gadget("asym_affine_cost.json", "L3", "0,0", "1,2") + ["--epsilon", "5"],
+        "L3 takes no epsilon; only weighted-eps does"),
+    "gadget zero epsilon on L3": (
+        gadget("asym_affine_cost.json", "L3", "0,0", "1,2") + ["--epsilon", "0"],
+        "L3 takes no epsilon; only weighted-eps does"),
     "gadget bilevel cost": (
         gadget("bilevel_cost.json", "L3", "0,0", "1,2"),
         "Bilevel has no structural composition; normalize with as_tabulated first"),
@@ -336,11 +342,21 @@ INPUT_CHECKS = {
         "unweighted potential requires unit weights"),
     "dimacs header": (
         ["reduce", "sat", b"p dnf 3 1\n1 -2 3 0\n"], "bad DIMACS header: 'p dnf 3 1'"),
+    "dimacs header variable count": (
+        ["reduce", "sat", b"p cnf x 1\n1 -2 3 0\n"], "bad DIMACS header: 'p cnf x 1'"),
+    "dimacs clause token": (
+        ["reduce", "sat", b"p cnf 3 1\n1 x 3 0\n"], "line 2: expected an integer literal, got 'x'"),
     "dimacs variable": (
         ["reduce", "sat", b"p cnf 3 1\n1 -2 4 0\n"], "variable 3 out of range"),
     "pairs s equals t": (
         ["reduce", "pairs", edited("pairs.json", lambda doc: doc.update(t=0))],
         "source and target must differ"),
+    "dynamics negative max-iters": (
+        ["solve", golden("readme_game.json"), "--method", "dynamics", "--max-iters", "-1"],
+        "--max-iters: expected a non-negative integer, got -1"),
+    "theorem3 negative max-iters": (
+        ["solve", golden("bilevel_game.json"), "--method", "theorem3", "--max-iters", "-1"],
+        "--max-iters: expected a non-negative integer, got -1"),
     "theorem3 affine cost": (
         ["solve", golden("readme_game.json"), "--method", "theorem3"],
         "bilevel games need the budget-attack cost model"),

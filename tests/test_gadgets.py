@@ -186,12 +186,21 @@ class TestWeightedGadget:
         assert isinstance(w, SymmetryWitness) and w.A_value != w.B_value
 
     def test_epsilon_must_be_positive(self):
-        spec = GadgetSpec(
-            lemma="weighted-eps",
-            base_cost=ASYM,
-            point=(0, 0),
-            resources=(0, 1),
-            epsilon=Fraction(-1),
-        )
-        with pytest.raises(StructureError):
-            build_gadget(spec)
+        for eps in (Fraction(-1), Fraction(0)):
+            with pytest.raises(StructureError, match="^epsilon must be positive$"):
+                GadgetSpec(lemma="weighted-eps", base_cost=ASYM, point=(0, 0), resources=(0, 1),
+                           epsilon=eps)
+
+    def test_epsilon_defaults_to_one(self):
+        spec = GadgetSpec(lemma="weighted-eps", base_cost=ASYM, point=(0, 0), resources=(0, 1))
+        assert spec.epsilon == 1
+        game = build_gadget(spec)
+        assert game.players[0].weight == 1 and game.players[1].weight == 1
+
+    @pytest.mark.parametrize("lemma, point, resources", [
+        ("L3", (0, 0), (0, 1)), ("L4", (1, 0), (0, 1)), ("L5", (1, 0, 0), (0, 1, 2))])
+    def test_epsilon_only_for_weighted_lemma(self, lemma, point, resources):
+        cost = Affine(A=((1, 0, 0), (0, 1, 0), (0, 0, 1)), b=(0, 0, 0)) if lemma == "L5" else ASYM
+        with pytest.raises(StructureError, match=f"^{lemma} takes no epsilon; only weighted-eps"):
+            GadgetSpec(lemma=lemma, base_cost=cost, point=point, resources=resources,
+                       epsilon=Fraction(1))
