@@ -1,11 +1,20 @@
+import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from rggames.characterize import Violation, analyze_unweighted
-from rggames.core import load_of
-from rggames.costs import Affine, Tabulated, as_tabulated, eval_cost_entry
+from rggames.core import Explicit, Game, Player, load_of
+from rggames.costs import (
+    Affine,
+    SeparablePlusLinear,
+    Tabulated,
+    as_tabulated,
+    compose,
+    eval_cost_entry,
+)
 from rggames.dynamics import NoPNEExists, PNEFound, brute_force_pne
 from rggames.errors import StructureError, UsageError
 from rggames.gadgets import (
@@ -204,3 +213,130 @@ class TestWeightedGadget:
         with pytest.raises(StructureError, match=f"^{lemma} takes no epsilon; only weighted-eps"):
             GadgetSpec(lemma=lemma, base_cost=cost, point=point, resources=resources,
                        epsilon=Fraction(1))
+
+
+def _reference_unit(total, *indices):
+    v = [0] * total
+    for idx in indices:
+        v[idx] = 1
+    return tuple(v)
+
+
+def reference_build_gadget(spec):
+    """Frozen copy of the three-branch construction the pattern table replaced."""
+    _unit = _reference_unit
+    m = spec.base_cost.m
+    big = compose(spec.base_cost, 4)
+    M = 4 * m
+
+    def idx(copy, res):
+        return copy * m + res
+
+    r, s = spec.resources[0], spec.resources[1]
+    if spec.lemma == "L3" or spec.lemma == "weighted-eps":
+        x1 = (_unit(M, idx(0, r), idx(1, s)), _unit(M, idx(2, s), idx(3, r)))
+        x2 = (_unit(M, idx(0, s), idx(2, r)), _unit(M, idx(1, r), idx(3, s)))
+        background = spec.point
+    elif spec.lemma == "L4":
+        x1 = (
+            _unit(M, idx(0, r), idx(0, s), idx(1, r)),
+            _unit(M, idx(2, r), idx(3, r), idx(3, s)),
+        )
+        x2 = (
+            _unit(M, idx(0, r), idx(2, r), idx(2, s)),
+            _unit(M, idx(1, r), idx(1, s), idx(3, r)),
+        )
+        background = tuple(v - 1 if u == r else v for u, v in enumerate(spec.point))
+    else:  # L5
+        t = spec.resources[2]
+        x1 = (
+            _unit(M, idx(0, r), idx(1, s), idx(1, t)),
+            _unit(M, idx(2, s), idx(2, t), idx(3, r)),
+        )
+        x2 = (
+            _unit(M, idx(0, s), idx(0, t), idx(2, r)),
+            _unit(M, idx(1, r), idx(3, s), idx(3, t)),
+        )
+        background = tuple(v - 1 if u == r else v for u, v in enumerate(spec.point))
+
+    if spec.lemma == "weighted-eps":
+        free = [
+            Player(weight=spec.epsilon, strategy_space=Explicit(vectors=strats))
+            for strats in (x1, x2)
+        ]
+        dummies = [
+            Player(
+                weight=Fraction(background[u]),
+                strategy_space=Explicit(vectors=(_unit(M, *(idx(k, u) for k in range(4))),)),
+            )
+            for u in range(m)
+            if background[u] > 0
+        ]
+    else:
+        free = [Player(strategy_space=Explicit(vectors=strats)) for strats in (x1, x2)]
+        dummies = [
+            Player(strategy_space=Explicit(vectors=(_unit(M, *(idx(k, u) for k in range(4))),)))
+            for u in range(m)
+            for _ in range(background[u])
+        ]
+    return Game(n_resources=M, players=tuple(free + dummies), cost_model=big)
+
+
+def _random_cost(rng, kind, m):
+    A = tuple(tuple(Fraction(rng.randint(-2, 3)) for _ in range(m)) for _ in range(m))
+    if kind == "affine":
+        return Affine(A=A, b=tuple(Fraction(rng.randint(0, 4)) for _ in range(m)))
+    if kind == "spl":
+        return SeparablePlusLinear(
+            f=tuple(tuple(Fraction(rng.randint(0, 9)) for _ in range(6)) for _ in range(m)), A=A)
+    hoods = tuple(tuple(sorted(rng.sample(range(m), rng.randint(0, m)))) for _ in range(m))
+    tables = tuple({key: Fraction(rng.randint(0, 9)) for key in product(range(3), repeat=len(h))}
+                   for h in hoods)
+    return Tabulated(m=m, neighborhoods=hoods, tables=tables, max_load=2)
+
+
+def _gadget_corpus(per_case=30, seed=20201):
+    """Seeded specs over every lemma, m = 2..4 and three cost kinds."""
+    rng = random.Random(seed)
+    specs = []
+    for lemma in ("L3", "L4", "L5", "weighted-eps"):
+        for m in (2, 3, 4):
+            if lemma == "L5" and m < 3:
+                continue
+            for kind in ("affine", "spl", "tabulated"):
+                for _ in range(per_case):
+                    resources = tuple(rng.sample(range(m), 3 if lemma == "L5" else 2))
+                    point = [rng.randint(0, 3) for _ in range(m)]
+                    if lemma in ("L4", "L5"):
+                        point[resources[0]] = max(1, point[resources[0]])
+                    epsilon = None
+                    if lemma == "weighted-eps" and rng.random() < 0.8:
+                        epsilon = Fraction(rng.randint(1, 7), rng.randint(1, 4))
+                    specs.append(GadgetSpec(lemma=lemma, base_cost=_random_cost(rng, kind, m),
+                                            point=tuple(point), resources=resources,
+                                            epsilon=epsilon))
+    return specs
+
+
+def _init_fields(model):
+    return type(model), {f.name: getattr(model, f.name) for f in fields(model) if f.init}
+
+
+class TestFrozenReference:
+    def test_corpus_covers_every_lemma_and_size(self):
+        seen = {(spec.lemma, spec.base_cost.m) for spec in _gadget_corpus()}
+        assert seen == {(lemma, m) for lemma in ("L3", "L4", "L5", "weighted-eps")
+                        for m in (2, 3, 4) if not (lemma == "L5" and m == 2)}
+
+    def test_library_matches_the_three_branch_construction(self):
+        for spec in _gadget_corpus():
+            got, want = build_gadget(spec), reference_build_gadget(spec)
+            assert got.n_resources == want.n_resources, spec
+            assert [p.weight for p in got.players] == [p.weight for p in want.players], spec
+            assert [type(p.weight) for p in got.players] == \
+                [type(p.weight) for p in want.players], spec
+            assert [p.strategy_space.vectors for p in got.players] == \
+                [p.strategy_space.vectors for p in want.players], spec
+            assert [p.strategies() for p in got.players] == \
+                [p.strategies() for p in want.players], spec
+            assert _init_fields(got.cost_model) == _init_fields(want.cost_model), spec
