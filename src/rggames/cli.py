@@ -50,7 +50,7 @@ from .dynamics import (
     verify_pne,
 )
 from .errors import StructureError, UsageError
-from .gadgets import GadgetSpec, build_gadget
+from .gadgets import PATTERNS, GadgetSpec, build_gadget
 from .matroid import Graphic, Partition, Uniform
 from .potential import potential_unweighted, potential_weighted_affine
 from .reductions import (
@@ -524,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gadget", help="build a counterexample gadget game")
     p.add_argument("file")
-    p.add_argument("--lemma", required=True, choices=("L3", "L4", "L5", "weighted-eps"))
+    p.add_argument("--lemma", required=True, choices=tuple(PATTERNS))
     p.add_argument("--point", required=True, help="comma-separated background load")
     p.add_argument("--resources", required=True, help="comma-separated 1-based resources")
     p.add_argument("--epsilon", default=None)

@@ -142,6 +142,14 @@ def support(vector: Vector) -> list:
     return [r for r, e in enumerate(vector) if e]
 
 
+def incidence(resources, m: int) -> Vector:
+    """The 0/1 vector over m resources that uses exactly `resources`; inverts `support`."""
+    vector = [0] * m
+    for r in resources:
+        vector[r] = 1
+    return tuple(vector)
+
+
 def deviate(profile: Profile, i: int, y: Vector) -> Profile:
     """Replace player i's strategy by y, leaving everyone else unchanged."""
     if i < 0 or i >= len(profile):

@@ -14,12 +14,21 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .characterize import Violation
-from .core import Explicit, Game, Player, Profile, pricer
+from .core import Explicit, Game, Number, Player, Profile, incidence, pricer
 from .costs import CostModel, Tabulated, compose
 from .dynamics import Certificate, NoPNEExists, PNEFound, _spaces, _sweep, brute_force_pne
 from .errors import GameError, StructureError, UsageError
 
-LEMMAS = ("L3", "L4", "L5", "weighted-eps")
+# Let Z@k be the set Z of resources on copy k.  Every gadget has two free players:
+# player 1 picks X@0 + Y@1 or Y@2 + X@3, player 2 picks Y@0 + X@2 or X@1 + Y@3.
+# The lemmas differ only in X and Y, given as positions in `resources` (0 is r,
+# 1 is s, 2 is t), and in the background: `point`, or `point - 1_r` when shifted.
+PATTERNS = {  # lemma: (X, Y, shifted)
+    "L3": ((0,), (1,), False),
+    "L4": ((0, 1), (0,), True),
+    "L5": ((0,), (1, 2), True),
+    "weighted-eps": ((0,), (1,), False),
+}
 
 
 @dataclass(frozen=True)
@@ -31,11 +40,12 @@ class GadgetSpec:
     epsilon: Optional[Fraction] = None  # weighted-eps only, where it defaults to 1
 
     def __post_init__(self):
-        if self.lemma not in LEMMAS:
+        if self.lemma not in PATTERNS:
             raise StructureError(f"unknown gadget lemma {self.lemma!r}")
-        need_t = self.lemma == "L5"
-        if len(self.resources) != (3 if need_t else 2):
-            raise StructureError(f"{self.lemma} needs {'three' if need_t else 'two'} resources")
+        X, Y, shifted = PATTERNS[self.lemma]
+        count = len(set(X + Y))
+        if len(self.resources) != count:
+            raise StructureError(f"{self.lemma} needs {('two', 'three')[count - 2]} resources")
         if len(set(self.resources)) != len(self.resources):
             raise StructureError("gadget resources must be distinct")
         m = self.base_cost.m
@@ -47,7 +57,7 @@ class GadgetSpec:
             raise StructureError("background point has wrong dimension")
         if any(v < 0 for v in self.point):
             raise StructureError("background load must be non-negative")
-        if self.lemma in ("L4", "L5") and self.point[self.resources[0]] <= 0:
+        if shifted and self.point[self.resources[0]] <= 0:
             raise StructureError(f"{self.lemma} requires a positive load on resource r")
         if self.lemma == "weighted-eps":
             if self.epsilon is None:
@@ -71,73 +81,32 @@ class SymmetryFailure:
     reason: str
 
 
-def _unit(total: int, *indices: int) -> tuple:
-    v = [0] * total
-    for idx in indices:
-        v[idx] = 1
-    return tuple(v)
-
-
 def build_gadget(spec: GadgetSpec) -> Game:
     """Materialize the gadget game on 4m resources."""
     m = spec.base_cost.m
-    big = compose(spec.base_cost, 4)
     M = 4 * m
+    X, Y, shifted = PATTERNS[spec.lemma]
 
-    def idx(copy: int, res: int) -> int:
-        return copy * m + res
+    def on(*placed: tuple) -> tuple:
+        """The 0/1 vector of each (part, copy) pair's resources on that copy."""
+        return incidence([k * m + spec.resources[p] for part, k in placed for p in part], M)
 
-    r, s = spec.resources[0], spec.resources[1]
-    if spec.lemma == "L3" or spec.lemma == "weighted-eps":
-        x1 = (_unit(M, idx(0, r), idx(1, s)), _unit(M, idx(2, s), idx(3, r)))
-        x2 = (_unit(M, idx(0, s), idx(2, r)), _unit(M, idx(1, r), idx(3, s)))
-        background = spec.point
-    elif spec.lemma == "L4":
-        x1 = (
-            _unit(M, idx(0, r), idx(0, s), idx(1, r)),
-            _unit(M, idx(2, r), idx(3, r), idx(3, s)),
-        )
-        x2 = (
-            _unit(M, idx(0, r), idx(2, r), idx(2, s)),
-            _unit(M, idx(1, r), idx(1, s), idx(3, r)),
-        )
-        background = tuple(
-            v - 1 if u == r else v for u, v in enumerate(spec.point)
-        )
-    else:  # L5
-        t = spec.resources[2]
-        x1 = (
-            _unit(M, idx(0, r), idx(1, s), idx(1, t)),
-            _unit(M, idx(2, s), idx(2, t), idx(3, r)),
-        )
-        x2 = (
-            _unit(M, idx(0, s), idx(0, t), idx(2, r)),
-            _unit(M, idx(1, r), idx(3, s), idx(3, t)),
-        )
-        background = tuple(
-            v - 1 if u == r else v for u, v in enumerate(spec.point)
-        )
+    def player(vectors: tuple, weight: Number = 1) -> Player:
+        return Player(weight=weight, strategy_space=Explicit(vectors=vectors))
 
+    eps = spec.epsilon or 1  # epsilon is set for weighted-eps only
+    free = [
+        player((on((X, 0), (Y, 1)), on((Y, 2), (X, 3))), eps),
+        player((on((Y, 0), (X, 2)), on((X, 1), (Y, 3))), eps),
+    ]
+    r = spec.resources[0]
+    background = tuple(v - 1 if shifted and u == r else v for u, v in enumerate(spec.point))
+    pinned = [(incidence(range(u, M, m), M),) for u in range(m)]  # u on every copy
     if spec.lemma == "weighted-eps":
-        free = [
-            Player(weight=spec.epsilon, strategy_space=Explicit(vectors=strats))
-            for strats in (x1, x2)
-        ]
-        dummies = [
-            Player(
-                weight=Fraction(background[u]),
-                strategy_space=Explicit(vectors=(_unit(M, *(idx(k, u) for k in range(4))),)),
-            )
-            for u in range(m)
-            if background[u] > 0
-        ]
+        dummies = [player(pinned[u], Fraction(v)) for u, v in enumerate(background) if v > 0]
     else:
-        free = [Player(strategy_space=Explicit(vectors=strats)) for strats in (x1, x2)]
-        dummies = [
-            Player(strategy_space=Explicit(vectors=(_unit(M, *(idx(k, u) for k in range(4))),)))
-            for u in range(m)
-            for _ in range(background[u])
-        ]
+        dummies = [player(pinned[u]) for u, v in enumerate(background) for _ in range(v)]
+    big = compose(spec.base_cost, 4)
     return Game(n_resources=M, players=tuple(free + dummies), cost_model=big)
 
 

@@ -16,7 +16,7 @@ from itertools import combinations, product
 from math import comb, prod
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
-from .core import Explicit, Game, Profile, load_of, support
+from .core import Explicit, Game, Profile, incidence, load_of, support
 from .costs import CostModel, PlayerSpecificSeparable, eval_cost_entry
 from .dynamics import IsPNE, PNEFound, brute_force_pne, run_best_response_dynamics, verify_pne
 from .errors import CapacityError, StructureError, UsageError
@@ -218,7 +218,7 @@ def greedy_best_response(desc: MatroidDesc, weights: Sequence) -> tuple:
             chosen.add(r)
             if len(chosen) == target:
                 break
-    return tuple(1 if r in chosen else 0 for r in range(desc.m))
+    return incidence(chosen, desc.m)
 
 
 def check_local_monotonicity(

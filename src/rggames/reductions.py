@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .core import Explicit, Game, Player
+from .core import Explicit, Game, Player, incidence
 from .dynamics import IsPNE, verify_pne
 from .costs import SeparablePlusLinear, Tabulated
 from .errors import CapacityError, StructureError
@@ -123,7 +123,7 @@ def reduce_forbidden_pairs(inst: ForbiddenPairsInstance) -> Game:
     paths = _simple_st_paths(inst)
     if not paths:
         raise StructureError("no s-t path exists; the strategy space would be empty")
-    vectors = tuple(tuple(1 if r in set(path) else 0 for r in range(m)) for path in paths)
+    vectors = tuple(incidence(path, m) for path in paths)
     player = Player(strategy_space=Explicit(vectors=vectors))
     return Game(n_resources=m, players=(player,), cost_model=cost)
 
