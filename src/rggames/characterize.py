@@ -351,14 +351,14 @@ def classify_weighted(model: CostModel) -> ConsistencyReport:
         axis_val = lambda k: float(values[tuple(k if u == r else 0 for u in range(dim))][r])
         v0, v1, v2 = axis_val(0), axis_val(1), axis_val(2)
         d1, d2 = v1 - v0, v2 - v1
-        if abs(d1) <= FLOAT_TOL and abs(d2) <= FLOAT_TOL:
-            a_out.append(0.0)
-            b_out.append(v0)
-            continue
-        if d1 == 0 or (d2 / d1) <= 0:
+        constant = abs(d1) <= FLOAT_TOL and abs(d2) <= FLOAT_TOL
+        if constant:
+            a_r = phi_r = 0.0
+        elif d1 == 0 or (d2 / d1) <= 0 or _close(d1, d2):  # equal steps would give phi = 0
             return affine_witness
-        phi_r = math.log(d2 / d1)
-        a_r = d1 / (math.exp(phi_r) - 1.0)
+        else:
+            phi_r = math.log(d2 / d1)
+            a_r = d1 / (math.exp(phi_r) - 1.0)
         b_r = v0 - a_r
         for k in GRID:
             fitted = a_r * math.exp(phi_r * float(k)) + b_r
@@ -366,7 +366,8 @@ def classify_weighted(model: CostModel) -> ConsistencyReport:
                 return affine_witness
         a_out.append(a_r)
         b_out.append(b_r)
-        phis.append(phi_r)
+        if not constant:
+            phis.append(phi_r)
     if not phis:
         # all-constant cost: affine with A = 0 is the canonical reading
         return WeightedAffine(

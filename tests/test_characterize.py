@@ -174,6 +174,20 @@ class TestClassifyWeighted:
         report = classify_weighted(SeparablePlusLinear(f=f, A=(zero, zero)))
         assert report == Violation(lemma="not_affine", r=0, s=0, x=(1, 0))
 
+    @pytest.mark.parametrize("axis", [(0, 0, 0, 5), (0, 1, 2, 5)])
+    def test_axis_that_bends_after_two_equal_steps_is_not_affine(self, axis):
+        # flat, then a jump: once read as constant; straight, then a jump: an exponent of 0
+        model = SeparablePlusLinear(f=(tuple(map(Fraction, axis)),), A=((Fraction(0),),))
+        assert classify_weighted(model) == Violation(lemma="not_affine", r=0, s=0, x=(2,))
+
+    def test_bent_axis_beside_an_exponential_one_is_not_exponential(self):
+        grid = list(product(range(4), repeat=2))
+        tables = ({pt: 2.0 ** pt[0] for pt in grid},
+                  {pt: (0.0, 0.0, 0.0, 5.0)[pt[1]] for pt in grid})
+        tab = Tabulated(m=2, neighborhoods=((0, 1), (0, 1)), tables=tables, max_load=3)
+        report = classify_weighted(tab)
+        assert isinstance(report, Violation) and report.lemma == "not_affine"
+
     def test_constant_cost_reads_as_affine(self):
         c = tabulate(lambda p: (5, 7), 2, 3)
         report = classify_weighted(c)

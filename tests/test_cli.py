@@ -140,6 +140,15 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "violation"
 
+    @pytest.mark.parametrize("axis", [["0", "0", "0", "5"], ["0", "1", "2", "5"]])
+    def test_characterize_weighted_bent_axis_is_not_affine(self, axis, tmp_path, capsys):
+        doc = {"cost": {"kind": "separable_plus_linear", "f": [axis], "A": [["0"]]}}
+        assert main(["characterize", write_json(tmp_path, "c.json", doc), "--weighted"]) == 1
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert err == "" and (payload["kind"], payload["lemma"]) == ("violation", "not_affine")
+        assert (payload["r"], payload["s"], payload["x"]) == (0, 0, [2])
+
     def test_potential_empty_game(self, tmp_path, capsys):
         doc = {
             "version": 1,
