@@ -417,12 +417,7 @@ def _blockdiag(A: Sequence[Sequence[Number]], copies: int) -> tuple:
                  for k in range(copies) for row in A)
 
 
-def as_tabulated(
-    model: CostModel,
-    max_load: int,
-    player: Optional[int] = None,
-    allow_float: bool = False,
-) -> Tabulated:
+def as_tabulated(model: CostModel, max_load: int, allow_float: bool = False) -> Tabulated:
     """Exhaustive tabulation on integer loads <= max_load with minimized neighborhoods."""
     if max_load < 1:
         raise UsageError("max_load must be at least 1")
@@ -432,7 +427,7 @@ def as_tabulated(
         raise LoadRangeError("cannot extend a tabulated model beyond its bound")
     dim = model.m
     grid = list(product(range(max_load + 1), repeat=dim))
-    values = {pt: eval_cost(model, pt, player) for pt in grid}
+    values = {pt: eval_cost(model, pt) for pt in grid}
     hoods, tables = [], []
     for r in range(dim):
         deps = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .core import Game, Profile, Vector, deviate, load_of, pricer, validate_profile
-from .errors import CapacityError
+from .errors import CapacityError, UsageError
 
 FLOAT_TOL = 1e-9  # float costs compare within this; `characterize` shares it
 
@@ -134,6 +134,8 @@ def run_best_response_dynamics(
     every round is shuffled by `random.Random(seed)` instead.  `responder` has
     the signature and result of `best_response`, the default.
     """
+    if max_iters < 0:
+        raise UsageError(f"max_iters: expected a non-negative integer, got {max_iters}")
     respond = best_response if responder is None else responder
     rng = None if seed is None else random.Random(seed)
     profile = tuple(tuple(v) for v in start)

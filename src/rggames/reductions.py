@@ -167,8 +167,8 @@ def _integer(token: str) -> Optional[int]:
 
 
 def parse_dimacs(text: str) -> SatInstance:
-    """DIMACS CNF with exactly three literals per clause."""
-    n_vars = 0
+    """DIMACS CNF with exactly three literals per clause, as many as a header declares."""
+    n_vars, n_clauses = 0, None
     clauses = []
     for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -176,9 +176,10 @@ def parse_dimacs(text: str) -> SatInstance:
             continue
         tokens = line.split()
         if line.startswith("p"):
-            n_vars = _integer(tokens[2]) if len(tokens) >= 4 and tokens[1] == "cnf" else None
-            if n_vars is None or n_vars < 0:
+            counts = [_integer(tok) for tok in tokens[2:4]]
+            if len(counts) < 2 or tokens[1] != "cnf" or any(k is None or k < 0 for k in counts):
                 raise StructureError(f"bad DIMACS header: {line!r}")
+            n_vars, n_clauses = counts
             continue
         lits = [_integer(tok) for tok in tokens]
         if None in lits:
@@ -191,4 +192,8 @@ def parse_dimacs(text: str) -> SatInstance:
         if len(lits) != 3:
             raise StructureError("every clause must have exactly 3 literals")
         clauses.append(tuple((abs(l) - 1, l > 0) for l in lits))
+    if n_clauses is not None and n_clauses != len(clauses):
+        raise StructureError(
+            f"DIMACS header declares a clause count of {n_clauses}, found {len(clauses)}"
+        )
     return SatInstance(n_vars=n_vars, clauses=tuple(clauses))

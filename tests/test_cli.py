@@ -353,6 +353,16 @@ INPUT_CHECKS = {
         ["reduce", "sat", b"p dnf 3 1\n1 -2 3 0\n"], "bad DIMACS header: 'p dnf 3 1'"),
     "dimacs header variable count": (
         ["reduce", "sat", b"p cnf x 1\n1 -2 3 0\n"], "bad DIMACS header: 'p cnf x 1'"),
+    "dimacs header clause count": (
+        ["reduce", "sat", b"p cnf 3 x\n1 -2 3 0\n"], "bad DIMACS header: 'p cnf 3 x'"),
+    "dimacs negative clause count": (
+        ["reduce", "sat", b"p cnf 3 -1\n"], "bad DIMACS header: 'p cnf 3 -1'"),
+    "dimacs more clauses than declared": (
+        ["reduce", "sat", b"p cnf 3 1\n1 -2 3 0\n-1 2 -3 0\n"],
+        "DIMACS header declares a clause count of 1, found 2"),
+    "dimacs fewer clauses than declared": (
+        ["reduce", "sat", b"p cnf 3 2\n1 -2 3 0\n"],
+        "DIMACS header declares a clause count of 2, found 1"),
     "dimacs clause token": (
         ["reduce", "sat", b"p cnf 3 1\n1 x 3 0\n"], "line 2: expected an integer literal, got 'x'"),
     "dimacs variable": (

@@ -33,7 +33,7 @@ from rggames.dynamics import (
     run_best_response_dynamics,
     verify_pne,
 )
-from rggames.errors import CapacityError, LoadRangeError
+from rggames.errors import CapacityError, LoadRangeError, UsageError
 from rggames.matroid import Uniform
 from rggames.gadgets import GadgetSpec, build_gadget
 from rggames.potential import potential_unweighted
@@ -146,6 +146,14 @@ class TestDynamics:
         start = tuple(p.strategies()[0] for p in game.players)
         trace = run_best_response_dynamics(game, start, max_iters=40)
         assert not trace.converged and trace.iterations == 40
+
+    def test_negative_step_budget_rejected(self):
+        game = make_game(LINEAR_2, [((1, 0), (0, 1))] * 2)
+        message = r"^max_iters: expected a non-negative integer, got -1$"
+        with pytest.raises(UsageError, match=message):
+            run_best_response_dynamics(game, ((1, 0), (1, 0)), max_iters=-1)
+        trace = run_best_response_dynamics(game, ((1, 0), (1, 0)), max_iters=0)
+        assert trace.iterations == 0 and not trace.converged
 
     def test_random_schedule_deterministic_given_seed(self):
         game = make_game(LINEAR_2, [((1, 0), (0, 1))] * 2)
