@@ -122,8 +122,6 @@ class TestABSymmetry:
         assert {w.A_value, w.B_value} == {expected_A, expected_B}
 
     def test_no_swap_is_a_failure(self):
-        from rggames.core import Explicit, Game, Player
-
         # player-independent fixed payoffs 0 and 1, two strategies each: no swap
         cost = Tabulated(
             m=2,
