@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
+from rggames import matroid
 from rggames.core import Explicit, Game, Player
 from rggames.costs import Bilevel, PlayerSpecificSeparable, Tabulated, as_tabulated
 from rggames.dynamics import IsPNE, verify_pne
@@ -277,6 +278,62 @@ class TestExchangeDecompose:
     def test_rejects_non_bases(self):
         with pytest.raises(StructureError):
             exchange_decompose(Uniform(3, 2), (1, 0, 0), (0, 1, 1))
+
+    def test_matches_frozen_search(self, monkeypatch):
+        """Same steps, and the same is_independent calls in the same order, as the
+        depth-first search over swaps."""
+        calls = []
+
+        def recorded(desc, subset):
+            calls.append(subset)
+            return desc.independent(subset)
+
+        monkeypatch.setattr(matroid, "is_independent", recorded)
+        rng = random.Random(71)
+        descs = [Uniform(4, 2), Partition(m=5, blocks=((0, 1), (2, 3, 4)), quotas=(1, 2)),
+                 FOUR_CYCLE]
+        descs += [random_uniform(rng) for _ in range(30)]
+        descs += [random_partition(rng) for _ in range(30)]
+        descs += [random_graphic(rng) for _ in range(60)]
+        pairs = refusals = 0
+        for desc in descs:
+            bases = enumerate_bases(desc)
+            for t, u in product(bases, repeat=2):
+                calls.clear()
+                want = frozen_exchange(desc, t, u)
+                want_calls = calls[:]
+                calls.clear()
+                assert exchange_decompose(desc, t, u) == want, (desc, t, u)
+                assert calls == want_calls, (desc, t, u)
+                pairs += 1
+                refusals += len(calls) > 2 + len(want)  # a swap was tested and refused
+        assert pairs > 5000 and refusals > 100
+
+
+def frozen_exchange(desc, t, u):
+    """exchange_decompose as it was: a depth-first search over valid swaps."""
+    if not is_basis(desc, t) or not is_basis(desc, u):
+        raise StructureError("exchange endpoints must be bases")
+    t_supp = frozenset(r for r, e in enumerate(t) if e)
+    u_supp = frozenset(r for r, e in enumerate(u) if e)
+
+    def search(current, remaining_rm, remaining_add, acc):
+        if not remaining_rm:
+            return acc
+        for r in remaining_rm:
+            for s in remaining_add:
+                nxt = (current - {r}) | {s}
+                if matroid.is_independent(desc, nxt):
+                    result = search(nxt, tuple(x for x in remaining_rm if x != r),
+                                    tuple(x for x in remaining_add if x != s),
+                                    acc + (ExchangeStep(remove=r, add=s),))
+                    if result is not None:
+                        return result
+        return None
+
+    steps = search(t_supp, tuple(sorted(t_supp - u_supp)), tuple(sorted(u_supp - t_supp)), ())
+    assert steps is not None
+    return steps
 
 
 class TestGreedy:

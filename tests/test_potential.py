@@ -432,3 +432,118 @@ def reference_private_cost(game, profile, i):
     model, loads = game.cost_model, load_of(game, profile)
     return sum(e * (model.b[r] + sum(model.A[r][s] * loads[s] for s in range(len(loads))))
                for r, e in enumerate(profile[i]) if e)
+
+
+# --- the sequential potential against a frozen copy of the two closed forms --
+
+
+def frozen_unweighted(game, profile):
+    """potential_unweighted as it was: sum_r sum_{k<=x_r} f_r(k) + 1/2 x^T A x
+    + 1/2 sum_i x_i^T A x_i, in Fractions."""
+    model = game.cost_model
+    if not isinstance(model, SeparablePlusLinear):
+        raise UsageError("unweighted potential needs a separable-plus-linear cost model")
+    if not game.unweighted:
+        raise UsageError("unweighted potential requires unit weights")
+    frozen_symmetric(model.A)
+    loads = load_of(game, profile)
+
+    def quad(u, v):
+        return sum(u[r] * model.A[r][s] * v[s] for r in range(len(u)) for s in range(len(v)))
+
+    total = Fraction(0)
+    for r, xr in enumerate(loads):
+        for k in range(1, int(xr) + 1):
+            total += model.f[r][k]
+    total += Fraction(1, 2) * quad(loads, loads)
+    for v in profile:
+        total += Fraction(1, 2) * quad(v, v)
+    return total
+
+
+def frozen_weighted(game, profile):
+    """potential_weighted_affine as it was: sum_i x_i^T (A x_{<=i} + b), in Fractions."""
+    model = game.cost_model
+    if not isinstance(model, Affine):
+        raise UsageError("weighted potential needs an affine cost model")
+    frozen_symmetric(model.A)
+    prefix = [0] * game.n_resources
+    total = Fraction(0)
+    for v in profile:
+        for r, e in enumerate(v):
+            prefix[r] += e
+        for r, e in enumerate(v):
+            total += e * (model.b[r] + sum(model.A[r][s] * prefix[s] for s in range(len(v))))
+    return total
+
+
+def frozen_symmetric(A):
+    for r in range(len(A)):
+        for s in range(r + 1, len(A)):
+            if A[r][s] != A[s][r]:
+                raise UsageError(f"interaction matrix is asymmetric at ({r},{s})")
+
+
+def closed_form_case(rng):
+    """A small game on SPL (unit weights, f long enough for n players) or Affine
+    (rational weights) costs, with negative entries; A is asymmetric one time in six
+    and an SPL player has weight 2 one time in eight."""
+    m, n = rng.randint(1, 4), rng.randint(0, 4)
+    vectors = list(product((0, 1), repeat=m))
+    spaces = [Explicit(vectors=tuple(rng.sample(vectors, rng.randint(1, min(3, len(vectors))))))
+              for _ in range(n)]
+    A = [list(row) for row in _symmetric(rng, m, (1, 2, 3))]
+    if m > 1 and rng.random() < 1 / 6:
+        r, s = rng.sample(range(m), 2)
+        A[r][s] += 1
+    A = tuple(map(tuple, A))
+    if rng.random() < 0.5:
+        f = tuple(tuple(Fraction(rng.randint(-4, 6), rng.choice((1, 2, 3))) for _ in range(n + 1))
+                  for _ in range(m))
+        weights = [1] * n
+        if n and rng.random() < 1 / 8:
+            weights[rng.randrange(n)] = 2
+        cost = SeparablePlusLinear(f=f, A=A)
+    else:
+        weights = [rng.choice((1, 2, Fraction(3), Fraction(1, 2), Fraction(5, 3), Fraction(-1, -4)))
+                   for _ in range(n)]
+        cost = Affine(A=A, b=tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                                   for _ in range(m)))
+    return make_game_spaces(cost, spaces, weights)
+
+
+def outcome(P, game, x):
+    """P's value, or the type and message of the error it raised."""
+    try:
+        return P(game, x)
+    except (UsageError, LoadRangeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSequentialMatchesClosedForms:
+    def test_values_and_gate_errors_as_before(self):
+        rng = random.Random(16)
+        seen = Counter()
+        for _ in range(600):
+            game = closed_form_case(rng)
+            for x in product(*(p.strategies() for p in game.players)):
+                for P, frozen in ((potential_unweighted, frozen_unweighted),
+                                  (potential_weighted_affine, frozen_weighted)):
+                    want = outcome(frozen, game, x)
+                    got = outcome(P, game, x)
+                    assert got == want and type(got) is type(want), (game, x)
+                    if isinstance(want, tuple):
+                        seen[P.__name__, want[1].split(" at ")[0]] += 1
+                    else:
+                        seen[P.__name__, "value"] += 1
+                        seen["m = 1"] += game.n_resources == 1
+                        seen["n = 0"] += game.n_players == 0
+                        seen["negative"] += want < 0
+        for name in ("potential_unweighted", "potential_weighted_affine"):
+            assert seen[name, "value"] > 1000
+            assert seen[name, "interaction matrix is asymmetric"]
+        assert seen["potential_unweighted",
+                    "unweighted potential needs a separable-plus-linear cost model"]
+        assert seen["potential_unweighted", "unweighted potential requires unit weights"]
+        assert seen["potential_weighted_affine", "weighted potential needs an affine cost model"]
+        assert seen["m = 1"] and seen["n = 0"] and seen["negative"]
