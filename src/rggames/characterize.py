@@ -39,6 +39,7 @@ from .costs import (
     Exponential,
     eval_cost,
     eval_cost_entry,
+    first_asymmetry,
 )
 from .dynamics import FLOAT_TOL
 from .errors import GameError, LoadRangeError, UsageError
@@ -189,10 +190,9 @@ def decompose_unweighted(c: CostModel, L: int) -> ConsistencyReport:
     value = _values(c)
     m = c.m
     f, A = _axes(value, m, L)
-    for r in range(m):
-        for s in range(r + 1, m):
-            if A[r][s] != A[s][r]:
-                return Violation(lemma="jacobian", r=r, s=s, x=(0,) * m)
+    at = first_asymmetry(A)
+    if at is not None:
+        return Violation(lemma="jacobian", r=at[0], s=at[1], x=(0,) * m)
     for x in product(range(L + 1), repeat=m):
         for r in range(m):
             if x[r] == 0:
@@ -237,10 +237,8 @@ def _accept(c: CostModel, L: int) -> Optional[UnweightedConsistent]:
     _require_range(c, L, 2, "cross-linearity check")
     m = c.m
     f, A = _axes(_values(c), m, L + 1 if m > 1 else L)
-    for r in range(m):
-        for s in range(r + 1, m):
-            if A[r][s] != A[s][r]:
-                return None
+    if first_asymmetry(A) is not None:
+        return None
     D = math.lcm(*(v.denominator for row in chain(f, A) for v in row))
     Df = [[v.numerator * (D // v.denominator) for v in row] for row in f]
     DA = [[v.numerator * (D // v.denominator) for v in row] for row in A]
@@ -296,10 +294,9 @@ def classify_weighted(model: CostModel) -> ConsistencyReport:
     exponent recovered by the three-point ratio test.
     """
     if isinstance(model, Affine):
-        for r in range(model.m):
-            for s in range(r + 1, model.m):
-                if model.A[r][s] != model.A[s][r]:
-                    return Violation(lemma="affine_asymmetric", r=r, s=s)
+        at = first_asymmetry(model.A)
+        if at is not None:
+            return Violation(lemma="affine_asymmetric", r=at[0], s=at[1])
         return WeightedAffine(A=model.A, b=model.b)
     if isinstance(model, Exponential):
         return WeightedExponential(a=model.a, phi=model.phi, b=model.b)

@@ -69,6 +69,17 @@ class _PricedByEntries:
         return _entry_pricer(self, base, player)
 
 
+def first_asymmetry(A) -> Optional[tuple]:
+    """The first (r, s) in row order with r < s and a_rs != a_sr, compared exactly;
+    None if A is symmetric."""
+    m = len(A)
+    for r in range(m):
+        for s in range(r + 1, m):
+            if A[r][s] != A[s][r]:
+                return r, s
+    return None
+
+
 def _linear_kernel(A, others) -> tuple:
     """(D, cols, scaled): D is the common denominator of A and the model's other
     coefficients (exact rationals); cols[s] maps r to D*a_rs for every non-zero

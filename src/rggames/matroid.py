@@ -175,36 +175,20 @@ def exchange_decompose(desc: MatroidDesc, t: Sequence[int], u: Sequence[int]) ->
     """Single-element exchange sequence from basis t to basis u.
 
     Removes and adds are pairwise distinct and every intermediate vector is a
-    basis; found by depth-first search over valid swaps (the matroid exchange
-    property guarantees one exists).
+    basis.  The elements of t - u are removed in increasing order, each for the
+    first remaining element of u - t that keeps a basis; by the basis exchange
+    property one always exists, so no swap is ever undone.
     """
     if not is_basis(desc, t) or not is_basis(desc, u):
         raise StructureError("exchange endpoints must be bases")
     t_supp, u_supp = frozenset(support(t)), frozenset(support(u))
-    removes = sorted(t_supp - u_supp)
-    adds = sorted(u_supp - t_supp)
-
-    def search(current: frozenset, remaining_rm: tuple, remaining_add: tuple, acc: tuple):
-        if not remaining_rm:
-            return acc
-        for r in remaining_rm:
-            for s in remaining_add:
-                nxt = (current - {r}) | {s}
-                if is_independent(desc, nxt):
-                    result = search(
-                        nxt,
-                        tuple(x for x in remaining_rm if x != r),
-                        tuple(x for x in remaining_add if x != s),
-                        acc + (ExchangeStep(remove=r, add=s),),
-                    )
-                    if result is not None:
-                        return result
-        return None
-
-    steps = search(t_supp, tuple(removes), tuple(adds), ())
-    if steps is None:
-        raise StructureError("no exchange sequence found; inputs are not bases of one matroid")
-    return steps
+    current, adds, steps = t_supp, sorted(u_supp - t_supp), []
+    for r in sorted(t_supp - u_supp):
+        s = next(s for s in adds if is_independent(desc, (current - {r}) | {s}))
+        current = (current - {r}) | {s}
+        adds.remove(s)
+        steps.append(ExchangeStep(remove=r, add=s))
+    return tuple(steps)
 
 
 def greedy_best_response(desc: MatroidDesc, weights: Sequence) -> tuple:

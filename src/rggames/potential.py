@@ -1,73 +1,62 @@
 """Exact potentials for the two consistent cost classes, plus the property tester.
 
-The normative contract is the exact-potential identity
-P(y, x_{-i}) - P(x) = pi_i(y, x_{-i}) - pi_i(x); both potentials below
-satisfy it in exact rational arithmetic.
+Both potentials are one sequential sum (Monderer and Shapley 1996):
+P(x) = sum_i pi_i(x_1, ..., x_i), each player's private cost among the
+players before it, priced by the cost model's own `pricer`.  For
+separable-plus-linear costs with unit weights and for affine costs with any
+weights, a symmetric A makes it satisfy the exact-potential identity
+P(y, x_{-i}) - P(x) = pi_i(y, x_{-i}) - pi_i(x) in exact rational arithmetic.
+A load beyond an f table raises the model's LoadRangeError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 from typing import Callable, NamedTuple, Optional
 
 from .core import Game, Profile, deviate, load_of
-from .costs import Affine, SeparablePlusLinear, _over_common_denominator, _times
+from .costs import Affine, SeparablePlusLinear, first_asymmetry
 from .dynamics import _deviations, _spaces, _sweep
 from .errors import UsageError
 
 
 def _require_symmetric(A) -> None:
-    m = len(A)
-    for r in range(m):
-        for s in range(r + 1, m):
-            if A[r][s] != A[s][r]:
-                raise UsageError(f"interaction matrix is asymmetric at ({r},{s})")
+    at = first_asymmetry(A)
+    if at is not None:
+        raise UsageError("interaction matrix is asymmetric at ({},{})".format(*at))
 
 
-def _quad(model, u, v):
-    """u^T A v, exactly, over the sparse columns of the model's kernel; rational
-    vectors are scaled to ints first, so the sums run in int."""
-    D, cols, _ = model.kernel()
-    qu, iu = _over_common_denominator(u)
-    qv, iv = _over_common_denominator(v)
-    return Fraction(sum(map(mul, iu, _times(cols, iv))), D * qu * qv)
+def _sequential(game: Game, profile: Profile) -> Fraction:
+    """sum_i pi_i(x_1, ..., x_i): player i priced against the loads of players 0..i-1."""
+    load_of(game, profile)  # checks the player count and every vector's dimension
+    prefix = [0] * game.n_resources
+    total = Fraction(0)
+    for i, v in enumerate(profile):
+        total += game.cost_model.pricer(tuple(prefix), i)(v)
+        for r, e in enumerate(v):
+            if e:
+                prefix[r] += e
+    return total
 
 
 def potential_unweighted(game: Game, profile: Profile):
-    """sum_r sum_{k<=x_r} f_r(k) + 1/2 x^T A x + 1/2 sum_i x_i^T A x_i."""
+    """sum_r sum_{k<=x_r} f_r(k) + 1/2 x^T A x + 1/2 sum_i x_i^T A x_i, as the sequential sum."""
     model = game.cost_model
     if not isinstance(model, SeparablePlusLinear):
         raise UsageError("unweighted potential needs a separable-plus-linear cost model")
     if not game.unweighted:
         raise UsageError("unweighted potential requires unit weights")
     _require_symmetric(model.A)
-    loads = load_of(game, profile)
-    total = Fraction(0)
-    for r, xr in enumerate(loads):
-        for k in range(1, int(xr) + 1):
-            total += model.f[r][k]
-    total += Fraction(1, 2) * _quad(model, loads, loads)
-    for v in profile:
-        total += Fraction(1, 2) * _quad(model, v, v)
-    return total
+    return _sequential(game, profile)
 
 
 def potential_weighted_affine(game: Game, profile: Profile):
-    """Sequential sum sum_i x_i^T (A x_{<=i} + b); order-invariant for symmetric A."""
+    """sum_i x_i^T (A x_{<=i} + b), the sequential sum; order-invariant for symmetric A."""
     model = game.cost_model
     if not isinstance(model, Affine):
         raise UsageError("weighted potential needs an affine cost model")
     _require_symmetric(model.A)
-    prefix = [0] * game.n_resources
-    total = Fraction(0)
-    for v in profile:
-        for r, e in enumerate(v):
-            if e:
-                prefix[r] += e
-        total += _quad(model, v, prefix)
-        total += sum(e * model.b[r] for r, e in enumerate(v) if e)
-    return total
+    return _sequential(game, profile)
 
 
 class PotentialCheck(NamedTuple):

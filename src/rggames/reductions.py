@@ -176,6 +176,8 @@ def parse_dimacs(text: str) -> SatInstance:
             continue
         tokens = line.split()
         if line.startswith("p"):
+            if n_clauses is not None:
+                raise StructureError(f"line {number}: a second DIMACS header")
             counts = [_integer(tok) for tok in tokens[2:4]]
             if len(counts) < 2 or tokens[1] != "cnf" or any(k is None or k < 0 for k in counts):
                 raise StructureError(f"bad DIMACS header: {line!r}")
@@ -187,6 +189,8 @@ def parse_dimacs(text: str) -> SatInstance:
             raise StructureError(f"line {number}: expected an integer literal, got {bad!r}")
         if lits and lits[-1] == 0:
             lits = lits[:-1]
+        if 0 in lits:
+            raise StructureError(f"line {number}: 0 may only end a clause")
         if not lits:
             continue
         if len(lits) != 3:

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -349,6 +350,10 @@ INPUT_CHECKS = {
         ["potential", edited("spl_game.json", lambda doc: doc["players"][0].update(weight="2")),
          "--profile", golden("spl_profile.json")],
         "unweighted potential requires unit weights"),
+    "potential short f": (
+        ["potential", with_cost("spl_game.json", f=[["0", "1"]] * 4),
+         "--profile", golden("spl_profile.json")],
+        "load 2 outside 0..1"),
     "dimacs header": (
         ["reduce", "sat", b"p dnf 3 1\n1 -2 3 0\n"], "bad DIMACS header: 'p dnf 3 1'"),
     "dimacs header variable count": (
@@ -367,6 +372,10 @@ INPUT_CHECKS = {
         ["reduce", "sat", b"p cnf 3 1\n1 x 3 0\n"], "line 2: expected an integer literal, got 'x'"),
     "dimacs variable": (
         ["reduce", "sat", b"p cnf 3 1\n1 -2 4 0\n"], "variable 3 out of range"),
+    "dimacs second header": (
+        ["reduce", "sat", b"p cnf 3 1\n1 -2 3 0\np cnf 3 0\n"], "line 3: a second DIMACS header"),
+    "dimacs zero inside a clause": (
+        ["reduce", "sat", b"p cnf 3 1\n1 0 2 0\n"], "line 2: 0 may only end a clause"),
     "pairs s equals t": (
         ["reduce", "pairs", edited("pairs.json", lambda doc: doc.update(t=0))],
         "source and target must differ"),
@@ -830,3 +839,25 @@ def test_console_script(game_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "pne_found"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", golden("readme_game.json")], 0),
+    (["verify", golden("spl_game.json"), "--profile", golden("spl_profile.json")], 1),
+    (["solve", golden("readme_game.json"), "--method", "dynamics", "--max-iters", "-1"], 2),
+])
+def test_exit_codes_from_a_real_process(argv, code, capsys):
+    """`python -m rggames.cli` exits and prints as `main` does in process."""
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "rggames.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+    else:
+        assert out and err == ""

@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from rggames import costs, potential
+from rggames import costs
 from rggames.core import (
     Explicit,
     Game,
@@ -394,13 +394,13 @@ class TestSweepMatchesFrozenCheck:
             assert seen[kind, "raises late", 0.0, ValueError]
         assert seen["affine_asym", "exact", 0.0, False]
         assert seen["exponential", "exact", 1e-9, True]
-        assert seen["short_spl", "exact", 0.0, LoadRangeError]
+        assert seen["short_spl", "exact", 0.0, LoadRangeError]  # P itself reads past f, too
         assert seen["short_spl", "zero", 0.0, LoadRangeError]
-        assert seen["short_spl", "exact", 0.0, IndexError]  # P itself reads past f
 
     def test_integral_fraction_weights_price_and_potential_in_int(self, monkeypatch):
         """Weights such as Fraction(3) reach the kernel as ints: every vector handed to
-        _times, and every y handed to _quadratic, holds ints only."""
+        _times, and every y handed to _quadratic, holds ints only; the potential prices
+        through the same kernel."""
         seen = []
 
         def int_only(f, name, arg):
@@ -413,14 +413,13 @@ class TestSweepMatchesFrozenCheck:
             return checked
 
         monkeypatch.setattr(costs, "_times", int_only(costs._times, "_times", 1))
-        monkeypatch.setattr(potential, "_times", int_only(potential._times, "_quad", 1))
         monkeypatch.setattr(costs, "_quadratic", int_only(costs._quadratic, "_quadratic", 2))
         A = ((Fraction(2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1)))
         cost = Affine(A=A, b=(Fraction(1), Fraction(-1, 3)))
         spaces = [((1, 0), (0, 1), (1, 1))] * 3
         game = make_game(cost, spaces, weights=[Fraction(3), Fraction(2), 1])
         result = check_exact_potential(game, lambda x: potential_weighted_affine(game, x))
-        assert result.ok and {"_times", "_quad", "_quadratic"} <= set(seen)
+        assert result.ok and {"_times", "_quadratic"} <= set(seen)
         for x in product(*(p.strategies() for p in game.players)):
             assert potential_weighted_affine(game, x) == sequential_sum(game, x)
             for i in range(game.n_players):
