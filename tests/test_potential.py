@@ -504,7 +504,7 @@ def closed_form_case(rng):
             weights[rng.randrange(n)] = 2
         cost = SeparablePlusLinear(f=f, A=A)
     else:
-        weights = [rng.choice((1, 2, Fraction(3), Fraction(1, 2), Fraction(5, 3), Fraction(-1, -4)))
+        weights = [rng.choice((1, 2, Fraction(3), Fraction(1, 2), Fraction(5, 3), Fraction(1, 4)))
                    for _ in range(n)]
         cost = Affine(A=A, b=tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
                                    for _ in range(m)))
