@@ -5,6 +5,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,8 +28,11 @@ from rggames.costs import (
     SeparablePlusLinear,
     Tabulated,
     as_tabulated,
+    eval_cost,
     eval_cost_entry,
+    first_asymmetry,
 )
+from rggames.dynamics import FLOAT_TOL
 from rggames.errors import GameError, LoadRangeError, UsageError
 
 
@@ -657,3 +661,221 @@ class TestOnePassAccept:
             model = table = _moved(table, key, r,
                                    data.draw(st.sampled_from((Fraction(1), Fraction(-1, 2)))))
         assert _outcome(analyze_unweighted, model, L) == _outcome(_ref_analyze, table, L)
+
+
+# --- the weighted classifier against a frozen copy --------------------------------------------
+
+
+def frozen_classify_weighted(model):
+    """`classify_weighted` as it was before its sampled branch became one affine fit and
+    one per-axis exponential fit, frozen: (its report, its `not_affine` witness or None)."""
+    if isinstance(model, Affine):
+        at = first_asymmetry(model.A)
+        if at is not None:
+            return Violation(lemma="affine_asymmetric", r=at[0], s=at[1]), None
+        return WeightedAffine(A=model.A, b=model.b), None
+    if isinstance(model, Exponential):
+        return WeightedExponential(a=model.a, phi=model.phi, b=model.b), None
+
+    def close(a, b):
+        if isinstance(a, float) or isinstance(b, float):
+            return abs(a - b) <= FLOAT_TOL * max(1.0, abs(a), abs(b))
+        return a == b
+
+    dim = model.m
+    points = list(product((0, 1, 2, 3), repeat=dim))
+    values = {pt: eval_cost(model, pt) for pt in points}
+    top = 3
+
+    affine_witness = None
+    diffs = {}
+    for r in range(dim):
+        for s in range(dim):
+            base = None
+            for pt in points:
+                if pt[s] == top:
+                    continue
+                nxt = pt[:s] + (pt[s] + 1,) + pt[s + 1:]
+                d = values[nxt][r] - values[pt][r]
+                if base is None:
+                    base = d
+                elif not close(d, base):
+                    affine_witness = Violation(lemma="not_affine", r=r, s=s, x=pt)
+                    break
+            diffs[(r, s)] = base
+        if affine_witness:
+            break
+
+    if affine_witness is None:
+        A = tuple(
+            tuple(Fraction(diffs[(r, s)]) for s in range(dim)) for r in range(dim)
+        )
+        for r in range(dim):
+            for s in range(r + 1, dim):
+                if not close(A[r][s], A[s][r]):
+                    return Violation(lemma="affine_asymmetric", r=r, s=s), None
+        b = values[tuple([0] * dim)]
+        return WeightedAffine(A=A, b=tuple(b)), None
+
+    zero = tuple([0] * dim)
+    for r in range(dim):
+        for pt in points:
+            axis = tuple(pt[r] if u == r else 0 for u in range(dim))
+            if not close(values[pt][r], values[axis][r]):
+                return (Violation(lemma="not_affine_or_exponential", r=r, s=None, x=pt),
+                        affine_witness)
+    a_out, b_out, phis = [], [], []
+    for r in range(dim):
+        axis_val = lambda k: float(values[tuple(k if u == r else 0 for u in range(dim))][r])  # noqa: E731,B023
+        v0, v1, v2 = axis_val(0), axis_val(1), axis_val(2)
+        d1, d2 = v1 - v0, v2 - v1
+        constant = abs(d1) <= FLOAT_TOL and abs(d2) <= FLOAT_TOL
+        if constant:
+            a_r = phi_r = 0.0
+        elif d1 == 0 or (d2 / d1) <= 0 or close(d1, d2):
+            return affine_witness, affine_witness
+        else:
+            phi_r = math.log(d2 / d1)
+            a_r = d1 / (math.exp(phi_r) - 1.0)
+        b_r = v0 - a_r
+        for k in (0, 1, 2, 3):
+            fitted = a_r * math.exp(phi_r * float(k)) + b_r
+            if not close(fitted, axis_val(k)):
+                return affine_witness, affine_witness
+        a_out.append(a_r)
+        b_out.append(b_r)
+        if not constant:
+            phis.append(phi_r)
+    if not phis:
+        return WeightedAffine(
+            A=tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim)),
+            b=values[zero],
+        ), affine_witness
+    if any(abs(p - phis[0]) > FLOAT_TOL for p in phis[1:]):
+        return Violation(lemma="exponential_phi_mismatch"), affine_witness
+    return WeightedExponential(a=tuple(a_out), phi=phis[0], b=tuple(b_out)), affine_witness
+
+
+def _dense(values, drop=None):
+    """A Tabulated of {x: [c_0(x), ..]} on {0..3}^m with full neighborhoods, values kept
+    as given (Fraction or float), without the (x, r) entry in drop."""
+    m = len(next(iter(values)))
+    tables = tuple({x: v[r] for x, v in values.items() if (x, r) != drop} for r in range(m))
+    return Tabulated(m=m, neighborhoods=(tuple(range(m)),) * m, tables=tables, max_load=3)
+
+
+def _weighted_corpus():
+    """(label, model) pairs from a fixed seed: exact and float tables, SPL, Bilevel and
+    structured models, some of them bent by a single entry or missing one."""
+    rng = random.Random(20201019)
+    tiny = Fraction(1, 10 ** 10)
+
+    def ratio():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+
+    def matrix(m, symmetric):
+        A = [[ratio() for _ in range(m)] for _ in range(m)]
+        if symmetric:
+            A = [[A[min(r, s)][max(r, s)] for s in range(m)] for r in range(m)]
+        return tuple(map(tuple, A))
+
+    def bumped(values, by):
+        """values with one entry moved by `by`; half the time on the axis of its resource."""
+        m = len(next(iter(values)))
+        at, r = tuple(rng.randint(0, 3) for _ in range(m)), rng.randrange(m)
+        if rng.random() < 0.5:
+            at = tuple(v if u == r else 0 for u, v in enumerate(at))
+        out = dict(values)
+        out[at] = [v + by if u == r else v for u, v in enumerate(values[at])]
+        return out
+
+    cases = [("tiny bend", _dense({(k,): [v] for k, v in enumerate((0, tiny, 0, 0))}))]
+    for m in (1, 1, 2, 2, 3, 3, 4):
+        grid = list(product(range(4), repeat=m))
+        for _ in range(25 if m < 4 else 3):
+            q = [rng.choice((2, 3))] * m if rng.random() < 0.7 else [
+                rng.choice((2, 3)) for _ in range(m)]
+            a = [ratio() if rng.random() < 0.8 else Fraction(0) for _ in range(m)]
+            b = [ratio() for _ in range(m)]
+            exp = {x: [a[r] * q[r] ** x[r] + b[r] for r in range(m)] for x in grid}
+            cases.append(("exact exponential", _dense(exp)))
+            cases.append(("exact exponential bumped", _dense(bumped(exp, ratio()))))
+            phis = [rng.choice((0.5, 1.0, -0.7))] * m if rng.random() < 0.7 else [
+                rng.choice((0.5, 1.0, -0.7)) for _ in range(m)]
+            fa = [rng.uniform(-3, 3) for _ in range(m)]
+            fb = [rng.uniform(-3, 3) for _ in range(m)]
+            cases.append(("float exponential", _dense(
+                {x: [fa[r] * math.exp(phis[r] * x[r]) + fb[r] for r in range(m)] for x in grid})))
+            cases.append(("tabulated Exponential", as_tabulated(
+                Exponential(a=tuple(fa), phi=phis[0], b=tuple(fb)), 3, allow_float=True)))
+            coef = [[ratio() for _ in range(3)] for _ in range(m)]
+            C = matrix(m, rng.random() < 0.5)
+            cross = rng.random() < 0.5
+            cases.append(("polynomial", _dense({x: [
+                sum(c * x[r] ** k for k, c in enumerate(coef[r]))
+                + (sum(C[r][s] * x[r] * x[s] for s in range(m)) if cross else 0)
+                for r in range(m)] for x in grid})))
+            A, b0 = matrix(m, rng.random() < 0.7), [ratio() for _ in range(m)]
+            if rng.random() < 0.3:
+                A = tuple(tuple(v if r == s else Fraction(0) for s, v in enumerate(row))
+                          for r, row in enumerate(A))
+            aff = {x: [sum(map(mul, A[r], x)) + b0[r] for r in range(m)] for x in grid}
+            cases.append(("affine", _dense(aff)))
+            cases.append(("affine bumped", _dense(bumped(aff, rng.choice(
+                (Fraction(1), Fraction(-1, 2), tiny))))))
+            cases.append(("affine bumped by a float", _dense(bumped(aff, 1e-10))))
+            cases.append(("non-separable", _dense(
+                {x: [Fraction(rng.randint(0, 2)) for _ in range(m)] for x in grid})))
+            const = {x: [b[r] for r in range(m)] for x in grid}
+            cases.append(("constant", _dense(const)))
+            cases.append(("constant with tiny noise", _dense(bumped(const, tiny))))
+            top = rng.choice((2, 3, 3, 4))
+            f = tuple(tuple(ratio() * (2 ** k if rng.random() < 0.3 else k) for k in range(top + 1))
+                      for _ in range(m))
+            cases.append(("separable_plus_linear", SeparablePlusLinear(
+                f=f, A=matrix(m, rng.random() < 0.7))))
+            cases.append(("bilevel", Bilevel(m=m, budget=Fraction(rng.randint(1, 9),
+                                                                  rng.randint(1, 4)))))
+            cases.append(("Affine", Affine(A=matrix(m, rng.random() < 0.7), b=tuple(b0))))
+            cases.append(("Exponential", Exponential(a=tuple(fa), phi=phis[0], b=tuple(fb))))
+            drop = (rng.choice(grid), rng.randrange(m))
+            cases.append(("affine with an entry missing", _dense(aff, drop=drop)))
+    return cases
+
+def _weighted_outcome(classify, model):
+    try:
+        return classify(model)
+    except GameError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _weighted_kind(outcome):
+    if isinstance(outcome, Violation):
+        return outcome.lemma
+    return outcome[0] if isinstance(outcome, tuple) else type(outcome).__name__
+
+
+class TestClassifyWeightedMatchesFrozen:
+    """The weighted classifier gives the frozen copy's report, witness or error, except
+    where the frozen copy read separable samples that are constant on every axis, yet not
+    affine, as `WeightedAffine`: there it gives the frozen copy's own `not_affine` witness."""
+
+    CORPUS = _weighted_corpus()
+
+    def test_reports_and_errors_as_before(self):
+        kinds, false_affine = set(), 0
+        for label, model in self.CORPUS:
+            got = _weighted_outcome(classify_weighted, model)
+            try:
+                want, witness = frozen_classify_weighted(model)
+            except GameError as exc:
+                want, witness = (type(exc).__name__, str(exc)), None
+            kinds.add(_weighted_kind(want))
+            if isinstance(want, WeightedAffine) and witness is not None:
+                false_affine += 1
+                assert got in (want, witness), label
+            else:
+                assert got == want, label
+        assert {"WeightedAffine", "WeightedExponential", "not_affine", "not_affine_or_exponential",
+                "affine_asymmetric", "exponential_phi_mismatch", "LoadRangeError"} <= kinds
+        assert false_affine >= 10 and len(self.CORPUS) >= 2000
