@@ -288,89 +288,66 @@ def classify_weighted(model: CostModel) -> ConsistencyReport:
     """Affine/exponential dichotomy on the sample grid GRID^m.
 
     Structured Affine and Exponential models are classified directly (only
-    the symmetry of A needs checking).  Any other model evaluable at the grid
-    points is sampled: affinity means all second differences vanish; the
-    exponential branch requires per-resource separability and a shared
-    exponent recovered by the three-point ratio test.
+    the symmetry of A needs checking).  Any other model is sampled: it is
+    affine if every step c_r(x+1_s) - c_r(x) equals a_rs = c_r(1_s) - c_r(0).
+    The first step that does not, in (r, s, x) order, is the `not_affine`
+    witness, returned unless `_exponential_fit` fits the samples.
     """
     if isinstance(model, Affine):
-        at = first_asymmetry(model.A)
-        if at is not None:
-            return Violation(lemma="affine_asymmetric", r=at[0], s=at[1])
-        return WeightedAffine(A=model.A, b=model.b)
-    if isinstance(model, Exponential):
+        A, b = model.A, model.b
+    elif isinstance(model, Exponential):
         return WeightedExponential(a=model.a, phi=model.phi, b=model.b)
+    else:
+        points = list(product(GRID, repeat=model.m))
+        values = {x: eval_cost(model, x) for x in points}
+        zero = points[0]
+        d0 = [[values[_bump(zero, s)][r] - values[zero][r] for s in range(model.m)]
+              for r in range(model.m)]
+        bend = next((Violation(lemma="not_affine", r=r, s=s, x=x)
+                     for r in range(model.m) for s in range(model.m) for x in points[1:]
+                     if x[s] < GRID[-1]
+                     and not _close(values[_bump(x, s)][r] - values[x][r], d0[r][s])), None)
+        if bend is not None:
+            return _exponential_fit(values, bend)
+        A, b = tuple(tuple(map(Fraction, row)) for row in d0), values[zero]
+    at = first_asymmetry(A)
+    if at is not None:
+        return Violation(lemma="affine_asymmetric", r=at[0], s=at[1])
+    return WeightedAffine(A=A, b=b)
 
-    dim = model.m
-    points = list(product(GRID, repeat=dim))
-    values = {pt: eval_cost(model, pt) for pt in points}
-    top = GRID[-1]
 
-    affine_witness = None
-    diffs = {}
+def _exponential_fit(values: dict, bend: Violation) -> ConsistencyReport:
+    """c_r(x) = a_r e^{phi x_r} + b_r with one phi, fitted to the samples `values`.
+
+    Each c_r must read x_r alone (else `not_affine_or_exponential`) and fit on
+    its axis an exponential, rate read off the first three loads, or a constant
+    (but not on every axis); otherwise `bend`, where affinity broke, is returned.
+    """
+    dim = len(bend.x)
     for r in range(dim):
-        for s in range(dim):
-            base = None
-            for pt in points:
-                if pt[s] == top:
-                    continue
-                nxt = pt[:s] + (pt[s] + 1,) + pt[s + 1 :]
-                d = values[nxt][r] - values[pt][r]
-                if base is None:
-                    base = d
-                elif not _close(d, base):
-                    affine_witness = Violation(lemma="not_affine", r=r, s=s, x=pt)
-                    break
-            diffs[(r, s)] = base
-        if affine_witness:
-            break
-
-    if affine_witness is None:
-        A = tuple(
-            tuple(Fraction(diffs[(r, s)]) for s in range(dim)) for r in range(dim)
-        )
-        for r in range(dim):
-            for s in range(r + 1, dim):
-                if not _close(A[r][s], A[s][r]):
-                    return Violation(lemma="affine_asymmetric", r=r, s=s)
-        b = values[tuple([0] * dim)]
-        return WeightedAffine(A=A, b=tuple(b))
-
-    # exponential branch: separable with a shared exponent
-    zero = tuple([0] * dim)
+        for x in values:
+            axis = tuple(v if u == r else 0 for u, v in enumerate(x))
+            if not _close(values[x][r], values[axis][r]):
+                return Violation(lemma="not_affine_or_exponential", r=r, x=x)
+    a, b, phis = [], [], []
     for r in range(dim):
-        for pt in points:
-            axis = tuple(pt[r] if u == r else 0 for u in range(dim))
-            if not _close(values[pt][r], values[axis][r]):
-                return Violation(lemma="not_affine_or_exponential", r=r, s=None, x=pt)
-    a_out, b_out, phis = [], [], []
-    for r in range(dim):
-        axis_val = lambda k: float(values[tuple(k if u == r else 0 for u in range(dim))][r])
-        v0, v1, v2 = axis_val(0), axis_val(1), axis_val(2)
-        d1, d2 = v1 - v0, v2 - v1
-        constant = abs(d1) <= FLOAT_TOL and abs(d2) <= FLOAT_TOL
-        if constant:
+        v = [float(values[tuple(k if u == r else 0 for u in range(dim))][r]) for k in GRID]
+        d1, d2 = v[1] - v[0], v[2] - v[1]
+        if abs(d1) <= FLOAT_TOL and abs(d2) <= FLOAT_TOL:
             a_r = phi_r = 0.0
-        elif d1 == 0 or (d2 / d1) <= 0 or _close(d1, d2):  # equal steps would give phi = 0
-            return affine_witness
+        elif d1 == 0 or d2 / d1 <= 0 or _close(d1, d2):  # equal steps would give phi = 0
+            return bend
         else:
             phi_r = math.log(d2 / d1)
             a_r = d1 / (math.exp(phi_r) - 1.0)
-        b_r = v0 - a_r
-        for k in GRID:
-            fitted = a_r * math.exp(phi_r * float(k)) + b_r
-            if not _close(fitted, axis_val(k)):
-                return affine_witness
-        a_out.append(a_r)
-        b_out.append(b_r)
-        if not constant:
             phis.append(phi_r)
-    if not phis:
-        # all-constant cost: affine with A = 0 is the canonical reading
-        return WeightedAffine(
-            A=tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim)),
-            b=values[zero],
-        )
+        b_r = v[0] - a_r
+        if not all(_close(a_r * math.exp(phi_r * k) + b_r, v_k) for k, v_k in zip(GRID, v)):
+            return bend
+        a.append(a_r)
+        b.append(b_r)
+    if not phis:  # separable and constant on every axis, yet not affine
+        return bend
     if any(abs(p - phis[0]) > FLOAT_TOL for p in phis[1:]):
         return Violation(lemma="exponential_phi_mismatch")
-    return WeightedExponential(a=tuple(a_out), phi=phis[0], b=tuple(b_out))
+    return WeightedExponential(a=tuple(a), phi=phis[0], b=tuple(b))
