@@ -64,6 +64,7 @@ CASES = [
     ("exponential_gadget_L3", ["gadget", "exponential_cost.json", "--lemma", "L3",
                                "--point", "0,0", "--resources", "1,2", "--confirm"], 0),
     ("quadratic_characterize_weighted", ["characterize", "quadratic_cost.json", "--weighted"], 1),
+    ("noise_characterize_weighted", ["characterize", "noise_cost.json", "--weighted"], 1),
     ("exponential_characterize_weighted",
      ["characterize", "exponential_cost.json", "--weighted"], 0),
     ("exponential_characterize", ["characterize", "exponential_cost.json"], 2),
