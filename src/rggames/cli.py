@@ -410,12 +410,14 @@ def _cost_and_bound(doc) -> tuple:
 
 
 def cmd_characterize(args) -> int:
+    if args.weighted and args.L is not None:
+        raise UsageError("--weighted takes no --L; only unweighted characterize does")
     raw, doc = _load_json(args.file)
     cost, bound = _cost_and_bound(doc)
-    L = args.L if args.L is not None else bound
     if args.weighted:
         report = classify_weighted(cost)
     else:
+        L = args.L if args.L is not None else bound
         available = getattr(cost, "max_load", None)
         if available is not None:
             L = min(L, available - 2)

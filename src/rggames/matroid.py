@@ -164,11 +164,7 @@ def enumerate_bases(desc: MatroidDesc, cap: int = 10**6) -> tuple:
 
     More than `cap` bases raise CapacityError.
     """
-    out = []
-    for supp in desc.bases(cap):
-        chosen = set(supp)
-        out.append(tuple(1 if r in chosen else 0 for r in range(desc.m)))
-    return tuple(sorted(out))
+    return tuple(sorted(incidence(supp, desc.m) for supp in desc.bases(cap)))
 
 
 def exchange_decompose(desc: MatroidDesc, t: Sequence[int], u: Sequence[int]) -> tuple:

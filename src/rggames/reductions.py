@@ -167,7 +167,8 @@ def _integer(token: str) -> Optional[int]:
 
 
 def parse_dimacs(text: str) -> SatInstance:
-    """DIMACS CNF with exactly three literals per clause, as many as a header declares."""
+    """DIMACS CNF after its header: one clause per line, three literals and a closing 0,
+    as many clauses as the header declares."""
     n_vars, n_clauses = 0, None
     clauses = []
     for number, line in enumerate(text.splitlines(), 1):
@@ -183,18 +184,21 @@ def parse_dimacs(text: str) -> SatInstance:
                 raise StructureError(f"bad DIMACS header: {line!r}")
             n_vars, n_clauses = counts
             continue
+        if n_clauses is None:
+            raise StructureError(f"line {number}: clause before the DIMACS header")
         lits = [_integer(tok) for tok in tokens]
         if None in lits:
             bad = tokens[lits.index(None)]
             raise StructureError(f"line {number}: expected an integer literal, got {bad!r}")
-        if lits and lits[-1] == 0:
-            lits = lits[:-1]
+        if lits[-1] != 0:
+            raise StructureError(f"line {number}: a clause must end with 0 on its line")
+        lits = lits[:-1]
         if 0 in lits:
             raise StructureError(f"line {number}: 0 may only end a clause")
         if not lits:
             continue
         if len(lits) != 3:
-            raise StructureError("every clause must have exactly 3 literals")
+            raise StructureError(f"line {number}: every clause must have exactly 3 literals")
         clauses.append(tuple((abs(l) - 1, l > 0) for l in lits))
     if n_clauses is not None and n_clauses != len(clauses):
         raise StructureError(

@@ -376,6 +376,18 @@ INPUT_CHECKS = {
         ["reduce", "sat", b"p cnf 3 1\n1 -2 3 0\np cnf 3 0\n"], "line 3: a second DIMACS header"),
     "dimacs zero inside a clause": (
         ["reduce", "sat", b"p cnf 3 1\n1 0 2 0\n"], "line 2: 0 may only end a clause"),
+    "dimacs clause before the header": (
+        ["reduce", "sat", b"1 -2 3 0\np cnf 3 1\n"], "line 1: clause before the DIMACS header"),
+    "dimacs clause without its 0": (
+        ["reduce", "sat", b"p cnf 3 1\n1 -2 3\n"], "line 2: a clause must end with 0 on its line"),
+    "dimacs clause over two lines": (
+        ["reduce", "sat", b"p cnf 3 1\n1 -2\n3 0\n"],
+        "line 2: a clause must end with 0 on its line"),
+    "dimacs two literals": (
+        ["reduce", "sat", b"p cnf 3 1\n1 -2 0\n"], "line 2: every clause must have exactly 3 literals"),
+    "characterize weighted with L": (
+        ["characterize", golden("spl_cost.json"), "--weighted", "--L", "-7"],
+        "--weighted takes no --L; only unweighted characterize does"),
     "pairs s equals t": (
         ["reduce", "pairs", edited("pairs.json", lambda doc: doc.update(t=0))],
         "source and target must differ"),
