@@ -308,7 +308,7 @@ def classify_weighted(model: CostModel) -> ConsistencyReport:
                      if x[s] < GRID[-1]
                      and not _close(values[_bump(x, s)][r] - values[x][r], d0[r][s])), None)
         if bend is not None:
-            return _exponential_fit(values, bend)
+            return _exponential_fit(values, model.m, bend)
         A, b = tuple(tuple(map(Fraction, row)) for row in d0), values[zero]
     at = first_asymmetry(A)
     if at is not None:
@@ -316,14 +316,13 @@ def classify_weighted(model: CostModel) -> ConsistencyReport:
     return WeightedAffine(A=A, b=b)
 
 
-def _exponential_fit(values: dict, bend: Violation) -> ConsistencyReport:
+def _exponential_fit(values: dict, dim: int, bend: Violation) -> ConsistencyReport:
     """c_r(x) = a_r e^{phi x_r} + b_r with one phi, fitted to the samples `values`.
 
     Each c_r must read x_r alone (else `not_affine_or_exponential`) and fit on
     its axis an exponential, rate read off the first three loads, or a constant
     (but not on every axis); otherwise `bend`, where affinity broke, is returned.
     """
-    dim = len(bend.x)
     for r in range(dim):
         for x in values:
             axis = tuple(v if u == r else 0 for u, v in enumerate(x))
