@@ -392,3 +392,207 @@ class TestSweepMatchesReference:
         got = outcome(brute_force_pne, wide)
         assert got == outcome(reference_brute_force, wide)
         assert got == (CapacityError, "player 1: more than 1000000 bases")
+
+
+# --- the component split against the frozen per-profile loop ------------------
+
+# (cost class, variant): every class split, with its total form first, then the
+# forms that some evaluation inside the box of reachable loads can fail on
+SPLIT_KINDS = (
+    ("affine", ""), ("affine", "fractional"), ("spl", ""), ("tabulated", ""),
+    ("exponential", ""), ("player_specific", ""), ("bilevel", ""),
+    ("spl", "short"), ("spl", "fractional"), ("tabulated", "short"), ("tabulated", "missing"),
+    ("tabulated", "fractional"), ("player_specific", "short"),
+    ("player_specific", "fractional"), ("exponential", "overflow"),
+)
+GADGET_CLASSES = ("affine", "spl", "tabulated")  # those an L3 gadget part can sit in
+
+
+def reads(cost):
+    """(r, s) for every s that c_r reads, from each model's own fields."""
+    m = cost.m
+    if isinstance(cost, (Affine, SeparablePlusLinear)):
+        return [(r, s) for r in range(m) for s in range(m) if cost.A[r][s]]
+    if isinstance(cost, Tabulated):
+        return [(r, s) for r in range(m) for s in cost.neighborhoods[r]]
+    if isinstance(cost, Bilevel):
+        return list(product(range(m), repeat=2))
+    return []
+
+
+def components(game):
+    """The players in parts linked by shared resources and cost reads, each part in
+    index order and the parts by their lowest player (a search of the graph)."""
+    n = game.n_players
+    links = {node: set() for node in range(n + game.n_resources)}
+    for r, s in reads(game.cost_model):
+        links[n + r].add(n + s)
+        links[n + s].add(n + r)
+    for i, p in enumerate(game.players):
+        for v in p.strategies():
+            for r, e in enumerate(v):
+                if e:
+                    links[i].add(n + r)
+                    links[n + r].add(i)
+    seen, parts = set(), []
+    for i in range(n):
+        if i in seen:
+            continue
+        part, todo = [], [i]
+        seen.add(i)
+        while todo:
+            node = todo.pop()
+            if node < n:
+                part.append(node)
+            for other in links[node] - seen:
+                seen.add(other)
+                todo.append(other)
+        parts.append(sorted(part))
+    return parts
+
+
+def _l3_part(rng):
+    """An L3 gadget's two players (no PNE for the asymmetric affine part of the cost)
+    on 8 resources, and its interaction block: four copies of a 2x2 asymmetric A."""
+    a01 = rng.randint(-2, 3)
+    base = ((rng.randint(-1, 2), a01), (a01 + rng.choice((-2, -1, 1, 2)), rng.randint(-1, 2)))
+    base = tuple(tuple(map(Fraction, row)) for row in base)
+    game = build_gadget(GadgetSpec(lemma="L3", base_cost=Affine(A=base, b=(Fraction(0),) * 2),
+                                   point=(0, 0), resources=(0, 1)))
+    return 8, [(1, p.strategy_space.vectors) for p in game.players], game.cost_model.A
+
+
+def _random_part(rng, weights):
+    """One to two players on one to three resources, with a random interaction block."""
+    m = rng.randint(1, 3)
+    players = [(rng.choice(weights), _explicit(rng, m).vectors) for _ in range(rng.randint(1, 2))]
+    A = tuple(tuple(_rat(rng) if r == s or rng.random() < 0.5 else Fraction(0)
+                    for s in range(m)) for r in range(m))
+    return m, players, A
+
+
+def split_game(seed):
+    """Two or three parts on disjoint resources, their players interleaved at random,
+    under one cost of class and variant SPLIT_KINDS[seed % 15]; where the class can
+    hold one, a part is an L3 gadget with no PNE a third of the time.  A bilevel game
+    splits only with an idle player, whose one strategy uses no resource."""
+    rng = random.Random(seed)
+    cls, variant = SPLIT_KINDS[seed % len(SPLIT_KINDS)]
+    weights = (1,)
+    if variant == "fractional" or cls == "exponential":
+        weights = (1, 2, Fraction(2), Fraction(1, 2), Fraction(5, 3))
+    parts = [_l3_part(rng) if cls in GADGET_CLASSES and rng.random() < 1 / 3
+             else _random_part(rng, weights) for _ in range(rng.randint(2, 3))]
+    m = sum(part[0] for part in parts)
+    players, A = [], [[Fraction(0)] * m for _ in range(m)]
+    start = 0
+    for size, members, block in parts:
+        for w, vectors in members:
+            players.append(Player(weight=w, strategy_space=Explicit(vectors=tuple(
+                (0,) * start + v + (0,) * (m - start - size) for v in vectors))))
+        for r in range(size):
+            for s in range(size):
+                A[start + r][start + s] = block[r][s]
+        start += size
+    if cls == "bilevel" and rng.random() < 0.5:
+        players.append(Player(strategy_space=Explicit(vectors=((0,) * m,))))
+    rng.shuffle(players)
+    n = len(players)
+    top = [sum(p.weight for p in players if any(v[r] for v in p.strategy_space.vectors))
+           for r in range(m)]
+    bound = max(1, int(max(top)) + 1)
+    if variant == "short":
+        bound = max(0, int(max(top)) - rng.randint(1, 2))
+    A = tuple(map(tuple, A))
+    if cls == "affine":
+        cost = Affine(A=A, b=tuple(_rat(rng) for _ in range(m)))
+    elif cls == "spl":
+        cost = SeparablePlusLinear(
+            f=tuple(tuple(_rat(rng) for _ in range(bound + 1)) for _ in range(m)), A=A)
+    elif cls == "tabulated":  # the separable-plus-linear cost, tabulated
+        f = [[_rat(rng) for _ in range(bound + 1)] for _ in range(m)]
+        hoods = tuple(tuple(s for s in range(m) if s == r or A[r][s]) for r in range(m))
+        tables = tuple(
+            {key: f[r][key[hood.index(r)]] + sum(A[r][s] * x for s, x in zip(hood, key))
+             for key in product(range(bound + 1), repeat=len(hood))
+             if variant != "missing" or rng.random() < 0.9}
+            for r, hood in enumerate(hoods))
+        cost = Tabulated(m=m, neighborhoods=hoods, tables=tables, max_load=bound)
+    elif cls == "exponential":
+        cost = Exponential(a=tuple(rng.uniform(-1, 2) for _ in range(m)),
+                           phi=500.0 if variant == "overflow" else rng.choice((-0.5, 0.5, 1.0)),
+                           b=tuple(rng.uniform(-1, 1) for _ in range(m)))
+    elif cls == "player_specific":
+        cost = PlayerSpecificSeparable(nu=tuple(
+            tuple(tuple(sorted(_rat(rng) for _ in range(rng.randint(bound, bound + 1))))
+                  for _ in range(m)) for _ in range(n)))
+    else:
+        cost = Bilevel(m=m, budget=Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+    return Game(n_resources=m, players=tuple(players), cost_model=cost)
+
+
+def l3_spl_beside_heavy_player():
+    """An L3 gadget (players g0, g1) on a separable-plus-linear cost with max_load 2,
+    beside b, who plays {8} or {8, 9}, and c, of weight 2, who plays {9}; the players
+    in the order g0, b, g1, c.  b's deviation to {8, 9} loads resource 9 with 3."""
+    A = ((Fraction(1), Fraction(1)), (Fraction(3), Fraction(1)))
+    gadget = build_gadget(GadgetSpec(lemma="L3", base_cost=separable([[0, 1, 2]] * 2, A),
+                                     point=(0, 0), resources=(0, 1)))
+    g0, g1 = (Player(strategy_space=Explicit(vectors=tuple(v + (0, 0) for v in p.strategies())))
+              for p in gadget.players)
+    b = Player(strategy_space=Explicit(vectors=((0,) * 8 + (1, 0), (0,) * 8 + (1, 1))))
+    c = Player(weight=2, strategy_space=Explicit(vectors=((0,) * 8 + (0, 1),)))
+    zeros = (Fraction(0),) * 2
+    cost = SeparablePlusLinear(
+        f=gadget.cost_model.f + ((Fraction(0), Fraction(1), Fraction(2)),) * 2,
+        A=tuple(row + zeros for row in gadget.cost_model.A)
+        + ((Fraction(0),) * 8 + (Fraction(1), Fraction(0)),
+           (Fraction(0),) * 8 + (Fraction(0), Fraction(1))))
+    return Game(n_resources=10, players=(g0, b, g1, c), cost_model=cost)
+
+
+def split_outcome(search, game):
+    try:
+        return search(game)
+    except (LoadRangeError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class TestComponentSplit:
+    SEEDS = range(600)
+
+    def test_certificate_or_error_as_before(self):
+        split = {cls: set() for cls, _ in SPLIT_KINDS}
+        outcomes = {kind: set() for kind in SPLIT_KINDS}
+        first_without = set()  # the place of the first part without PNE, when one has none
+        for seed in self.SEEDS:
+            game = split_game(seed)
+            want = split_outcome(reference_brute_force, game)
+            assert split_outcome(brute_force_pne, game) == want, seed
+            kind = SPLIT_KINDS[seed % len(SPLIT_KINDS)]
+            parts = components(game)
+            if len(parts) > 1:
+                split[kind[0]].add(kind[1])
+                outcomes[kind].add(want[0] if isinstance(want, tuple) else type(want))
+            if isinstance(want, NoPNEExists):
+                first_without.add(next(k for k, part in enumerate(parts) if isinstance(
+                    reference_brute_force(Game(n_resources=game.n_resources,
+                                               players=tuple(game.players[i] for i in part),
+                                               cost_model=game.cost_model)), NoPNEExists)))
+        # every class splits in its total form, and so does each form that is not total
+        for cls, variant in SPLIT_KINDS:
+            assert variant in split[cls], (cls, variant)
+        for kind in SPLIT_KINDS[:7]:
+            assert PNEFound in outcomes[kind] and outcomes[kind] <= {PNEFound, NoPNEExists}, kind
+        for cls in GADGET_CLASSES:
+            assert NoPNEExists in outcomes[cls, ""], cls
+        assert 0 in first_without and any(k > 0 for k in first_without)
+        for kind in SPLIT_KINDS[7:]:
+            assert outcomes[kind] & {LoadRangeError, OverflowError}, kind
+
+    def test_fails_where_the_heavy_player_overloads_a_resource(self):
+        game = l3_spl_beside_heavy_player()
+        assert len(components(game)) == 2
+        want = (LoadRangeError, "load 3 outside 0..2")
+        assert split_outcome(reference_brute_force, game) == want
+        assert split_outcome(brute_force_pne, game) == want

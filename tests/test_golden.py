@@ -41,6 +41,8 @@ CASES = [
     ("bilevel_theorem3", ["solve", "bilevel_game.json", "--method", "theorem3"], 0),
     ("bilevel_dynamics", ["solve", "bilevel_game.json", "--method", "dynamics"], 0),
     ("bilevel_solve", ["solve", "bilevel_game.json"], 0),
+    ("interleaved_solve", ["solve", "interleaved_game.json"], 0),
+    ("late_gadget_solve", ["solve", "late_gadget_game.json"], 1),
     ("asym_characterize", ["characterize", "asym_affine_cost.json"], 1),
     ("asym_characterize_weighted", ["characterize", "asym_affine_cost.json", "--weighted"], 1),
     ("asym_gadget_L3", ["gadget", "asym_affine_cost.json", "--lemma", "L3", "--point", "0,0",
