@@ -590,6 +590,23 @@ class TestComponentSplit:
         for kind in SPLIT_KINDS[7:]:
             assert outcomes[kind] & {LoadRangeError, OverflowError}, kind
 
+    def test_bilevel_parts_interact_through_the_argmax(self):
+        # the players on {0, 1, 2} and those on {3, 4} share no resource, yet
+        # swept apart they would give player 2 the strategy {2}, not {0, 1}
+        m = 5
+
+        def player(weight, *supports):
+            return Player(weight=weight, strategy_space=Explicit(
+                vectors=tuple(tuple(int(r in sup) for r in range(m)) for sup in supports)))
+
+        game = Game(n_resources=m, players=(
+            player(2, {2}, {0, 1, 2}), player(3, {4}), player(2, {2}, {0, 1}),
+            player(2, {4}, {3})), cost_model=Bilevel(m=m, budget=Fraction(5, 2)))
+        assert len(components(game)) == 1
+        want = PNEFound(profile=((0, 0, 2, 0, 0), (0, 0, 0, 0, 3), (2, 2, 0, 0, 0),
+                                 (0, 0, 0, 2, 0)))
+        assert brute_force_pne(game) == reference_brute_force(game) == want
+
     def test_fails_where_the_heavy_player_overloads_a_resource(self):
         game = l3_spl_beside_heavy_player()
         assert len(components(game)) == 2
