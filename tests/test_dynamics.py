@@ -405,7 +405,8 @@ SPLIT_KINDS = (
     ("tabulated", "fractional"), ("player_specific", "short"),
     ("player_specific", "fractional"), ("exponential", "overflow"),
 )
-GADGET_CLASSES = ("affine", "spl", "tabulated")  # those an L3 gadget part can sit in
+NOT_TOTAL = SPLIT_KINDS[7:]
+NO_PNE_CLASSES = ("affine", "spl", "tabulated", "player_specific")  # can hold a part without PNE
 
 
 def reads(cost):
@@ -451,66 +452,83 @@ def components(game):
     return parts
 
 
-def _l3_part(rng):
-    """An L3 gadget's two players (no PNE for the asymmetric affine part of the cost)
-    on 8 resources, and its interaction block: four copies of a 2x2 asymmetric A."""
+def _no_pne_part(rng, cls):
+    """A part without PNE: (resources, players as (weight, vectors), interaction block,
+    whether it takes a random separable term, player-specific tables or None).
+
+    For player_specific it is two players on three resources; otherwise the two free
+    players of an L3 gadget on four copies of a 2x2 asymmetric A, with no separable
+    term, which would differ between the copies."""
+    if cls == "player_specific":
+        nu = (((0, 4, 6), (2, 5, 5), (2, 3, 4)), ((1, 2, 4), (0, 0, 6), (3, 5, 5)))
+        players = [(1, ((0, 1, 0), (1, 0, 0))), (1, ((0, 0, 1), (1, 1, 0)))]
+        return 3, players, ((Fraction(0),) * 3,) * 3, False, nu
     a01 = rng.randint(-2, 3)
     base = ((rng.randint(-1, 2), a01), (a01 + rng.choice((-2, -1, 1, 2)), rng.randint(-1, 2)))
     base = tuple(tuple(map(Fraction, row)) for row in base)
     game = build_gadget(GadgetSpec(lemma="L3", base_cost=Affine(A=base, b=(Fraction(0),) * 2),
                                    point=(0, 0), resources=(0, 1)))
-    return 8, [(1, p.strategy_space.vectors) for p in game.players], game.cost_model.A
+    players = [(1, p.strategy_space.vectors) for p in game.players]
+    return 8, players, game.cost_model.A, False, None
 
 
 def _random_part(rng, weights):
-    """One to two players on one to three resources, with a random interaction block."""
+    """One to two players on one to three resources, with a random interaction block
+    and a random separable term."""
     m = rng.randint(1, 3)
     players = [(rng.choice(weights), _explicit(rng, m).vectors) for _ in range(rng.randint(1, 2))]
     A = tuple(tuple(_rat(rng) if r == s or rng.random() < 0.5 else Fraction(0)
                     for s in range(m)) for r in range(m))
-    return m, players, A
+    return m, players, A, True, None
 
 
 def split_game(seed):
     """Two or three parts on disjoint resources, their players interleaved at random,
-    under one cost of class and variant SPLIT_KINDS[seed % 15]; where the class can
-    hold one, a part is an L3 gadget with no PNE a third of the time.  A bilevel game
-    splits only with an idle player, whose one strategy uses no resource."""
+    under one cost of class and variant SPLIT_KINDS[seed % 15].
+
+    Where the class can hold one, a part has no PNE a third of the time, and the first
+    part of a game that is not total always has none, so that a split without the
+    totality guard would stop before the failure.  A bilevel game splits only with an
+    idle player, whose one strategy uses no resource."""
     rng = random.Random(seed)
     cls, variant = SPLIT_KINDS[seed % len(SPLIT_KINDS)]
     weights = (1,)
-    if variant == "fractional" or cls == "exponential":
-        weights = (1, 2, Fraction(2), Fraction(1, 2), Fraction(5, 3))
-    parts = [_l3_part(rng) if cls in GADGET_CLASSES and rng.random() < 1 / 3
-             else _random_part(rng, weights) for _ in range(rng.randint(2, 3))]
+    if (cls, variant) in NOT_TOTAL and variant == "fractional":
+        weights = (Fraction(1, 2), Fraction(3, 2))  # halves on one resource add up to an integer
+    elif variant == "fractional" or cls == "exponential":
+        weights = (1, Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(5, 3))
+    parts = [_no_pne_part(rng, cls)
+             if cls in NO_PNE_CLASSES and (k == 0 and (cls, variant) in NOT_TOTAL
+                                           or rng.random() < 1 / 3)
+             else _random_part(rng, weights) for k in range(rng.randint(2, 3))]
     m = sum(part[0] for part in parts)
-    players, A = [], [[Fraction(0)] * m for _ in range(m)]
-    start = 0
-    for size, members, block in parts:
-        for w, vectors in members:
-            players.append(Player(weight=w, strategy_space=Explicit(vectors=tuple(
-                (0,) * start + v + (0,) * (m - start - size) for v in vectors))))
+    players, A, term = [], [[Fraction(0)] * m for _ in range(m)], []
+    for size, members, block, separable, nu in parts:
+        start = len(term)
+        term += [separable] * size
+        for k, (w, vectors) in enumerate(members):
+            space = Explicit(vectors=tuple((0,) * start + v + (0,) * (m - start - size)
+                                           for v in vectors))
+            players.append((Player(weight=w, strategy_space=space),
+                            {start + r: table for r, table in enumerate(nu[k])} if nu else {}))
         for r in range(size):
-            for s in range(size):
-                A[start + r][start + s] = block[r][s]
-        start += size
+            A[start + r][start:start + size] = block[r]
     if cls == "bilevel" and rng.random() < 0.5:
-        players.append(Player(strategy_space=Explicit(vectors=((0,) * m,))))
+        players.append((Player(strategy_space=Explicit(vectors=((0,) * m,))), {}))
     rng.shuffle(players)
-    n = len(players)
-    top = [sum(p.weight for p in players if any(v[r] for v in p.strategy_space.vectors))
+    top = [sum(p.weight for p, _ in players if any(v[r] for v in p.strategy_space.vectors))
            for r in range(m)]
     bound = max(1, int(max(top)) + 1)
     if variant == "short":
         bound = max(0, int(max(top)) - rng.randint(1, 2))
     A = tuple(map(tuple, A))
     if cls == "affine":
-        cost = Affine(A=A, b=tuple(_rat(rng) for _ in range(m)))
+        cost = Affine(A=A, b=tuple(_rat(rng) * t for t in term))
     elif cls == "spl":
         cost = SeparablePlusLinear(
-            f=tuple(tuple(_rat(rng) for _ in range(bound + 1)) for _ in range(m)), A=A)
-    elif cls == "tabulated":  # the separable-plus-linear cost, tabulated
-        f = [[_rat(rng) for _ in range(bound + 1)] for _ in range(m)]
+            f=tuple(tuple(_rat(rng) * t for _ in range(bound + 1)) for t in term), A=A)
+    elif cls == "tabulated":  # a separable-plus-linear cost, tabulated
+        f = [[_rat(rng) * t for _ in range(bound + 1)] for t in term]
         hoods = tuple(tuple(s for s in range(m) if s == r or A[r][s]) for r in range(m))
         tables = tuple(
             {key: f[r][key[hood.index(r)]] + sum(A[r][s] * x for s, x in zip(hood, key))
@@ -524,11 +542,11 @@ def split_game(seed):
                            b=tuple(rng.uniform(-1, 1) for _ in range(m)))
     elif cls == "player_specific":
         cost = PlayerSpecificSeparable(nu=tuple(
-            tuple(tuple(sorted(_rat(rng) for _ in range(rng.randint(bound, bound + 1))))
-                  for _ in range(m)) for _ in range(n)))
+            tuple(own.get(r) or tuple(sorted(_rat(rng) for _ in range(rng.randint(bound, bound + 1))))
+                  for r in range(m)) for _, own in players))
     else:
         cost = Bilevel(m=m, budget=Fraction(rng.randint(1, 9), rng.randint(1, 4)))
-    return Game(n_resources=m, players=tuple(players), cost_model=cost)
+    return Game(n_resources=m, players=tuple(p for p, _ in players), cost_model=cost)
 
 
 def l3_spl_beside_heavy_player():
@@ -549,6 +567,13 @@ def l3_spl_beside_heavy_player():
         + ((Fraction(0),) * 8 + (Fraction(1), Fraction(0)),
            (Fraction(0),) * 8 + (Fraction(0), Fraction(1))))
     return Game(n_resources=10, players=(g0, b, g1, c), cost_model=cost)
+
+
+def only(game, part):
+    """The game with every player outside `part` held to their first strategy."""
+    return Game(n_resources=game.n_resources, cost_model=game.cost_model, players=tuple(
+        p if i in part else Player(weight=p.weight, strategy_space=Explicit(
+            vectors=p.strategy_space.vectors[:1])) for i, p in enumerate(game.players)))
 
 
 def split_outcome(search, game):
@@ -576,18 +601,16 @@ class TestComponentSplit:
                 outcomes[kind].add(want[0] if isinstance(want, tuple) else type(want))
             if isinstance(want, NoPNEExists):
                 first_without.add(next(k for k, part in enumerate(parts) if isinstance(
-                    reference_brute_force(Game(n_resources=game.n_resources,
-                                               players=tuple(game.players[i] for i in part),
-                                               cost_model=game.cost_model)), NoPNEExists)))
+                    split_outcome(reference_brute_force, only(game, part)), NoPNEExists)))
         # every class splits in its total form, and so does each form that is not total
         for cls, variant in SPLIT_KINDS:
             assert variant in split[cls], (cls, variant)
         for kind in SPLIT_KINDS[:7]:
             assert PNEFound in outcomes[kind] and outcomes[kind] <= {PNEFound, NoPNEExists}, kind
-        for cls in GADGET_CLASSES:
+        for cls in NO_PNE_CLASSES:
             assert NoPNEExists in outcomes[cls, ""], cls
         assert 0 in first_without and any(k > 0 for k in first_without)
-        for kind in SPLIT_KINDS[7:]:
+        for kind in NOT_TOTAL:
             assert outcomes[kind] & {LoadRangeError, OverflowError}, kind
 
     def test_bilevel_parts_interact_through_the_argmax(self):
