@@ -15,6 +15,14 @@ the spaces read by `_spaces`: it keeps the load vector as prefix sums
 over the players, so a step re-adds only the players from the first whose
 choice changed.  `brute_force_pne` runs `verify_pne`'s scan on those loads
 directly instead of calling `verify_pne` per profile.
+
+`brute_force_pne` sweeps the components of the resource graph one at a time
+(`_components`): players who share no resource, and whose resources no cost
+reads across, cannot change each other's costs.  A profile is then a PNE iff
+its restriction to every component is one, and the first PNE in `product`
+order is the union of each component's first PNE.  A game is split only where
+no cost evaluation inside the box of reachable loads can raise, so that the
+split skips no error the whole sweep would meet.
 """
 
 from __future__ import annotations
@@ -196,11 +204,52 @@ def _sweep(game: Game, spaces):
         choice[first] = spaces[first][idx[first]]
 
 
+def _components(game: Game, spaces) -> list:
+    """The players by component of the resource graph, each in index order and the
+    components by their lowest player; one component for a game of under two players,
+    whose spaces go unread, or for a model that is not total on the game's box.
+
+    Player i joins every resource its strategies use, and resource r every resource
+    that c_r reads.  The box is 0..top, top_r the sum of the players' largest loads on r.
+    """
+    n = game.n_players
+    if n < 2:
+        return [range(n)]
+    used = [{r for v in space for r, e in enumerate(v) if e} for space in spaces]
+    parent = list(range(n + game.n_resources))  # player i, then resource r at n + r
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for r, s in game.cost_model.reads():
+        parent[find(n + r)] = find(n + s)
+    for i, resources in enumerate(used):
+        for r in resources:
+            parent[find(i)] = find(n + r)
+    parts = {}
+    for i in range(n):
+        parts.setdefault(find(i), []).append(i)
+    if len(parts) > 1:
+        top = [sum(p.weight for p, u in zip(game.players, used) if r in u)
+               for r in range(game.n_resources)]
+        integral = all(p.weight == int(p.weight) for p in game.players)
+        if not game.cost_model.total(top, integral, n):
+            return [range(n)]
+    return list(parts.values())
+
+
 def brute_force_pne(game: Game, budget: int = 10**7) -> Certificate:
     """Enumerate all profiles in canonical order; first PNE or an exhaustion certificate.
 
     The spaces are read once; each profile is checked with `verify_pne`'s scan on the
     sweep's loads, without calling `verify_pne`, `load_of` or `validate_profile`.
+    Each component is swept with the players outside it held to one strategy: the
+    first PNE of a component already swept, the first strategy otherwise.  Every
+    profile of the product is refuted by its restriction to the first component that
+    has no PNE, so `profiles_checked` is the size of the product.
     """
     spaces = _spaces(game)
     total = 1
@@ -208,9 +257,14 @@ def brute_force_pne(game: Game, budget: int = 10**7) -> Certificate:
         total *= len(s)
     if total > budget:
         raise CapacityError(f"{total} profiles exceed the budget {budget}")
-    checked = 0
-    for _, profile, loads in _sweep(game, spaces):
-        checked += 1
-        if isinstance(_scan(game, profile, spaces, loads), IsPNE):
-            return PNEFound(profile=profile)
-    return NoPNEExists(profiles_checked=checked)
+    fixed = [space[:1] for space in spaces]
+    for part in _components(game, spaces):
+        for i in part:
+            fixed[i] = spaces[i]
+        found = next((profile for _, profile, loads in _sweep(game, fixed)
+                      if isinstance(_scan(game, profile, fixed, loads), IsPNE)), None)
+        if found is None:
+            return NoPNEExists(profiles_checked=total)
+        for i in part:
+            fixed[i] = found[i:i + 1]
+    return PNEFound(profile=found)

@@ -22,6 +22,7 @@ from rggames.costs import (
     SeparablePlusLinear,
     Tabulated,
 )
+from rggames import dynamics
 from rggames.dynamics import (
     IsPNE,
     NoPNEExists,
@@ -636,3 +637,36 @@ class TestComponentSplit:
         want = (LoadRangeError, "load 3 outside 0..2")
         assert split_outcome(reference_brute_force, game) == want
         assert split_outcome(brute_force_pne, game) == want
+
+    def test_sweeps_each_component_alone(self, monkeypatch):
+        yielded = []
+        sweep = dynamics._sweep
+
+        def counting(game, spaces):
+            for row in sweep(game, spaces):
+                yielded.append(row)
+                yield row
+
+        monkeypatch.setattr(dynamics, "_sweep", counting)
+        totals = set()
+        for seed in range(20):
+            game = _gadget_beside(random.Random(seed))
+            total = len(list(product(*[p.strategies() for p in game.players])))
+            totals.add(total)
+            yielded.clear()
+            assert brute_force_pne(game) == NoPNEExists(profiles_checked=total), seed
+            assert len(yielded) == 4, seed
+        assert max(totals) > 4
+        connected = 0
+        for seed in TestSweepMatchesReference.SEEDS:
+            game = sweep_game(seed)
+            want = outcome(reference_brute_force, game)
+            if len(components(game)) > 1 or isinstance(want, tuple):
+                continue
+            profiles = list(product(*[p.strategies() for p in game.players]))
+            yielded.clear()
+            assert brute_force_pne(game) == want, seed
+            assert len(yielded) == (profiles.index(want.profile) + 1
+                                    if isinstance(want, PNEFound) else len(profiles)), seed
+            connected += 1
+        assert connected > 100
