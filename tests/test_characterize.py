@@ -863,12 +863,15 @@ def _weighted_kind(outcome):
 class TestClassifyWeightedMatchesFrozen:
     """The weighted classifier gives the frozen copy's report, witness or error, except
     where the frozen copy read separable samples that are constant on every axis, yet not
-    affine, as `WeightedAffine`: there it gives the frozen copy's own `not_affine` witness."""
+    affine, as `WeightedAffine`: there it gives the frozen copy's own `not_affine` witness.
+    A model whose max_load is below 3 is refused before sampling, with a message that
+    names the sample grid and the bound, where the frozen copy failed on its first read
+    of load 3."""
 
     CORPUS = _weighted_corpus()
 
     def test_reports_and_errors_as_before(self):
-        kinds, false_affine = set(), 0
+        kinds, false_affine, short = set(), 0, 0
         for label, model in self.CORPUS:
             got = _weighted_outcome(classify_weighted, model)
             try:
@@ -876,11 +879,16 @@ class TestClassifyWeightedMatchesFrozen:
             except GameError as exc:
                 want, witness = (type(exc).__name__, str(exc)), None
             kinds.add(_weighted_kind(want))
-            if isinstance(want, WeightedAffine) and witness is not None:
+            if getattr(model, "max_load", 3) < 3:
+                assert want[0] == "LoadRangeError" and "outside 0.." in want[1], label
+                assert got == ("LoadRangeError", "--weighted samples every resource at loads "
+                               f"0..3; the cost's max_load is {model.max_load}"), label
+                short += 1
+            elif isinstance(want, WeightedAffine) and witness is not None:
                 false_affine += 1
                 assert got == witness, label
             else:
                 assert got == want, label
         assert {"WeightedAffine", "WeightedExponential", "not_affine", "not_affine_or_exponential",
                 "affine_asymmetric", "exponential_phi_mismatch", "LoadRangeError"} <= kinds
-        assert false_affine >= 10 and len(self.CORPUS) >= 2000
+        assert false_affine >= 10 and short >= 10 and len(self.CORPUS) >= 2000

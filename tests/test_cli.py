@@ -385,6 +385,10 @@ INPUT_CHECKS = {
         "line 2: a clause must end with 0 on its line"),
     "dimacs two literals": (
         ["reduce", "sat", b"p cnf 3 1\n1 -2 0\n"], "line 2: every clause must have exactly 3 literals"),
+    "characterize weighted below the sample grid": (
+        ["characterize", {"cost": {"kind": "tabulated", "max_load": 2, "neighborhoods": [[0]],
+                                   "tables": [{"0": "0", "1": "1", "2": "2"}]}}, "--weighted"],
+        "--weighted samples every resource at loads 0..3; the cost's max_load is 2"),
     "characterize weighted with L": (
         ["characterize", golden("spl_cost.json"), "--weighted", "--L", "-7"],
         "--weighted takes no --L; only unweighted characterize does"),
@@ -860,12 +864,26 @@ def test_console_script(game_file):
 ])
 def test_exit_codes_from_a_real_process(argv, code, capsys):
     """`python -m rggames.cli` exits and prints as `main` does in process."""
+    run_as_process("rggames.cli", argv, code, capsys)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", golden("readme_game.json")], 0),
+    (["verify", golden("spl_game.json"), "--profile", golden("spl_profile.json")], 1),
+    (["solve", golden("sat.cnf")], 2),
+])
+def test_python_m_rggames(argv, code, capsys):
+    """`python -m rggames` exits and prints as `main` does in process."""
+    run_as_process("rggames", argv, code, capsys)
+
+
+def run_as_process(module, argv, code, capsys):
     assert main(argv) == code
     out, err = capsys.readouterr()
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-m", "rggames.cli", *argv],
+    proc = subprocess.run([sys.executable, "-m", module, *argv],
                           capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
     if code == 2:
