@@ -37,6 +37,8 @@ from .costs import (
     Affine,
     CostModel,
     Exponential,
+    SeparablePlusLinear,
+    Tabulated,
     eval_cost,
     eval_cost_entry,
     first_asymmetry,
@@ -291,18 +293,18 @@ def classify_weighted(model: CostModel) -> ConsistencyReport:
     the symmetry of A needs checking).  Any other model is sampled: it is
     affine if every step c_r(x+1_s) - c_r(x) equals a_rs = c_r(1_s) - c_r(0).
     The first step that does not, in (r, s, x) order, is the `not_affine`
-    witness, returned unless `_exponential_fit` fits the samples.  A model whose
-    `max_load` is below the grid's top is refused before any sample is read.
+    witness, returned unless `_exponential_fit` fits the samples.  A table-backed
+    model whose `max_load` is below the grid's top is refused before any sample
+    is read.
     """
     if isinstance(model, Affine):
         A, b = model.A, model.b
     elif isinstance(model, Exponential):
         return WeightedExponential(a=model.a, phi=model.phi, b=model.b)
     else:
-        bound = getattr(model, "max_load", GRID[-1])
-        if bound < GRID[-1]:
-            raise LoadRangeError(f"--weighted samples every resource at loads "
-                                 f"{GRID[0]}..{GRID[-1]}; the cost's max_load is {bound}")
+        if isinstance(model, (Tabulated, SeparablePlusLinear)) and model.max_load < GRID[-1]:
+            raise LoadRangeError(f"--weighted samples every resource at loads {GRID[0]}.."
+                                 f"{GRID[-1]}; the cost's max_load is {model.max_load}")
         points = list(product(GRID, repeat=model.m))
         values = {x: eval_cost(model, x) for x in points}
         zero = points[0]

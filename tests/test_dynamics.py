@@ -494,7 +494,7 @@ def split_game(seed):
     rng = random.Random(seed)
     cls, variant = SPLIT_KINDS[seed % len(SPLIT_KINDS)]
     weights = (1,)
-    if (cls, variant) in NOT_TOTAL and variant == "fractional":
+    if variant == "fractional" and cls != "affine":
         weights = (Fraction(1, 2), Fraction(3, 2))  # halves on one resource add up to an integer
     elif variant == "fractional" or cls == "exponential":
         weights = (1, Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(5, 3))
@@ -542,18 +542,21 @@ def split_game(seed):
                            phi=500.0 if variant == "overflow" else rng.choice((-0.5, 0.5, 1.0)),
                            b=tuple(rng.uniform(-1, 1) for _ in range(m)))
     elif cls == "player_specific":
-        cost = PlayerSpecificSeparable(nu=tuple(
-            tuple(own.get(r) or tuple(sorted(_rat(rng) for _ in range(rng.randint(bound, bound + 1))))
-                  for r in range(m)) for _, own in players))
+        def table():
+            return tuple(sorted(_rat(rng) for _ in range(rng.randint(bound, bound + 1))))
+
+        cost = PlayerSpecificSeparable(nu=tuple(tuple(own.get(r) or table() for r in range(m))
+                                                for _, own in players))
     else:
         cost = Bilevel(m=m, budget=Fraction(rng.randint(1, 9), rng.randint(1, 4)))
     return Game(n_resources=m, players=tuple(p for p, _ in players), cost_model=cost)
 
 
-def l3_spl_beside_heavy_player():
-    """An L3 gadget (players g0, g1) on a separable-plus-linear cost with max_load 2,
-    beside b, who plays {8} or {8, 9}, and c, of weight 2, who plays {9}; the players
-    in the order g0, b, g1, c.  b's deviation to {8, 9} loads resource 9 with 3."""
+def l3_beside_heavy_player(tabulated=False):
+    """An L3 gadget (players g0, g1) on a separable-plus-linear cost with max_load 2, or
+    on its tabulation, beside b, who plays {8} or {8, 9}, and c, of weight 2, who plays
+    {9}; the players in the order g0, b, g1, c.  b's deviation to {8, 9} loads resource
+    9 with 3."""
     A = ((Fraction(1), Fraction(1)), (Fraction(3), Fraction(1)))
     gadget = build_gadget(GadgetSpec(lemma="L3", base_cost=separable([[0, 1, 2]] * 2, A),
                                      point=(0, 0), resources=(0, 1)))
@@ -567,7 +570,29 @@ def l3_spl_beside_heavy_player():
         A=tuple(row + zeros for row in gadget.cost_model.A)
         + ((Fraction(0),) * 8 + (Fraction(1), Fraction(0)),
            (Fraction(0),) * 8 + (Fraction(0), Fraction(1))))
+    if tabulated:
+        hoods = tuple(tuple(s for s in range(10) if s == r or cost.A[r][s]) for r in range(10))
+        cost = Tabulated(m=10, neighborhoods=hoods, max_load=2, tables=tuple(
+            {key: cost.entry(tuple(dict(zip(hood, key)).get(s, 0) for s in range(10)), r)
+             for key in product(range(3), repeat=len(hood))} for r, hood in enumerate(hoods)))
     return Game(n_resources=10, players=(g0, b, g1, c), cost_model=cost)
+
+
+def exponential_overflow_in_a_later_state():
+    """Two components, {0, 3} and {1, 2}, under c_r = a_r e^(300 x_r): loads up to 2
+    are floats, while players 0 and 3, both of weight 2, can load resource 3 with 4.
+    The whole sweep meets that load before its first PNE; the component {0, 3} alone
+    has a PNE among the states it sweeps first."""
+    m = 5
+
+    def player(weight, *supports):
+        return Player(weight=weight, strategy_space=Explicit(
+            vectors=tuple(tuple(int(r in sup) for r in range(m)) for sup in supports)))
+
+    return Game(n_resources=m, players=(
+        player(2, {2}, {2, 3}), player(1, {0}), player(1, {1}, {0}, {0, 1}),
+        player(2, {4}, {3}, {3, 4})), cost_model=Exponential(
+            a=(-1.0, 2.0, 2.0, 2.0, 2.0), phi=300.0, b=(0.0,) * m))
 
 
 def only(game, part):
@@ -632,9 +657,20 @@ class TestComponentSplit:
         assert brute_force_pne(game) == reference_brute_force(game) == want
 
     def test_fails_where_the_heavy_player_overloads_a_resource(self):
-        game = l3_spl_beside_heavy_player()
+        game = l3_beside_heavy_player()
         assert len(components(game)) == 2
         want = (LoadRangeError, "load 3 outside 0..2")
+        assert split_outcome(reference_brute_force, game) == want
+        assert split_outcome(brute_force_pne, game) == want
+        game = l3_beside_heavy_player(tabulated=True)
+        want = split_outcome(reference_brute_force, game)
+        assert want[0] is LoadRangeError and want[1].endswith("outside 0..2")
+        assert split_outcome(brute_force_pne, game) == want
+
+    def test_overflows_where_a_later_state_overflows(self):
+        game = exponential_overflow_in_a_later_state()
+        assert len(components(game)) == 2
+        want = (OverflowError, "math range error")
         assert split_outcome(reference_brute_force, game) == want
         assert split_outcome(brute_force_pne, game) == want
 
