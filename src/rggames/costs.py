@@ -31,9 +31,9 @@ Read relation and totality.  `reads()` gives the pairs (r, s) such that c_r
 reads the load on s: the non-zero off-diagonal A of SeparablePlusLinear and
 Affine, the neighborhoods of Tabulated, every pair for Bilevel (the argmax
 reads all loads), and none for Exponential and PlayerSpecificSeparable.
-`total(top, integral, n)` says whether no entry that n players can make a
-model evaluate raises, at any load vector in the box 0..top; `integral` says
-whether every player weight is an integer.  Exhaustive search splits a game
+`total(top, integral, n)` says whether no entry evaluated for one of n
+players raises at any load vector in the box 0..top; `integral` says whether
+every player weight is an integer.  Exhaustive search splits a game
 by these reads only where its model is total on the game's box.
 """
 
