@@ -27,14 +27,8 @@ y evaluates none and costs 0.  SeparablePlusLinear's pricer checks it once
 per base vector and then on supp y per deviation, and an invalid vector is
 handed to `entry`, so the errors and their messages are those of `entry`.
 
-Read relation and totality.  `reads()` gives the pairs (r, s) such that c_r
-reads the load on s: the non-zero off-diagonal A of SeparablePlusLinear and
-Affine, the neighborhoods of Tabulated, every pair for Bilevel (the argmax
-reads all loads), and none for Exponential and PlayerSpecificSeparable.
-`total(top, integral, n)` says whether no entry evaluated for one of n
-players raises at any load vector in the box 0..top; `integral` says whether
-every player weight is an integer.  Exhaustive search splits a game
-by these reads only where its model is total on the game's box.
+Affine's `reads()` gives the pairs (r, s) such that c_r reads the load on s,
+the non-zero a_rs; exhaustive search splits an affine game by them.
 """
 
 from __future__ import annotations
@@ -127,11 +121,6 @@ def _over_common_denominator(values: Sequence) -> tuple:
     return q, [v.numerator * (q // v.denominator) for v in values]
 
 
-def _off_diagonal(cols) -> tuple:
-    """(r, s) for every non-zero off-diagonal a_rs of the kernel's columns."""
-    return tuple((r, s) for s, col in enumerate(cols) for r in col if r != s)
-
-
 def _quadratic(cols, supp, ys) -> Number:
     """sum over r, s in supp of y_r * (D*a_rs) * y_s, where ys lists y on supp."""
     total = 0
@@ -193,16 +182,6 @@ class Tabulated(_PricedByEntries):
         except KeyError:
             raise LoadRangeError(f"no table entry for resource {r} at {key}") from None
 
-    def reads(self) -> tuple:
-        return tuple((r, s) for r, hood in enumerate(self.neighborhoods) for s in hood)
-
-    def total(self, top: Loads, integral: bool, n: int) -> bool:
-        """Integer loads within max_load, and every table keyed on all of 0..max_load."""
-        keys = range(self.max_load + 1)
-        return integral and all(t <= self.max_load for t in top) and all(
-            key in table for hood, table in zip(self.neighborhoods, self.tables)
-            for key in product(keys, repeat=len(hood)))
-
 
 @dataclass(frozen=True, eq=False)
 class SeparablePlusLinear:
@@ -245,12 +224,6 @@ class SeparablePlusLinear:
         D, cols, F = self.kernel()
         interaction = sum(col[r] * v for col, v in zip(cols, il) if v and r in col)
         return Fraction(F[r][xr] + interaction, D)
-
-    def reads(self) -> tuple:
-        return _off_diagonal(self.kernel()[1])
-
-    def total(self, top: Loads, integral: bool, n: int) -> bool:
-        return integral and all(t <= self.max_load for t in top)
 
     def pricer(self, base: Loads, player: Optional[int] = None):
         try:
@@ -304,10 +277,7 @@ class Affine:
         return Fraction(B[r] + interaction, D)
 
     def reads(self) -> tuple:
-        return _off_diagonal(self.kernel()[1])
-
-    def total(self, top: Loads, integral: bool, n: int) -> bool:
-        return True
+        return tuple((r, s) for s, col in enumerate(self.kernel()[1]) for r in col)
 
     def pricer(self, base: Loads, player: Optional[int] = None):
         """Rational loads are scaled to ints too: base = ib / E and y = ys / q on supp y."""
@@ -343,18 +313,6 @@ class Exponential(_PricedByEntries):
     def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
         return self.a[r] * math.exp(self.phi * float(loads[r])) + self.b[r]
 
-    def reads(self) -> tuple:
-        return ()
-
-    def total(self, top: Loads, integral: bool, n: int) -> bool:
-        """Whether e^(phi * top_r) is a float on every resource."""
-        try:
-            for t in top:
-                math.exp(self.phi * float(t))
-        except OverflowError:
-            return False
-        return True
-
 
 @dataclass(frozen=True, eq=False)
 class Bilevel:
@@ -381,12 +339,6 @@ class Bilevel:
             return _weighted_sum(y, lambda r: loads[r] + kappa[r])
 
         return price
-
-    def reads(self) -> tuple:
-        return tuple(product(range(self.m), repeat=2))
-
-    def total(self, top: Loads, integral: bool, n: int) -> bool:
-        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,14 +375,6 @@ class PlayerSpecificSeparable(_PricedByEntries):
         if il[r] < 0 or il[r] >= len(table):
             raise LoadRangeError(f"load {il[r]} outside table for player {player}, resource {r}")
         return table[il[r]]
-
-    def reads(self) -> tuple:
-        return ()
-
-    def total(self, top: Loads, integral: bool, n: int) -> bool:
-        """Integer loads, one table per player, and every table longer than top."""
-        return integral and len(self.nu) == n and all(
-            t < len(table) for per_res in self.nu for t, table in zip(top, per_res))
 
 
 CostModel = Union[

@@ -20,9 +20,10 @@ directly instead of calling `verify_pne` per profile.
 (`_components`): players who share no resource, and whose resources no cost
 reads across, cannot change each other's costs.  A profile is then a PNE iff
 its restriction to every component is one, and the first PNE in `product`
-order is the union of each component's first PNE.  A game is split only where
-no cost evaluation inside the box of reachable loads can raise, so that the
-split skips no error the whole sweep would meet.
+order is the union of each component's first PNE.  Only an affine game is
+split: an affine cost is exact at every rational load and never raises, while
+a table-backed or exponential cost can raise at a load that only the whole
+sweep reaches, and such a game is swept whole.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .core import Game, Profile, Vector, deviate, load_of, pricer, validate_profile
+from .costs import Affine
 from .errors import CapacityError, UsageError
 
 FLOAT_TOL = 1e-9  # float costs compare within this; `characterize` shares it
@@ -207,15 +209,14 @@ def _sweep(game: Game, spaces):
 def _components(game: Game, spaces) -> list:
     """The players by component of the resource graph, each in index order and the
     components by their lowest player; one component for a game of under two players,
-    whose spaces go unread, or for a model that is not total on the game's box.
+    whose spaces go unread, or for a cost that is not `Affine`.
 
     Player i joins every resource its strategies use, and resource r every resource
-    that c_r reads.  The box is 0..top, top_r the sum of the players' largest loads on r.
+    that c_r reads.
     """
     n = game.n_players
-    if n < 2:
+    if n < 2 or not isinstance(game.cost_model, Affine):
         return [range(n)]
-    used = [{r for v in space for r, e in enumerate(v) if e} for space in spaces]
     parent = list(range(n + game.n_resources))  # player i, then resource r at n + r
 
     def find(a):
@@ -226,18 +227,12 @@ def _components(game: Game, spaces) -> list:
 
     for r, s in game.cost_model.reads():
         parent[find(n + r)] = find(n + s)
-    for i, resources in enumerate(used):
-        for r in resources:
+    for i, space in enumerate(spaces):
+        for r in {r for v in space for r, e in enumerate(v) if e}:
             parent[find(i)] = find(n + r)
     parts = {}
     for i in range(n):
         parts.setdefault(find(i), []).append(i)
-    if len(parts) > 1:
-        top = [sum(p.weight for p, u in zip(game.players, used) if r in u)
-               for r in range(game.n_resources)]
-        integral = all(p.weight == int(p.weight) for p in game.players)
-        if not game.cost_model.total(top, integral, n):
-            return [range(n)]
     return list(parts.values())
 
 

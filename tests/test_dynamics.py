@@ -397,8 +397,10 @@ class TestSweepMatchesReference:
 
 # --- the component split against the frozen per-profile loop ------------------
 
-# (cost class, variant): every class split, with its total form first, then the
-# forms that some evaluation inside the box of reachable loads can fail on
+# (cost class, variant): games whose resource graph splits, for every class, with
+# the forms that no evaluation inside the box of reachable loads fails on first,
+# then the forms that some evaluation can fail on.  Exhaustive search splits only
+# the affine ones; every other game must keep the outcome of the whole sweep.
 SPLIT_KINDS = (
     ("affine", ""), ("affine", "fractional"), ("spl", ""), ("tabulated", ""),
     ("exponential", ""), ("player_specific", ""), ("bilevel", ""),
@@ -488,8 +490,8 @@ def split_game(seed):
     under one cost of class and variant SPLIT_KINDS[seed % 15].
 
     Where the class can hold one, a part has no PNE a third of the time, and the first
-    part of a game that is not total always has none, so that a split without the
-    totality guard would stop before the failure.  A bilevel game splits only with an
+    part of a game that some evaluation can fail on always has none, so that a
+    split of that game would stop before the failure.  A bilevel game splits only with an
     idle player, whose one strategy uses no resource."""
     rng = random.Random(seed)
     cls, variant = SPLIT_KINDS[seed % len(SPLIT_KINDS)]
@@ -628,7 +630,7 @@ class TestComponentSplit:
             if isinstance(want, NoPNEExists):
                 first_without.add(next(k for k, part in enumerate(parts) if isinstance(
                     split_outcome(reference_brute_force, only(game, part)), NoPNEExists)))
-        # every class splits in its total form, and so does each form that is not total
+        # every class is split-shaped in each of its forms, those that fail included
         for cls, variant in SPLIT_KINDS:
             assert variant in split[cls], (cls, variant)
         for kind in SPLIT_KINDS[:7]:
@@ -684,6 +686,13 @@ class TestComponentSplit:
                 yield row
 
         monkeypatch.setattr(dynamics, "_sweep", counting)
+
+        def assert_swept_whole(game, want, seed):
+            profiles = list(product(*[p.strategies() for p in game.players]))
+            yielded.clear()
+            assert brute_force_pne(game) == want, seed
+            assert len(yielded) == (profiles.index(want.profile) + 1
+                                    if isinstance(want, PNEFound) else len(profiles)), seed
         totals = set()
         for seed in range(20):
             game = _gadget_beside(random.Random(seed))
@@ -699,10 +708,16 @@ class TestComponentSplit:
             want = outcome(reference_brute_force, game)
             if len(components(game)) > 1 or isinstance(want, tuple):
                 continue
-            profiles = list(product(*[p.strategies() for p in game.players]))
-            yielded.clear()
-            assert brute_force_pne(game) == want, seed
-            assert len(yielded) == (profiles.index(want.profile) + 1
-                                    if isinstance(want, PNEFound) else len(profiles)), seed
+            assert_swept_whole(game, want, seed)
             connected += 1
         assert connected > 100
+        # a split-shaped game under any cost but Affine is swept whole
+        shaped = 0
+        for seed in self.SEEDS:
+            game = split_game(seed)
+            want = split_outcome(reference_brute_force, game)
+            if isinstance(game.cost_model, Affine) or isinstance(want, tuple):
+                continue
+            assert_swept_whole(game, want, seed)
+            shaped += len(components(game)) > 1
+        assert shaped > 100
