@@ -52,6 +52,8 @@ CASES = [
       "--resources", "1,2", "--epsilon", "1/2", "--confirm"], 1),
     ("spl_characterize", ["characterize", "spl_cost.json", "--L", "2"], 0),
     ("spl_characterize_weighted", ["characterize", "spl_cost.json", "--weighted"], 1),
+    ("spl_asym_characterize", ["characterize", "spl_asym_cost.json"], 1),
+    ("spl_diag_characterize", ["characterize", "spl_diag_cost.json"], 0),
     ("cross_characterize", ["characterize", "cross_cost.json"], 1),
     ("cross_gadget_L4", ["gadget", "cross_cost.json", "--lemma", "L4", "--point", "0,1",
                          "--resources", "2,1", "--confirm"], 1),
