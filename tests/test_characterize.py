@@ -228,6 +228,20 @@ class TestPipeline:
         assert analyze_unweighted(Bilevel(m=2, budget=Fraction(1)), 2) == Violation(
             lemma="jacobian", r=0, s=1, x=(0, 1))
 
+    def test_short_separable_plus_linear_table_keeps_the_order_of_the_checks(self):
+        # max_load = L + 1: the Jacobian check has its entries, cross-linearity does not
+        f = tuple(tuple(Fraction(k * k + r) for k in range(4)) for r in range(2))
+        asymmetric = SeparablePlusLinear(f=f, A=((Fraction(0), Fraction(1)),
+                                                 (Fraction(2), Fraction(0))))
+        assert analyze_unweighted(asymmetric, 2) == Violation(lemma="jacobian", r=0, s=1,
+                                                              x=(0, 0))
+        symmetric = SeparablePlusLinear(f=f, A=((Fraction(1), Fraction(1)),
+                                                (Fraction(1), Fraction(0))))
+        with pytest.raises(LoadRangeError) as info:
+            analyze_unweighted(symmetric, 2)
+        assert str(info.value) == ("cross-linearity check at bound 2 needs table entries up "
+                                   "to 4, model is bounded by 3")
+
     @pytest.mark.parametrize("check", [
         check_jacobian_symmetry, check_cross_linearity, decompose_unweighted, analyze_unweighted])
     def test_float_costs_refused(self, check):
