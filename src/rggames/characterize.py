@@ -9,19 +9,32 @@ check keeps a value table that evaluates c_r(x) on its first read, so a
 table may omit entries that no check reads, and a missing entry fails at the
 same first read as entry-by-entry evaluation would.
 
-`analyze_unweighted` first tries a one-pass accept.  On a consistent model
-(m >= 2) the ordered checks read c_r exactly on f_r(0) = c_r(0) and on
+`analyze_unweighted` runs three stages in order, each only where the one
+before gives no answer.
 
-    S_r = {y : 1 <= y_r <= L+1, sum_u max(0, y_u - L) <= 2},
+1. Closed form.  A SeparablePlusLinear or Affine model is already in the
+   form c_r(x) = f_r(x_r) + sum_{s != r} a_rs x_s, so its report follows
+   from its coefficients (`decomposition(L)`): the first r < s with
+   a_rs != a_sr gives the Jacobian violation at x = 0, where the Jacobian
+   check compares exactly a_rs and a_sr; otherwise (f, A) is the
+   decomposition.  An SPL whose tables stop before L + 2 goes on to the
+   next stages, which own the range errors.
+2. One-pass accept.  On a consistent model (m >= 2) the ordered checks read
+   c_r exactly on f_r(0) = c_r(0) and on
 
-and nothing else (for m = 1 only on k*1_r, k = 0..L).  The fast pass reads
-f and A off the axes, then checks c_r(y) = f_r(y_r) + sum_{s != r} a_rs y_s
-once on every y in S_r.  If it holds everywhere and A is symmetric, every
-difference the ordered checks compare equals a_rs, so they would all pass
-and decompose into the same (f, A), which is returned.  Any mismatch or
-error reruns the ordered checks from fresh value tables, so witnesses and
-errors are theirs.  The weighted classifier implements the
-affine-or-exponential dichotomy on the sample grid GRID^m.
+       S_r = {y : 1 <= y_r <= L+1, sum_u max(0, y_u - L) <= 2},
+
+   and nothing else (for m = 1 only on k*1_r, k = 0..L).  The accept reads
+   f and A off the axes, then checks c_r(y) = f_r(y_r) + sum_{s != r} a_rs y_s
+   once on every y in S_r.  If it holds everywhere and A is symmetric, every
+   difference the ordered checks compare equals a_rs, so they would all pass
+   and decompose into the same (f, A), which is returned.
+3. The ordered checks: Jacobian symmetry, cross-linearity, decomposition.
+   They run on any mismatch or error of the accept, from fresh value
+   tables, so witnesses and errors are theirs.
+
+The weighted classifier implements the affine-or-exponential dichotomy on
+the sample grid GRID^m.
 """
 
 from __future__ import annotations
@@ -181,6 +194,12 @@ def _axes(value, m: int, top: int) -> tuple:
     return f, A
 
 
+def _asymmetry(A) -> Optional[Violation]:
+    """The Jacobian violation at x = 0 on the first r < s with a_rs != a_sr, or None."""
+    at = first_asymmetry(A)
+    return None if at is None else Violation(lemma="jacobian", r=at[0], s=at[1], x=(0,) * len(A))
+
+
 def decompose_unweighted(c: CostModel, L: int) -> ConsistencyReport:
     """Recover (f, A) with f_r(k) = c_r(k*1_r), a_rs = c_r(1_{rs}) - c_r(1_r), a_rr = 0.
 
@@ -192,9 +211,9 @@ def decompose_unweighted(c: CostModel, L: int) -> ConsistencyReport:
     value = _values(c)
     m = c.m
     f, A = _axes(value, m, L)
-    at = first_asymmetry(A)
-    if at is not None:
-        return Violation(lemma="jacobian", r=at[0], s=at[1], x=(0,) * m)
+    violation = _asymmetry(A)
+    if violation is not None:
+        return violation
     for x in product(range(L + 1), repeat=m):
         for r in range(m):
             if x[r] == 0:
@@ -258,13 +277,19 @@ def _accept(c: CostModel, L: int) -> Optional[UnweightedConsistent]:
 def analyze_unweighted(c: CostModel, L: int) -> ConsistencyReport:
     """Full necessity pipeline: Jacobian, cross-linearity, then decomposition.
 
-    A one-pass accept (`_accept`) runs first: it reads c_r once on f_r(0)
-    and on S_r = {y : 1 <= y_r <= L+1, sum_u max(0, y_u - L) <= 2}, the
-    exact read set of the ordered checks on a consistent model, and returns
-    their report when c_r(y) = f_r(y_r) + sum_{s != r} a_rs y_s holds there
-    with A symmetric.  On any mismatch or error the ordered checks run from
-    fresh value tables, so violations, witnesses and errors are theirs.
+    Three stages, each only where the one before gives no answer (module
+    docstring).  First the closed form: a SeparablePlusLinear or Affine
+    model gives its (f, A) up to L (`decomposition`), and the report is the
+    Jacobian violation at x = 0 on the first a_rs != a_sr, else that (f, A);
+    an SPL whose tables stop before L + 2 gives None.  Then the one-pass
+    accept (`_accept`) on S_r, the exact read set of the ordered checks on a
+    consistent model.  On any mismatch or error of the accept the ordered
+    checks run from fresh value tables, so violations, witnesses and errors
+    are theirs.
     """
+    form = c.decomposition(L) if isinstance(c, (SeparablePlusLinear, Affine)) else None
+    if form is not None:
+        return _asymmetry(form[1]) or UnweightedConsistent(*form, L)
     try:
         report = _accept(c, L)
     except Exception:  # the ordered checks raise it again, as their own error

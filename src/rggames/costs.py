@@ -29,6 +29,9 @@ handed to `entry`, so the errors and their messages are those of `entry`.
 
 Affine's `reads()` gives the pairs (r, s) such that c_r reads the load on s,
 the non-zero a_rs; exhaustive search splits an affine game by them.
+SeparablePlusLinear's and Affine's `decomposition(L)` read the form
+c_r(x) = f_r(x_r) + sum_{s != r} a_rs x_s off their coefficients, for the
+unweighted characterization.
 """
 
 from __future__ import annotations
@@ -81,6 +84,15 @@ def first_asymmetry(A) -> Optional[tuple]:
             if A[r][s] != A[s][r]:
                 return r, s
     return None
+
+
+def _folded(f, A, L: int) -> tuple:
+    """(f', A') with c_r(x) = f'_r(x_r) + sum_{s != r} a'_rs x_s, for c_r(x) = f_r(x_r) + (A x)_r:
+    f'_r(k) = f_r(k) + a_rr*k for k = 0..L and A' = A off the diagonal, all Fractions."""
+    return (tuple(tuple(Fraction(f[r][k] + row[r] * k) for k in range(L + 1))
+                  for r, row in enumerate(A)),
+            tuple(tuple(Fraction(0) if s == r else Fraction(a) for s, a in enumerate(row))
+                  for r, row in enumerate(A)))
 
 
 def _linear_kernel(A, others) -> tuple:
@@ -214,6 +226,10 @@ class SeparablePlusLinear:
             object.__setattr__(self, "_kernel", (D, cols, F))
         return self._kernel
 
+    def decomposition(self, L: int) -> Optional[tuple]:
+        """(f, A) up to L with a_rr folded into f (`_folded`); None if f stops before L + 2."""
+        return None if self.max_load < L + 2 else _folded(self.f, self.A, L)
+
     def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
         il = _as_int_loads(loads)
         if len(il) != self.m:
@@ -275,6 +291,10 @@ class Affine:
         D, cols, B = self.kernel()
         interaction = sum(col[r] * v for col, v in zip(cols, loads) if v and r in col)
         return Fraction(B[r] + interaction, D)
+
+    def decomposition(self, L: int) -> tuple:
+        """(f, A) up to L with f_r(k) = b_r + a_rr*k and A off the diagonal (`_folded`)."""
+        return _folded(tuple((v,) * (L + 1) for v in self.b), self.A, L)
 
     def reads(self) -> tuple:
         return tuple((r, s) for s, col in enumerate(self.kernel()[1]) for r in col)

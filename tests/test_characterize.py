@@ -21,6 +21,7 @@ from rggames.characterize import (
     classify_weighted,
     decompose_unweighted,
 )
+from rggames.cli import encode
 from rggames.costs import (
     Affine,
     Bilevel,
@@ -680,6 +681,56 @@ class TestOnePassAccept:
             model = table = _moved(table, key, r,
                                    data.draw(st.sampled_from((Fraction(1), Fraction(-1, 2)))))
         assert _outcome(analyze_unweighted, model, L) == _outcome(_ref_analyze, table, L)
+
+
+# --- the closed form for separable-plus-linear and affine models ----------------------------
+
+
+class Unreadable(SeparablePlusLinear):
+    """A separable-plus-linear model whose entries must not be read."""
+
+    def entry(self, loads, r, player=None):
+        raise AssertionError(f"entry read at {loads}, resource {r}")
+
+
+class TestClosedForm:
+    """SPL and Affine reports come from their coefficients, as the entry-by-entry checks
+    would give them on the model's tabulation up to L + 2."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_on_the_tabulation(self, data):
+        m = data.draw(st.integers(min_value=1, max_value=5), label="m")
+        L = data.draw(st.integers(min_value=0, max_value=3), label="L")
+        ratio = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+        A = data.draw(st.lists(ratio, min_size=m * m, max_size=m * m), label="A")
+        if data.draw(st.booleans(), label="symmetric"):
+            A = [A[min(r, s) * m + max(r, s)] for r in range(m) for s in range(m)]
+        A = tuple(tuple(A[r * m:(r + 1) * m]) for r in range(m))
+        if data.draw(st.booleans(), label="affine"):
+            model = Affine(A=A, b=tuple(data.draw(st.lists(ratio, min_size=m, max_size=m))))
+        else:
+            top = data.draw(st.integers(L + 2, L + 3), label="max_load")
+            f = tuple(tuple(data.draw(st.lists(ratio, min_size=top + 1, max_size=top + 1)))
+                      for _ in range(m))
+            model = SeparablePlusLinear(f=f, A=A)
+        assert model.decomposition(L) is not None
+        report = analyze_unweighted(model, L)
+        ref = _ref_analyze(as_tabulated(model, max_load=L + 2), L)
+        if isinstance(ref, _RefViolation):
+            ref = Violation(lemma=ref.lemma, r=ref.r, s=ref.s, t=ref.t, x=ref.x)
+        assert report == ref
+        assert encode(report) == encode(ref)
+
+    def test_reads_no_entry(self):
+        f = tuple(tuple(Fraction(k * k + r) for k in range(5)) for r in range(2))
+        spl = Unreadable(f=f, A=((Fraction(1), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1))))
+        assert analyze_unweighted(spl, 2) == UnweightedConsistent(
+            f=(tuple(Fraction(k * k + k) for k in range(3)),
+               tuple(Fraction(k * k + 1 - k) for k in range(3))),
+            A=((0, Fraction(1, 2)), (Fraction(1, 2), 0)), L=2)
+        spl = Unreadable(f=f, A=((Fraction(0), Fraction(1)), (Fraction(2), Fraction(0))))
+        assert analyze_unweighted(spl, 2) == Violation(lemma="jacobian", r=0, s=1, x=(0, 0))
 
 
 # --- the weighted classifier against a frozen copy --------------------------------------------
