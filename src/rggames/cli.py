@@ -316,6 +316,9 @@ def game_from_json(doc: dict) -> Game:
         _reject_unknown(pd, path)
         players.append(Player(weight=weight, strategy_space=space))
     cost = decode("cost", _pop(doc, "cost", "$"), "cost", m)
+    if isinstance(cost, PlayerSpecificSeparable) and len(cost.nu) != len(players):
+        raise StructureError(f"cost.nu: {len(cost.nu)} player tables for {len(players)} "
+                             "players; need one per player")
     _bound(doc)
     _reject_unknown(doc, "$")
     return Game(n_resources=m, players=tuple(players), cost_model=cost)

@@ -316,6 +316,10 @@ INPUT_CHECKS = {
     "player_specific empty nu": (
         ["solve", with_cost("player_specific_game.json", nu=[])],
         "need at least one player table"),
+    "player_specific nu per player": (
+        ["solve", edited("player_specific_game.json",
+                         lambda doc: doc["players"].append(doc["players"][0]))],
+        "cost.nu: 2 player tables for 3 players; need one per player"),
     "player_specific ragged nu": (
         ["solve", with_cost("player_specific_game.json",
                             nu=[[["0", "1", "4"]] * 3, [["0", "2", "2"]] * 2])],
