@@ -227,7 +227,8 @@ class SeparablePlusLinear:
         return self._kernel
 
     def decomposition(self, L: int) -> Optional[tuple]:
-        """(f, A) up to L with a_rr folded into f (`_folded`); None if f stops before L + 2."""
+        """(f, A) up to L with a_rr folded into f (`_folded`); None if f stops before L + 2,
+        the reach of the ordered characterize checks, which then own the range error."""
         return None if self.max_load < L + 2 else _folded(self.f, self.A, L)
 
     def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
