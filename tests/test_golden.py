@@ -76,6 +76,11 @@ CASES = [
     ("bilevel_characterize_weighted", ["characterize", "bilevel_cost.json", "--weighted"], 1),
     ("reduce_sat", ["reduce", "sat", "sat.cnf"], 0),
     ("reduce_pairs", ["reduce", "pairs", "pairs.json"], 0),
+    # the 6-clause game of sat6.cnf at a cost-0 profile, and at a cost-2 profile whose
+    # first improving deviation is strategy 408 of 729
+    ("sat_verify_pne", ["verify", "sat6_game.json", "--profile", "sat6_pne_profile.json"], 0),
+    ("sat_verify_not_pne",
+     ["verify", "sat6_game.json", "--profile", "sat6_not_pne_profile.json"], 1),
 ]
 
 
