@@ -5,13 +5,16 @@ Strategy vectors are tuples over the m resources.  Unweighted players play
 A player's strategy space is an `Explicit` list of vectors or a matroid
 descriptor (`matroid.Uniform`, `Partition`, `Graphic`), whose bases it plays.
 Games and profiles are immutable; every operation here is a pure function.
-A Player keeps its enumerated strategy tuple once computed (`strategies`).
+A Player keeps its enumerated strategy tuple once computed (`strategies`), and
+reads it as a `Trie` for the pruned deviation search (`trie`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Tuple, Union
 
 from .errors import StructureError
@@ -44,11 +47,47 @@ class Explicit:
         return len(self.vectors[0])
 
 
+class Trie:
+    """One player's sorted strategy tuple read as a trie over the resources.
+
+    Every entry of a player's strategy is 0 or the player's weight.  The node over
+    space[lo:hi] holds strategies that agree on every resource before its split, the
+    first resource on which space[lo] and space[hi - 1] differ (m for a single
+    strategy).  Its first child, space[lo:mid], leaves the split unused and its second
+    child, space[mid:hi], uses it, so a depth-first walk, first child first, meets the
+    strategies in the order of the tuple.  Each node is worked out on its first visit
+    and kept.
+    """
+
+    __slots__ = ("space", "_nodes")
+
+    def __init__(self, space: tuple):
+        self.space = space
+        self._nodes = {}
+
+    def node(self, lo: int, hi: int, d: int) -> tuple:
+        """(used, split, mid) of the node over space[lo:hi], whose parent splits at d
+        (0 for the root): the resources in d..split-1 that its strategies use, its
+        split, and the start of its second child (hi for a leaf)."""
+        key = (lo, hi)
+        node = self._nodes.get(key)
+        if node is None:
+            first, last = self.space[lo], self.space[hi - 1]
+            split, m = d, len(first)
+            while split < m and first[split] == last[split]:
+                split += 1
+            mid = hi if split == m else bisect_right(self.space, first[split], lo, hi,
+                                                      key=itemgetter(split))
+            node = self._nodes[key] = (tuple(r for r in range(d, split) if first[r]), split, mid)
+        return node
+
+
 @dataclass(frozen=True, eq=False)
 class Player:
     weight: Number = 1
     strategy_space: object = None  # an Explicit or a matroid descriptor
     _strategies: Optional[tuple] = field(default=None, init=False, repr=False)
+    _trie: Optional[Trie] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.weight <= 0:
@@ -78,6 +117,12 @@ class Player:
         cached = base if w == 1 else tuple(tuple(w * e for e in v) for v in base)
         object.__setattr__(self, "_strategies", cached)
         return cached
+
+    def trie(self) -> Trie:
+        """`strategies()` as a Trie, made on the first call and kept with the tuple."""
+        if self._trie is None:
+            object.__setattr__(self, "_trie", Trie(self.strategies()))
+        return self._trie
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,15 +17,27 @@ ints over their common denominator, so its sums stay in int.  The
 other models price entry by entry at the full vector base + y (Bilevel
 splits the budget once per vector).
 
+The two kernel models also give a pruned search, `searcher(base, player, weight)`:
+the pricer and first_below over a player's strategy trie (`_trie_search`), which
+bounds a subtree by the int price of the resources chosen so far plus every
+negative part the undecided resources and pairs could add.  The pair table behind
+that bound (`_pair_bounds`) is built once per model, on its first search; the
+per-base vector only when a search is asked for, so `pricer` alone pays for
+neither.  SeparablePlusLinear gives None where a deviation could raise (a
+fractional base or weight, or a table too short for base + weight), and so do the
+models without a kernel, which have nothing to bound a subtree with; the caller
+then prices every deviation.
+
 Load-range rule.  Table-backed models (Tabulated, SeparablePlusLinear,
 PlayerSpecificSeparable) accept integer loads only: a fractional load
 anywhere in the vector raises LoadRangeError, even at a coordinate no entry
 reads.  Tabulated also rejects any load outside 0..max_load anywhere in the
 vector; the other two reject a load beyond their table only where an entry
 reads it.  The rule applies whenever an entry is evaluated; pricing an empty
-y evaluates none and costs 0.  SeparablePlusLinear's pricer checks it once
-per base vector and then on supp y per deviation, and an invalid vector is
-handed to `entry`, so the errors and their messages are those of `entry`.
+y evaluates none and costs 0.  The pricers of the three table-backed models
+check it once per base vector and then on supp y per deviation, and an invalid
+vector is handed to `entry`, so the errors and their messages are those of
+`entry`.
 
 Affine's `reads()` gives the pairs (r, s) such that c_r reads the load on s,
 the non-zero a_rs; exhaustive search splits an affine game by them.
@@ -68,11 +80,15 @@ def _entry_pricer(model, base: Loads, player: Optional[int] = None):
     return price
 
 
-class _PricedByEntries:
-    """Mixin for models without a kernel: the pricer evaluates entry by entry."""
+class _NoKernel:
+    """Mixin for models without a kernel: the pricer evaluates entry by entry, and
+    there is no pruned search, so every deviation is priced."""
 
     def pricer(self, base: Loads, player: Optional[int] = None):
         return _entry_pricer(self, base, player)
+
+    def searcher(self, base: Loads, player: Optional[int], weight: Number):
+        return None
 
 
 def first_asymmetry(A) -> Optional[tuple]:
@@ -147,6 +163,75 @@ def _quadratic(cols, supp, ys) -> Number:
     return total
 
 
+def _pair_bounds(cols) -> tuple:
+    """(sym, neg_pairs, neg_rows) for the pruned search, from the kernel's D*A columns:
+    sym[r][s] = D*(a_rs + a_sr) for r != s; neg_pairs[d] sums the negative sym[r][s]
+    over d <= r < s, and neg_rows[s][d] the negative sym[s][r] over r >= d.  sym is
+    None when A has no off-diagonal entry, and the sums are None when none is negative."""
+    m = len(cols)
+    sym = [[0 if r == s else cols[s].get(r, 0) + cols[r].get(s, 0) for s in range(m)]
+           for r in range(m)]
+    if not any(map(any, sym)):
+        return None, None, None
+    if min(map(min, sym)) >= 0:
+        return sym, None, None
+    neg_pairs = [0] * (m + 1)
+    for r in range(m - 1, -1, -1):
+        neg_pairs[r] = neg_pairs[r + 1] + sum(min(0, a) for a in sym[r][r + 1:])
+    neg_rows = []
+    for row in sym:
+        suffix = [0] * (m + 1)
+        for r in range(m - 1, -1, -1):
+            suffix[r] = suffix[r + 1] + min(0, row[r])
+        neg_rows.append(suffix)
+    return sym, neg_pairs, neg_rows
+
+
+def _trie_search(u: list, c: int, scale: int, pairs: tuple):
+    """first_below(trie, start, threshold) for prices P(S) / scale, where S is the
+    support of a strategy and P(S) = sum_{r in S} u[r] + c * sum_{r < s in S} sym[r][s].
+
+    It returns the first k >= start in the order of trie.space whose price is below
+    threshold, as (k, price), or None.  A depth-first walk over the trie keeps P of the
+    resources used so far; a subtree is skipped when that partial sum, plus every
+    negative part that an undecided resource (u[r] < 0) or a pair with an undecided
+    resource (sym < 0) could add, is at least the threshold.  All sums are ints.
+    """
+    sym, neg_pairs, neg_rows = pairs
+    m = len(u)
+    neg_u = [0] * (m + 1)
+    for r in range(m - 1, -1, -1):
+        neg_u[r] = neg_u[r + 1] + min(0, u[r])
+
+    def first_below(trie, start: int, threshold):
+        limit = -(-threshold.numerator * scale // threshold.denominator)  # P < threshold*scale
+        node = trie.node
+        stack = [(0, len(trie.space), 0, 0, ())] if start < len(trie.space) else []
+        while stack:
+            lo, hi, d, partial, used = stack.pop()
+            more, split, mid = node(lo, hi, d)
+            for r in more:
+                partial += u[r]
+                if sym is not None and used:
+                    partial += c * sum(map(sym[r].__getitem__, used))
+                used += (r,)
+            if split == m:
+                if partial < limit and lo >= start:
+                    return lo, Fraction(partial, scale)
+                continue
+            bound = partial + neg_u[split]
+            if neg_pairs is not None:
+                bound += c * (neg_pairs[split] + sum(neg_rows[s][split] for s in used))
+            if bound >= limit:
+                continue
+            stack.append((mid, hi, split, partial, used))
+            if mid > start:
+                stack.append((lo, mid, split, partial, used))
+        return None
+
+    return first_below
+
+
 def _as_int_loads(loads: Loads) -> tuple:
     out = []
     for v in loads:
@@ -158,7 +243,7 @@ def _as_int_loads(loads: Loads) -> tuple:
 
 
 @dataclass(frozen=True, eq=False)
-class Tabulated(_PricedByEntries):
+class Tabulated(_NoKernel):
     """Finite tables c_r keyed by the load restricted to the neighborhood B_r.
 
     neighborhoods[r] is a sorted tuple of coordinate indices; tables[r] maps
@@ -194,6 +279,35 @@ class Tabulated(_PricedByEntries):
         except KeyError:
             raise LoadRangeError(f"no table entry for resource {r} at {key}") from None
 
+    def pricer(self, base: Loads, player: Optional[int] = None):
+        """The load rule is checked on base once and then on supp y per y."""
+        try:
+            ib = _as_int_loads(base)
+        except LoadRangeError:
+            return _entry_pricer(self, base, player)
+        top = self.max_load
+        if len(ib) != self.m or any(v < 0 or v > top for v in ib):
+            return _entry_pricer(self, base, player)
+        hoods, tables = self.neighborhoods, self.tables
+
+        def price(y: Loads) -> Number:
+            supp = [r for r, e in enumerate(y) if e]
+            loads = list(ib)
+            for r in supp:
+                x = ib[r] + y[r]
+                if x != int(x) or not 0 <= x <= top:  # entry raises the LoadRangeError
+                    return _entry_pricer(self, base, player)(y)
+                loads[r] = int(x)
+            total = 0
+            for r in supp:
+                value = tables[r].get(tuple(loads[s] for s in hoods[r]))
+                if value is None:  # entry raises the missing entry
+                    return _entry_pricer(self, base, player)(y)
+                total += y[r] * value
+            return total
+
+        return price
+
 
 @dataclass(frozen=True, eq=False)
 class SeparablePlusLinear:
@@ -202,6 +316,7 @@ class SeparablePlusLinear:
     f: tuple
     A: tuple
     _kernel: Optional[tuple] = field(default=None, init=False, repr=False)
+    _pairs: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = len(self.A)
@@ -247,8 +362,11 @@ class SeparablePlusLinear:
             ib = _as_int_loads(base)
         except LoadRangeError:  # a fractional load that only some y may cancel: entry decides
             return _entry_pricer(self, base, player)
+        return self._pricer(base, ib, _times(self.kernel()[1], ib), player)
+
+    def _pricer(self, base: Loads, ib: tuple, a_base: list, player: Optional[int]):
+        """The kernel pricer at an integral base ib, with a_base = D*A*ib."""
         D, cols, F = self.kernel()
-        a_base = _times(cols, ib)
         top = self.max_load
 
         def price(y: Loads) -> Number:
@@ -264,6 +382,32 @@ class SeparablePlusLinear:
 
         return price
 
+    def pair_bounds(self) -> tuple:
+        """`_pair_bounds` of the kernel, built on the first search and kept."""
+        if self._pairs is None:
+            object.__setattr__(self, "_pairs", _pair_bounds(self.kernel()[1]))
+        return self._pairs
+
+    def searcher(self, base: Loads, player: Optional[int], weight: Number):
+        """(price, first_below): `pricer(base, player)` and the pruned search
+        (`_trie_search`, in units of 1/D) for a player of this weight.  None where a
+        deviation could raise, which keeps the full scan: a fractional base or weight,
+        or a resource that base + weight takes past max_load."""
+        if int(weight) != weight:
+            return None
+        try:
+            ib = _as_int_loads(base)
+        except LoadRangeError:
+            return None
+        w = int(weight)
+        if max(ib, default=0) + w > self.max_load:
+            return None
+        D, cols, F = self.kernel()
+        a_base = _times(cols, ib)
+        u = [w * (F[r][x + w] + a_base[r]) + w * w * cols[r].get(r, 0) for r, x in enumerate(ib)]
+        return (self._pricer(base, ib, a_base, player),
+                _trie_search(u, w * w, D, self.pair_bounds()))
+
 
 @dataclass(frozen=True, eq=False)
 class Affine:
@@ -272,6 +416,7 @@ class Affine:
     A: tuple
     b: tuple
     _kernel: Optional[tuple] = field(default=None, init=False, repr=False)
+    _pairs: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.A) != len(self.b) or any(len(row) != len(self.b) for row in self.A):
@@ -302,9 +447,12 @@ class Affine:
 
     def pricer(self, base: Loads, player: Optional[int] = None):
         """Rational loads are scaled to ints too: base = ib / E and y = ys / q on supp y."""
-        D, cols, B = self.kernel()
         E, ib = _over_common_denominator(base)
-        a_base = _times(cols, ib)
+        return self._pricer(E, _times(self.kernel()[1], ib))
+
+    def _pricer(self, E: int, a_base: list):
+        """The kernel pricer at base = ib / E, with a_base = D*A*ib."""
+        D, cols, B = self.kernel()
 
         def price(y: Loads) -> Number:
             supp = [r for r, e in enumerate(y) if e]
@@ -314,9 +462,29 @@ class Affine:
 
         return price
 
+    def pair_bounds(self) -> tuple:
+        """`_pair_bounds` of the kernel, built on the first search and kept."""
+        if self._pairs is None:
+            object.__setattr__(self, "_pairs", _pair_bounds(self.kernel()[1]))
+        return self._pairs
+
+    def searcher(self, base: Loads, player: Optional[int], weight: Number):
+        """(price, first_below): `pricer(base)` and the pruned search (`_trie_search`)
+        for a player of this weight, in the pricer's units: base = ib / E and
+        weight = n / q give 1/(D*E*q*q)."""
+        D, cols, B = self.kernel()
+        E, ib = _over_common_denominator(base)
+        a_base = _times(cols, ib)
+        w = Fraction(weight)
+        n, q = w.numerator, w.denominator
+        u = [n * (E * q * B[r] + q * a_base[r]) + E * n * n * cols[r].get(r, 0)
+             for r in range(len(B))]
+        return self._pricer(E, a_base), _trie_search(u, E * n * n, D * E * q * q,
+                                                     self.pair_bounds())
+
 
 @dataclass(frozen=True, eq=False)
-class Exponential(_PricedByEntries):
+class Exponential(_NoKernel):
     """c_r(x) = a_r * exp(phi * x_r) + b_r; the only float-valued model."""
 
     a: tuple
@@ -336,7 +504,7 @@ class Exponential(_PricedByEntries):
 
 
 @dataclass(frozen=True, eq=False)
-class Bilevel:
+class Bilevel(_NoKernel):
     """c_r(x) = x_r + kappa*_r(x): an attacker budget split over the argmax loads."""
 
     m: int
@@ -363,7 +531,7 @@ class Bilevel:
 
 
 @dataclass(frozen=True, eq=False)
-class PlayerSpecificSeparable(_PricedByEntries):
+class PlayerSpecificSeparable(_NoKernel):
     """Per-player, per-resource non-decreasing tables nu[i][r][load]."""
 
     nu: tuple
@@ -396,6 +564,27 @@ class PlayerSpecificSeparable(_PricedByEntries):
         if il[r] < 0 or il[r] >= len(table):
             raise LoadRangeError(f"load {il[r]} outside table for player {player}, resource {r}")
         return table[il[r]]
+
+    def pricer(self, base: Loads, player: Optional[int] = None):
+        """The load rule is checked on base once and then on supp y per y."""
+        if player is None:
+            return _entry_pricer(self, base, player)
+        try:
+            tables, ib = self.nu[player], _as_int_loads(base)
+        except (IndexError, LoadRangeError):
+            return _entry_pricer(self, base, player)
+
+        def price(y: Loads) -> Number:
+            total = 0
+            for r, e in enumerate(y):
+                if e:
+                    x, table = ib[r] + e, tables[r]
+                    if x != int(x) or not 0 <= x < len(table):  # entry raises the LoadRangeError
+                        return _entry_pricer(self, base, player)(y)
+                    total += e * table[int(x)]
+            return total
+
+        return price
 
 
 CostModel = Union[

@@ -1,13 +1,25 @@
 """Best-response dynamics, equilibrium verification, and the brute-force oracle.
 
 `run_best_response_dynamics` is the package's one best-response loop, with a
-pluggable responder; `_deviations` is its one deviation scan.
+pluggable responder.
 
-Verification scans every unilateral deviation of each player, over strategy
+Verification searches the unilateral deviations of each player, over strategy
 spaces that each Player enumerates once and keeps (`core.Player.strategies`).
 A space can be exponentially large; that is the documented price of
 generality, so a matroid space past `matroid.enumerate_bases`'s basis limit
 fails loudly, naming the player, instead of truncating.
+
+`_searcher` is the one deviation search of `verify_pne`, `brute_force_pne` and
+`best_response`: the first deviation in space order priced below a threshold.  On
+`SeparablePlusLinear` and `Affine` it walks the player's strategies as a trie
+(`core.Trie`) and skips every subtree whose exact lower bound reaches the threshold
+(branch and bound, Land & Doig 1960), so the first improving deviation and the first
+cheapest one are those of a full scan, found without pricing most strategies.  The
+other models have no kernel to bound a subtree with (and Exponential is float), so
+they keep the full scan; so does a space of at most 2m strategies, which the scan
+prices faster than the walk is set up, and a base where some deviation could raise
+(an SPL table too short for the player's weight), so that errors are the full
+scan's.  `_deviations` prices every deviation, for `potential.check_exact_potential`.
 
 `_sweep` is the one walk over every profile, shared by `brute_force_pne`,
 `potential.check_exact_potential` and `gadgets.check_AB_symmetry`, each over
@@ -98,6 +110,39 @@ def _deviations(game: Game, profile: Profile, i: int, space, loads: Vector):
     return price(current), ((y, price(y)) for y in space if y != current)
 
 
+def _searcher(game: Game, profile: Profile, i: int, space, loads: Vector):
+    """pi_i(x) and first_below(start, threshold): the first k >= start whose space[k]
+    is priced strictly below threshold, as (k, price), or None.
+
+    A kernel model walks the player's trie (`costs._trie_search`) when the space is the
+    player's own and holds more than 2m strategies: the walk costs O(m) to set up and
+    up to m nodes to reach its first leaf, which a full scan of 2m strategies does not
+    repay.  Every other model, every smaller space, and a base where a deviation could
+    raise price space[start:] in order, skipping player i's choice, so that the first
+    error is the full scan's.
+    """
+    base = tuple(v - e for v, e in zip(loads, profile[i]))
+    model, player, current = game.cost_model, game.players[i], profile[i]
+    walk = len(space) > 2 * game.n_resources and space is player.strategies()
+    found = model.searcher(base, i, player.weight) if walk else None
+    price, search = (model.pricer(base, i), None) if found is None else found
+    cur = price(current)
+    if search is not None:
+        trie = player.trie()
+        return cur, lambda start, threshold: search(trie, start, threshold)
+
+    def scan(start, threshold):
+        for k in range(start, len(space)):
+            y = space[k]
+            if y != current:
+                alt = price(y)
+                if _improves(alt, threshold):
+                    return k, alt
+        return None
+
+    return cur, scan
+
+
 def verify_pne(game: Game, profile: Profile) -> Certificate:
     """IsPNE iff no player has a strictly improving unilateral deviation.
 
@@ -113,21 +158,24 @@ def _scan(game: Game, profile: Profile, spaces, loads: Vector) -> Certificate:
     """verify_pne on a playable profile with its loads: players in index order, each
     player's own choice priced first, stopping at the first strict improvement."""
     for i, space in enumerate(spaces):
-        cur, deviations = _deviations(game, profile, i, space, loads)
-        for y, alt in deviations:
-            if _improves(alt, cur):
-                return NotPNE(player=i, deviation=y, delta=alt - cur)
+        cur, first_below = _searcher(game, profile, i, space, loads)
+        hit = first_below(0, cur)
+        if hit is not None:
+            k, alt = hit
+            return NotPNE(player=i, deviation=space[k], delta=alt - cur)
     return IsPNE()
 
 
 def best_response(game: Game, profile: Profile, i: int) -> tuple:
     """(y, cost change) for player i's cheapest y; ties keep the incumbent, then lexicographic."""
-    loads = load_of(game, profile)
-    cur, deviations = _deviations(game, profile, i, game.players[i].strategies(), loads)
+    space = game.players[i].strategies()
+    cur, first_below = _searcher(game, profile, i, space, load_of(game, profile))
     best, best_cost = profile[i], cur
-    for y, cost in deviations:
-        if _improves(cost, best_cost):
-            best, best_cost = y, cost
+    hit = first_below(0, cur)
+    while hit is not None:
+        k, best_cost = hit
+        best = space[k]
+        hit = first_below(k + 1, best_cost)
     return best, best_cost - cur
 
 

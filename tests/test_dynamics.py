@@ -1,13 +1,16 @@
+import os
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from rggames.core import (
     Explicit,
     Game,
     Player,
+    Trie,
     deviate,
     load_of,
     pricer,
@@ -35,7 +38,8 @@ from rggames.dynamics import (
     verify_pne,
 )
 from rggames.errors import CapacityError, LoadRangeError, UsageError
-from rggames.matroid import Uniform
+from rggames.matroid import Partition, Uniform
+from rggames.reductions import parse_dimacs, reduce_sat
 from rggames.gadgets import GadgetSpec, build_gadget
 from rggames.potential import potential_unweighted
 
@@ -721,3 +725,145 @@ class TestComponentSplit:
             assert_swept_whole(game, want, seed)
             shaped += len(components(game)) > 1
         assert shaped > 100
+
+
+# --- the pruned search against a frozen copy of the full scan ---------------------------
+
+
+def frozen_scan(game, profile):
+    """verify_pne as it was before the pruned search: every deviation priced in order."""
+    loads = load_of(game, profile)
+    validate_profile(game, profile)
+    for i, p in enumerate(game.players):
+        price = pricer(game, profile, i, loads)
+        cur = price(profile[i])
+        for y in p.strategies():
+            if y != profile[i]:
+                alt = price(y)
+                if alt < cur:
+                    return NotPNE(player=i, deviation=y, delta=alt - cur)
+    return IsPNE()
+
+
+def frozen_best_response(game, profile, i):
+    """best_response as it was before the pruned search: the first strict minimum."""
+    price = pricer(game, profile, i)
+    cur = price(profile[i])
+    best, best_cost = profile[i], cur
+    for y in game.players[i].strategies():
+        if y != profile[i]:
+            cost = price(y)
+            if cost < best_cost:
+                best, best_cost = y, cost
+    return best, best_cost - cur
+
+
+def either(f, *args):
+    """f(*args), or the type and message of the LoadRangeError it raised."""
+    try:
+        return f(*args)
+    except LoadRangeError as exc:
+        return LoadRangeError, str(exc)
+
+
+@st.composite
+def pruned_games(draw):
+    """A kernel game whose spaces mostly hold more than 2m strategies: SPL (integer and
+    half weights, tables that may stop below the loads the players reach) or Affine
+    (integer and Fraction weights); negative and tied coefficients; explicit, uniform
+    and partition spaces."""
+    m = draw(st.integers(3, 6), label="m")
+    n = draw(st.integers(1, 3), label="n")
+    ratio = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
+    A = tuple(tuple(draw(st.lists(ratio, min_size=m, max_size=m))) for _ in range(m))
+    if draw(st.booleans(), label="affine"):
+        cost = Affine(A=A, b=tuple(draw(st.lists(ratio, min_size=m, max_size=m))))
+        weights = st.sampled_from((1, 2, Fraction(2), Fraction(1, 2), Fraction(5, 3)))
+    else:
+        top = draw(st.integers(1, 2 * n + 1), label="max_load")
+        f = tuple(tuple(draw(st.lists(ratio, min_size=top + 1, max_size=top + 1)))
+                  for _ in range(m))
+        cost = SeparablePlusLinear(f=f, A=A)
+        weights = st.sampled_from((1, 1, 2, Fraction(1, 2)))
+    vectors = list(product((0, 1), repeat=m))
+    players = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("explicit", "explicit", "uniform", "partition")))
+        if kind == "explicit":
+            size = draw(st.integers(2 * m - 2, len(vectors)), label="size")
+            space = Explicit(vectors=tuple(draw(st.permutations(vectors))[:size]))
+        elif kind == "uniform":
+            space = Uniform(m, draw(st.integers(2, m - 1), label="k"))
+        else:
+            cut = draw(st.integers(1, m - 1), label="cut")
+            blocks = (tuple(range(cut)), tuple(range(cut, m)))
+            space = Partition(m, blocks, tuple(draw(st.integers(0, len(b))) for b in blocks))
+        players.append(Player(weight=draw(weights), strategy_space=space))
+    game = Game(n_resources=m, players=tuple(players), cost_model=cost)
+    profile = tuple(draw(st.sampled_from(p.strategies())) for p in game.players)
+    return game, profile
+
+
+class TestPrunedSearch:
+    """verify_pne, best_response and brute_force_pne give the frozen full scan's answer,
+    deviation, delta and error, with the trie walk where it applies."""
+
+    @seed(20)
+    @settings(max_examples=250, deadline=None)
+    @given(pruned_games())
+    def test_matches_the_frozen_full_scan(self, drawn):
+        game, profile = drawn
+        assert either(verify_pne, game, profile) == either(frozen_scan, game, profile)
+        for i in range(game.n_players):
+            assert (either(best_response, game, profile, i)
+                    == either(frozen_best_response, game, profile, i)), i
+        if len(list(product(*(p.strategies() for p in game.players)))) <= 4000:
+            assert (outcome(brute_force_pne, game)
+                    == outcome(reference_brute_force, game))
+
+    def test_walks_the_trie_of_a_reduced_sat_game(self, monkeypatch):
+        """On sat6.cnf's game the cost-0 profile is certified at the root; the cost-2
+        profile's first improving deviation, strategy 408 of 729, is reached through
+        fewer than 408 nodes, and the best response is the frozen one."""
+        golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+        with open(os.path.join(golden, "sat6.cnf")) as fh:
+            game = reduce_sat(parse_dimacs(fh.read()))
+        space = game.players[0].strategies()
+        visits = []
+        node = Trie.node
+        monkeypatch.setattr(Trie, "node", lambda self, *key: visits.append(key) or node(self, *key))
+        pne, not_pne = space[408], (space[38],)
+        assert verify_pne(game, (pne,)) == IsPNE()
+        assert visits == [(0, 729, 0)]
+        visits.clear()
+        assert verify_pne(game, not_pne) == frozen_scan(game, not_pne) == NotPNE(0, pne, -2)
+        assert 0 < len(visits) < 408
+        assert best_response(game, not_pne, 0) == frozen_best_response(game, not_pne, 0)
+
+    def test_ties_keep_the_incumbent_then_the_first(self):
+        game = Game(n_resources=4, players=(Player(strategy_space=Explicit(
+            vectors=tuple(v for v in product((0, 1), repeat=4)))),), cost_model=Affine(
+            A=((Fraction(0),) * 4,) * 4, b=(Fraction(1), Fraction(0), Fraction(0), Fraction(1))))
+        space = game.players[0].strategies()  # 16 > 2m: walked
+        assert best_response(game, ((0, 1, 1, 0),), 0) == ((0, 1, 1, 0), 0)
+        # from (1, 0, 0, 1) at cost 2, the cost-0 strategies are (0, 0, 0, 0) first
+        assert best_response(game, ((1, 0, 0, 1),), 0) == (space[0], -2)
+        assert best_response(game, ((1, 0, 0, 1),), 0) == frozen_best_response(
+            game, ((1, 0, 0, 1),), 0)
+
+    def test_short_table_raises_as_the_full_scan(self):
+        """A table one load short for the player's weight: the walk gives way to the scan,
+        which raises at the first deviation that reads past it."""
+        spl = SeparablePlusLinear(f=(tuple(Fraction(k) for k in range(3)),) * 3,
+                                  A=((Fraction(-1),) * 3,) * 3)
+        space = Explicit(vectors=tuple(product((0, 1), repeat=3)))
+        game = Game(n_resources=3, players=(Player(weight=2, strategy_space=space),
+                                            Player(weight=1, strategy_space=space)),
+                    cost_model=spl)
+        profile = ((0, 0, 0), (0, 0, 1))
+        message = "load 3 outside 0..2"
+        for run in (lambda: verify_pne(game, profile), lambda: frozen_scan(game, profile),
+                    lambda: best_response(game, profile, 0),
+                    lambda: frozen_best_response(game, profile, 0)):
+            with pytest.raises(LoadRangeError, match=message):
+                run()
