@@ -674,13 +674,15 @@ class TestOnePassAccept:
             f = tuple(tuple(data.draw(st.lists(ratio, min_size=L + 3, max_size=L + 3)))
                       for _ in range(m))
             model = SeparablePlusLinear(f=f, A=A)
+        # both halves are tables, so that every example reaches the one-pass accept
+        # and none the closed form of the model itself
         table = as_tabulated(model, max_load=L + 2)
         if data.draw(st.booleans(), label="perturbed"):
             r = data.draw(st.integers(0, m - 1), label="r")
             key = data.draw(st.sampled_from(sorted(table.tables[r])), label="key")
-            model = table = _moved(table, key, r,
-                                   data.draw(st.sampled_from((Fraction(1), Fraction(-1, 2)))))
-        assert _outcome(analyze_unweighted, model, L) == _outcome(_ref_analyze, table, L)
+            table = _moved(table, key, r,
+                           data.draw(st.sampled_from((Fraction(1), Fraction(-1, 2)))))
+        assert _outcome(analyze_unweighted, table, L) == _outcome(_ref_analyze, table, L)
 
 
 # --- the closed form for separable-plus-linear and affine models ----------------------------
