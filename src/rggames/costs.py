@@ -187,6 +187,16 @@ def _pair_bounds(cols) -> tuple:
     return sym, neg_pairs, neg_rows
 
 
+class _Kernel:
+    """Mixin for the two kernel models, whose `kernel()` gives (D, cols, ...)."""
+
+    def pair_bounds(self) -> tuple:
+        """`_pair_bounds` of the kernel, built on the first search and kept."""
+        if self._pairs is None:
+            object.__setattr__(self, "_pairs", _pair_bounds(self.kernel()[1]))
+        return self._pairs
+
+
 def _trie_search(u: list, c: int, scale: int, pairs: tuple):
     """first_below(trie, start, threshold) for prices P(S) / scale, where S is the
     support of a strategy and P(S) = sum_{r in S} u[r] + c * sum_{r < s in S} sym[r][s].
@@ -310,7 +320,7 @@ class Tabulated(_NoKernel):
 
 
 @dataclass(frozen=True, eq=False)
-class SeparablePlusLinear:
+class SeparablePlusLinear(_Kernel):
     """c_r(x) = f_r(x_r) + (A x)_r with f_r tabulated on 0..max_load."""
 
     f: tuple
@@ -382,12 +392,6 @@ class SeparablePlusLinear:
 
         return price
 
-    def pair_bounds(self) -> tuple:
-        """`_pair_bounds` of the kernel, built on the first search and kept."""
-        if self._pairs is None:
-            object.__setattr__(self, "_pairs", _pair_bounds(self.kernel()[1]))
-        return self._pairs
-
     def searcher(self, base: Loads, player: Optional[int], weight: Number):
         """(price, first_below): `pricer(base, player)` and the pruned search
         (`_trie_search`, in units of 1/D) for a player of this weight.  None where a
@@ -410,7 +414,7 @@ class SeparablePlusLinear:
 
 
 @dataclass(frozen=True, eq=False)
-class Affine:
+class Affine(_Kernel):
     """c(x) = A x + b, evaluable at rational loads."""
 
     A: tuple
@@ -461,12 +465,6 @@ class Affine:
             return Fraction(linear + E * _quadratic(cols, supp, ys), D * E * q * q)
 
         return price
-
-    def pair_bounds(self) -> tuple:
-        """`_pair_bounds` of the kernel, built on the first search and kept."""
-        if self._pairs is None:
-            object.__setattr__(self, "_pairs", _pair_bounds(self.kernel()[1]))
-        return self._pairs
 
     def searcher(self, base: Loads, player: Optional[int], weight: Number):
         """(price, first_below): `pricer(base)` and the pruned search (`_trie_search`)
