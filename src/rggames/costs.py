@@ -17,8 +17,8 @@ ints over their common denominator, so its sums stay in int.  The
 other models price entry by entry at the full vector base + y (Bilevel
 splits the budget once per vector).
 
-The two kernel models also give a pruned search, `searcher(base, player, weight)`:
-the pricer and first_below over a player's strategy trie (`_trie_search`), which
+The two kernel models also give a pruned search, `searcher(base, player, weight,
+trie)`: the pricer and first_below over a player's strategy trie (`_trie_search`), which
 bounds a subtree by the int price of the resources chosen so far plus every
 negative part the undecided resources and pairs could add.  The pair table behind
 that bound (`_pair_bounds`) is built once per model, on its first search; the
@@ -87,7 +87,7 @@ class _NoKernel:
     def pricer(self, base: Loads, player: Optional[int] = None):
         return _entry_pricer(self, base, player)
 
-    def searcher(self, base: Loads, player: Optional[int], weight: Number):
+    def searcher(self, base: Loads, player: Optional[int], weight: Number, trie):
         return None
 
 
@@ -197,9 +197,9 @@ class _Kernel:
         return self._pairs
 
 
-def _trie_search(u: list, c: int, scale: int, pairs: tuple):
-    """first_below(trie, start, threshold) for prices P(S) / scale, where S is the
-    support of a strategy and P(S) = sum_{r in S} u[r] + c * sum_{r < s in S} sym[r][s].
+def _trie_search(u: list, c: int, scale: int, pairs: tuple, trie):
+    """first_below(start, threshold) over trie.space for prices P(S) / scale, where S is
+    the support of a strategy and P(S) = sum_{r in S} u[r] + c * sum_{r < s in S} sym[r][s].
 
     It returns the first k >= start in the order of trie.space whose price is below
     threshold, as (k, price), or None.  A depth-first walk over the trie keeps P of the
@@ -213,10 +213,11 @@ def _trie_search(u: list, c: int, scale: int, pairs: tuple):
     for r in range(m - 1, -1, -1):
         neg_u[r] = neg_u[r + 1] + min(0, u[r])
 
-    def first_below(trie, start: int, threshold):
+    node, size = trie.node, len(trie.space)
+
+    def first_below(start: int, threshold):
         limit = -(-threshold.numerator * scale // threshold.denominator)  # P < threshold*scale
-        node = trie.node
-        stack = [(0, len(trie.space), 0, 0, ())] if start < len(trie.space) else []
+        stack = [(0, size, 0, 0, ())] if start < size else []
         while stack:
             lo, hi, d, partial, used = stack.pop()
             more, split, mid = node(lo, hi, d)
@@ -392,9 +393,9 @@ class SeparablePlusLinear(_Kernel):
 
         return price
 
-    def searcher(self, base: Loads, player: Optional[int], weight: Number):
-        """(price, first_below): `pricer(base, player)` and the pruned search
-        (`_trie_search`, in units of 1/D) for a player of this weight.  None where a
+    def searcher(self, base: Loads, player: Optional[int], weight: Number, trie):
+        """(price, first_below): `pricer(base, player)` and the pruned search over the
+        trie of a player of this weight (`_trie_search`, in units of 1/D).  None where a
         deviation could raise, which keeps the full scan: a fractional base or weight,
         or a resource that base + weight takes past max_load."""
         if int(weight) != weight:
@@ -410,7 +411,7 @@ class SeparablePlusLinear(_Kernel):
         a_base = _times(cols, ib)
         u = [w * (F[r][x + w] + a_base[r]) + w * w * cols[r].get(r, 0) for r, x in enumerate(ib)]
         return (self._pricer(base, ib, a_base, player),
-                _trie_search(u, w * w, D, self.pair_bounds()))
+                _trie_search(u, w * w, D, self.pair_bounds(), trie))
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,9 +467,9 @@ class Affine(_Kernel):
 
         return price
 
-    def searcher(self, base: Loads, player: Optional[int], weight: Number):
-        """(price, first_below): `pricer(base)` and the pruned search (`_trie_search`)
-        for a player of this weight, in the pricer's units: base = ib / E and
+    def searcher(self, base: Loads, player: Optional[int], weight: Number, trie):
+        """(price, first_below): `pricer(base)` and the pruned search over the trie of a
+        player of this weight (`_trie_search`), in the pricer's units: base = ib / E and
         weight = n / q give 1/(D*E*q*q)."""
         D, cols, B = self.kernel()
         E, ib = _over_common_denominator(base)
@@ -478,7 +479,7 @@ class Affine(_Kernel):
         u = [n * (E * q * B[r] + q * a_base[r]) + E * n * n * cols[r].get(r, 0)
              for r in range(len(B))]
         return self._pricer(E, a_base), _trie_search(u, E * n * n, D * E * q * q,
-                                                     self.pair_bounds())
+                                                     self.pair_bounds(), trie)
 
 
 @dataclass(frozen=True, eq=False)

@@ -114,22 +114,20 @@ def _searcher(game: Game, profile: Profile, i: int, space, loads: Vector):
     """pi_i(x) and first_below(start, threshold): the first k >= start whose space[k]
     is priced strictly below threshold, as (k, price), or None.
 
-    A kernel model walks the player's trie (`costs._trie_search`) when the space is the
-    player's own and holds more than 2m strategies: the walk costs O(m) to set up and
-    up to m nodes to reach its first leaf, which a full scan of 2m strategies does not
-    repay.  Every other model, every smaller space, and a base where a deviation could
-    raise price space[start:] in order, skipping player i's choice, so that the first
-    error is the full scan's.
+    The trie walk needs the player's own space with more than 2m strategies: it costs
+    O(m) to set up and up to m nodes to reach its first leaf, which a scan of 2m
+    strategies does not repay.  The scan prices space[start:] in order, skipping
+    player i's choice, so that the first error is the full scan's.
     """
     base = tuple(v - e for v, e in zip(loads, profile[i]))
     model, player, current = game.cost_model, game.players[i], profile[i]
     walk = len(space) > 2 * game.n_resources and space is player.strategies()
-    found = model.searcher(base, i, player.weight) if walk else None
-    price, search = (model.pricer(base, i), None) if found is None else found
+    found = model.searcher(base, i, player.weight, player.trie()) if walk else None
+    if found is not None:
+        price, first_below = found
+        return price(current), first_below
+    price = model.pricer(base, i)
     cur = price(current)
-    if search is not None:
-        trie = player.trie()
-        return cur, lambda start, threshold: search(trie, start, threshold)
 
     def scan(start, threshold):
         for k in range(start, len(space)):
