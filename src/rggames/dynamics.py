@@ -121,7 +121,7 @@ def _searcher(game: Game, profile: Profile, i: int, space, loads: Vector):
     """
     base = tuple(v - e for v, e in zip(loads, profile[i]))
     model, player, current = game.cost_model, game.players[i], profile[i]
-    walk = len(space) > 2 * game.n_resources and space is player.strategies()
+    walk = len(space) > 2 * game.n_resources and player.trie().space is space
     found = model.searcher(base, i, player.weight, player.trie()) if walk else None
     if found is not None:
         price, first_below = found
