@@ -19,7 +19,7 @@ other models have no kernel to bound a subtree with (and Exponential is float), 
 they keep the full scan; so does a space of at most 2m strategies, which the scan
 prices faster than the walk is set up, and a base where some deviation could raise
 (an SPL table too short for the player's weight), so that errors are the full
-scan's.  `_deviations` prices every deviation, for `potential.check_exact_potential`.
+scan's.
 
 `_sweep` is the one walk over every profile, shared by `brute_force_pne`,
 `potential.check_exact_potential` and `gadgets.check_AB_symmetry`, each over
@@ -44,7 +44,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .core import Game, Profile, Vector, deviate, load_of, pricer, validate_profile
+from .core import Game, Profile, Vector, deviate, load_of, validate_profile
 from .costs import Affine
 from .errors import CapacityError, UsageError
 
@@ -100,14 +100,6 @@ def _spaces(game: Game):
         except CapacityError as exc:
             raise CapacityError(f"player {i}: {exc}") from None
     return out
-
-
-def _deviations(game: Game, profile: Profile, i: int, space, loads: Vector):
-    """pi_i(x) and an iterator of (y, pi_i(y, x_-i)) for every y in space other than
-    player i's choice, in order; all priced by one pricer."""
-    price = pricer(game, profile, i, loads)
-    current = profile[i]
-    return price(current), ((y, price(y)) for y in space if y != current)
 
 
 def _searcher(game: Game, profile: Profile, i: int, space, loads: Vector):

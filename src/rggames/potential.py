@@ -7,6 +7,12 @@ separable-plus-linear costs with unit weights and for affine costs with any
 weights, a symmetric A makes it satisfy the exact-potential identity
 P(y, x_{-i}) - P(x) = pi_i(y, x_{-i}) - pi_i(x) in exact rational arithmetic.
 A load beyond an f table raises the model's LoadRangeError.
+
+`check_exact_potential` tests that identity on every unilateral deviation.  The
+identity is antisymmetric in the pair {x, (y, x_{-i})}, so it checks each pair once,
+from its end that comes first in `product` order, and it prices each of player i's
+strategies once per profile x_{-i} of the others, since the price depends on x_{-i}
+alone.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .core import Game, Profile, deviate, load_of
+from .core import Game, Profile, deviate, load_of, pricer
 from .costs import Affine, SeparablePlusLinear, first_asymmetry
-from .dynamics import _deviations, _spaces, _sweep
+from .dynamics import _spaces, _sweep
 from .errors import UsageError
 
 
@@ -71,23 +77,44 @@ def check_exact_potential(
 
     P must be a function of the profile alone: it is evaluated once per
     distinct profile and the value reused for every deviation reaching it.
+
+    At x it checks the deviations k > idx[i] only; each k < idx[i] was checked from
+    (k, x_-i) with the same four values, and IEEE subtraction is antisymmetric, so
+    its diff there was exactly the negation of this one.  Player i's prices are kept
+    as one row per others' profile x_-i: filled lazily in space order by one pricer
+    at the group's first profile (idx[i] = 0), read at the later ones, dropped at the
+    last.  The rows alive at once hold at most n prices per profile, beside the one
+    P value per profile that `values` keeps.  Every price and P value is computed
+    where a scan of every deviation from both ends first needs it, so the witness,
+    the order of the P calls and the first error are that scan's.
     """
     spaces = _spaces(game)
     values: dict = {}  # P by the strategy indices of its profile
+    rows: list = [{} for _ in spaces]  # player i's prices by the others' indices
 
     for idx, x, loads in _sweep(game, spaces):
         if idx not in values:
             values[idx] = P(x)
         px = values[idx]
         for i, space in enumerate(spaces):
-            pi_x, deviations = _deviations(game, x, i, space, loads)
-            # a space holds distinct strategies, so the deviations are the k != idx[i]
-            others = (k for k in range(len(space)) if k != idx[i])
-            for k, (y, pi_y) in zip(others, deviations):
+            j, others = idx[i], idx[:i] + idx[i + 1 :]
+            if j == 0:
+                price = pricer(game, x, i, loads)
+                row = [price(x[i])]
+                if len(space) > 1:
+                    rows[i][others] = row
+            elif j == len(space) - 1:
+                row = rows[i].pop(others)
+            else:
+                row = rows[i][others]
+            pi_x = row[j]
+            for k in range(j + 1, len(space)):
+                if j == 0:
+                    row.append(price(space[k]))
                 key = idx[:i] + (k,) + idx[i + 1 :]
                 if key not in values:
-                    values[key] = P(deviate(x, i, y))
-                diff = (values[key] - px) - (pi_y - pi_x)
+                    values[key] = P(deviate(x, i, space[k]))
+                diff = (values[key] - px) - (row[k] - pi_x)
                 if (abs(diff) > tol) if tol else (diff != 0):
-                    return PotentialCheck(False, (x, i, y))
+                    return PotentialCheck(False, (x, i, space[k]))
     return PotentialCheck(True, None)

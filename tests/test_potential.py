@@ -253,6 +253,73 @@ class TestExactPotentialCheck:
                 assert len(seen) == len(profiles) == 100
 
 
+    def test_each_price_once_and_each_pair_from_its_lower_end(self, monkeypatch):
+        # the game above: 2 players x 10 others' profiles, 10 prices each, 900 pairs
+        m = 5
+        cost = SeparablePlusLinear(
+            f=tuple(tuple(Fraction(k * (r + 1)) for k in range(4)) for r in range(m)),
+            A=tuple(tuple(Fraction(1 if r + s == m - 1 else 0) for s in range(m))
+                    for r in range(m)),
+        )
+        space = Uniform(m, 2)
+        game = Game(n_resources=m, players=(Player(strategy_space=space),) * 2, cost_model=cost)
+        profiles = list(product(*(p.strategies() for p in game.players)))
+        exact = {x: potential_unweighted(game, x) for x in profiles}  # before any count
+        pairs, calls, built, priced = [], Counter(), [], []
+
+        class Tagged(Fraction):
+            """P's value at profiles[at]; records each difference taken between two."""
+
+            def __sub__(self, other):
+                pairs.append((other.at, self.at))
+                return Fraction.__sub__(self, other)
+
+        def P(x):
+            calls[x] += 1
+            value = Tagged(exact[x])
+            value.at = profiles.index(x)
+            return value
+
+        original = SeparablePlusLinear.pricer
+
+        def counted_pricer(model, base, player=None):
+            built.append(base)
+            price = original(model, base, player)
+
+            def counted(y):
+                priced.append(y)
+                return price(y)
+
+            return counted
+
+        monkeypatch.setattr(SeparablePlusLinear, "pricer", counted_pricer)
+        assert check_exact_potential(game, P).ok
+        assert len(built) == 20 and len(priced) == 200
+        assert len(calls) == sum(calls.values()) == 100
+        unilateral = {(profiles.index(x), profiles.index(deviate(x, i, y)))
+                      for x in profiles for i in range(2) for y in game.players[i].strategies()
+                      if y != x[i]}
+        assert len(pairs) == 900
+        assert set(pairs) == {(a, b) for a, b in unilateral if a < b}
+
+    def test_a_witness_before_a_raising_price_is_returned(self):
+        # player 0's last strategy takes resource 0 to load 2, past f; P is off at k = 1
+        cost = SeparablePlusLinear(f=((Fraction(0), Fraction(1)),) * 3,
+                                   A=((Fraction(0),) * 3,) * 3)
+        game = make_game(cost, [((0, 0, 1), (0, 1, 0), (1, 0, 0)), ((1, 0, 0),)])
+        first = ((0, 0, 1), (1, 0, 0))
+        off = ((0, 1, 0), (1, 0, 0))
+        assert game.players[0].strategies()[-1] == (1, 0, 0)
+
+        def P(x):
+            return potential_unweighted(game, x) + (x == off)
+
+        with pytest.raises(LoadRangeError):
+            pricer(game, first, 0)((1, 0, 0))
+        result = check_exact_potential(game, P)
+        assert result == PotentialCheck(False, (first, 0, (0, 1, 0))) == frozen_check(game, P)
+
+
 # --- the profile sweep against a frozen copy of the product loop -------------
 
 
