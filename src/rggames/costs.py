@@ -341,8 +341,9 @@ class SeparablePlusLinear(_Kernel):
         return len(self.A)
 
     @property
-    def max_load(self) -> int:
-        return len(self.f[0]) - 1
+    def max_load(self) -> Union[int, float]:
+        """The top load of the f tables; over no resources no table bounds a load."""
+        return len(self.f[0]) - 1 if self.f else math.inf
 
     def kernel(self) -> tuple:
         """(D, cols, F): sparse D*A columns and the D*f tables, built on first use and kept."""

@@ -738,6 +738,33 @@ class TestCharacterizeBound:
         assert capsys.readouterr().out == ""
 
 
+class TestNoResources:
+    """A game over m = 0 resources: no f table bounds a load, so a separable-plus-linear
+    cost answers every command as the affine cost does."""
+
+    COSTS = {"separable_plus_linear": {"kind": "separable_plus_linear", "f": [], "A": []},
+             "affine": {"kind": "affine", "A": [], "b": []}}
+
+    @pytest.mark.parametrize("command, kind", [
+        ("verify", "is_pne"), ("solve", "pne_found"), ("characterize", "unweighted_consistent"),
+        ("characterize --weighted", "weighted_affine"),
+    ])
+    def test_separable_plus_linear_answers_as_affine(self, command, kind, tmp_path, capsys):
+        profile = write_json(tmp_path, "profile.json", {"choices": [[]]})
+        payloads = {}
+        for name, cost in self.COSTS.items():
+            game = write_json(tmp_path, f"{name}.json", {
+                "version": 1, "m": 0, "cost": cost,
+                "players": [{"weight": "1", "strategies": {"explicit": [[]]}}]})
+            verb, *flags = command.split()
+            argv = [verb, game, *flags] + (["--profile", profile] if verb == "verify" else [])
+            assert main(argv) == 0, name
+            payload = json.loads(capsys.readouterr().out)
+            assert payload.pop("input_sha256") and payload["kind"] == kind, name
+            payloads[name] = payload
+        assert payloads["separable_plus_linear"] == payloads["affine"]
+
+
 class TestCharacterizeReadsTheModel:
     @pytest.mark.parametrize("name, argv, code", [
         ("readme_characterize", ["readme_game.json"], 0),
