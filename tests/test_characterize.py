@@ -8,7 +8,7 @@ from itertools import product
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from rggames.characterize import (
     UnweightedConsistent,
@@ -699,6 +699,7 @@ class TestClosedForm:
     """SPL and Affine reports come from their coefficients, as the entry-by-entry checks
     would give them on the model's tabulation up to L + 2."""
 
+    @seed(21)
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_matches_reference_on_the_tabulation(self, data):
