@@ -553,8 +553,9 @@ class PlayerSpecificSeparable(_NoKernel):
         return len(self.nu[0])
 
     @property
-    def max_load(self) -> int:
-        return len(self.nu[0][0]) - 1
+    def max_load(self) -> Union[int, float]:
+        """The top load of the first table; over no resources no table bounds a load."""
+        return len(self.nu[0][0]) - 1 if self.nu[0] else math.inf
 
     def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
         if player is None:

@@ -739,10 +739,11 @@ class TestCharacterizeBound:
 
 
 class TestNoResources:
-    """A game over m = 0 resources: no f table bounds a load, so a separable-plus-linear
-    cost answers every command as the affine cost does."""
+    """A game over m = 0 resources: no table bounds a load, so a separable-plus-linear
+    or player-specific cost answers every command as the affine cost does."""
 
     COSTS = {"separable_plus_linear": {"kind": "separable_plus_linear", "f": [], "A": []},
+             "player_specific": {"kind": "player_specific", "nu": [[]]},
              "affine": {"kind": "affine", "A": [], "b": []}}
 
     @pytest.mark.parametrize("command, kind", [
@@ -762,7 +763,8 @@ class TestNoResources:
             payload = json.loads(capsys.readouterr().out)
             assert payload.pop("input_sha256") and payload["kind"] == kind, name
             payloads[name] = payload
-        assert payloads["separable_plus_linear"] == payloads["affine"]
+        assert payloads["separable_plus_linear"] == payloads["player_specific"] \
+            == payloads["affine"]
 
 
 class TestCharacterizeReadsTheModel:
