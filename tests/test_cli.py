@@ -750,7 +750,7 @@ class TestNoResources:
         ("verify", "is_pne"), ("solve", "pne_found"), ("characterize", "unweighted_consistent"),
         ("characterize --weighted", "weighted_affine"),
     ])
-    def test_separable_plus_linear_answers_as_affine(self, command, kind, tmp_path, capsys):
+    def test_table_costs_answer_as_affine(self, command, kind, tmp_path, capsys):
         profile = write_json(tmp_path, "profile.json", {"choices": [[]]})
         payloads = {}
         for name, cost in self.COSTS.items():

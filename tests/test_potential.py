@@ -252,7 +252,6 @@ class TestExactPotentialCheck:
             if result.ok:
                 assert len(seen) == len(profiles) == 100
 
-
     def test_each_price_once_and_each_pair_from_its_lower_end(self, monkeypatch):
         # the game above: 2 players x 10 others' profiles, 10 prices each, 900 pairs
         m = 5
