@@ -9,29 +9,26 @@ check keeps a value table that evaluates c_r(x) on its first read, so a
 table may omit entries that no check reads, and a missing entry fails at the
 same first read as entry-by-entry evaluation would.
 
-`analyze_unweighted` runs three stages in order, each only where the one
-before gives no answer.
+`analyze_unweighted` runs two stages.
 
-1. Closed form.  A SeparablePlusLinear or Affine model is already in the
-   form c_r(x) = f_r(x_r) + sum_{s != r} a_rs x_s, so its report follows
-   from its coefficients (`decomposition(L)`): the first r < s with
-   a_rs != a_sr gives the Jacobian violation at x = 0, where the Jacobian
-   check compares exactly a_rs and a_sr; otherwise (f, A) is the
-   decomposition.  An SPL whose tables stop before L + 2 goes on to the
-   next stages, which own the range errors.
-2. One-pass accept.  On a consistent model (m >= 2) the ordered checks read
-   c_r exactly on f_r(0) = c_r(0) and on
+1. One candidate (f, A) and its report.  A SeparablePlusLinear or Affine
+   model is already in the form c_r(x) = f_r(x_r) + sum_{s != r} a_rs x_s,
+   so its candidate is its coefficients up to L (`decomposition(L)`); every
+   other model's candidate is read off the axes (`_axis_form`).  On a
+   consistent model (m >= 2) the ordered checks read c_r exactly on
+   f_r(0) = c_r(0) and on
 
        S_r = {y : 1 <= y_r <= L+1, sum_u max(0, y_u - L) <= 2},
 
-   and nothing else (for m = 1 only on k*1_r, k = 0..L).  The accept reads
-   f and A off the axes, then checks c_r(y) = f_r(y_r) + sum_{s != r} a_rs y_s
-   once on every y in S_r.  If it holds everywhere and A is symmetric, every
-   difference the ordered checks compare equals a_rs, so they would all pass
-   and decompose into the same (f, A), which is returned.
-3. The ordered checks: Jacobian symmetry, cross-linearity, decomposition.
-   They run on any mismatch or error of the accept, from fresh value
-   tables, so witnesses and errors are theirs.
+   and nothing else (for m = 1 only on k*1_r, k = 0..L); the axis reader
+   checks c_r(y) = f_r(y_r) + sum_{s != r} a_rs y_s once on every y in S_r,
+   and a misfit gives no candidate.  The report is the Jacobian violation
+   at x = 0 on the first r < s with a_rs != a_sr, where the Jacobian check
+   compares exactly a_rs and a_sr, else (f, A).
+2. The ordered checks: Jacobian symmetry, cross-linearity, decomposition.
+   They run only where there is no candidate (an SPL whose tables stop
+   before L + 2, a misfit on S_r, or an error of the axis reader), from
+   fresh value tables, so witnesses and errors are theirs.
 
 The weighted classifier implements the affine-or-exponential dichotomy on
 the sample grid GRID^m.
@@ -238,28 +235,31 @@ def _overshot(m: int, L: int):
         yield from product(*((L + 1,) if w in (u, v) else box for w in range(m)))
 
 
-def _accept(c: CostModel, L: int) -> Optional[UnweightedConsistent]:
-    """The ordered checks' report on c if c_r(y) = f_r(y_r) + sum_{s != r} a_rs y_s on S_r.
+def _axis_form(c: CostModel, L: int) -> Optional[tuple]:
+    """(f, A) off the axes, as `decompose_unweighted` reads them, if A is asymmetric
+    or c_r(y) = f_r(y_r) + sum_{s != r} a_rs y_s on S_r; None on a misfit.
 
-    f and A are read off the axes as `decompose_unweighted` reads them, f_r
-    up to L+1 when m >= 2 (S_r reaches y_r = L+1), and the identity is then
-    checked once per (y, r) with y in S_r.  The axis points k*1_r and the
-    points 1_{rs} that define f and A satisfy it by construction and are not
-    read again.  The comparison runs in int: over a common denominator D of
-    f and A, c_r(y) = n/d equals the right side iff n*D = (D*rhs)*d.
+    f_r is read up to L+1 when m >= 2 (S_r reaches y_r = L+1) and returned up
+    to L.  An asymmetric A is returned at once: the ordered checks' first
+    comparisons, at x = 0, are a_rs against a_sr in `first_asymmetry` order,
+    on entries read here without error.  Otherwise the identity is checked
+    once per (y, r) with y in S_r; the axis points k*1_r and the points 1_{rs}
+    that define f and A satisfy it by construction and are not read again.
+    The comparison runs in int: over a common denominator D of f and A,
+    c_r(y) = n/d equals the right side iff n*D = (D*rhs)*d.
 
     Soundness: if the identity holds on S_r and A is symmetric, then every
     difference the checks compare, c_r(y+1_s) - c_r(y) with y and y+1_s in
     S_r, equals a_rs (f_r(y_r) cancels), so Jacobian symmetry, cross_a,
     cross_b and cross_distinct all pass, the axis reads give the same (f, A),
-    and the reconstruction on x <= L, x_r > 0 holds.  Returns None if the
-    identity or the symmetry of A fails; errors propagate.
+    and the reconstruction on x <= L, x_r > 0 holds.  Errors propagate.
     """
     _require_range(c, L, 2, "cross-linearity check")
     m = c.m
     f, A = _axes(_values(c), m, L + 1 if m > 1 else L)
+    form = tuple(row[:L + 1] for row in f), A
     if first_asymmetry(A) is not None:
-        return None
+        return form
     D = math.lcm(*(v.denominator for row in chain(f, A) for v in row))
     Df = [[v.numerator * (D // v.denominator) for v in row] for row in f]
     DA = [[v.numerator * (D // v.denominator) for v in row] for row in A]
@@ -271,38 +271,26 @@ def _accept(c: CostModel, L: int) -> Optional[UnweightedConsistent]:
             v = eval_cost_entry(c, y, r)
             if v.numerator * D != (Df[r][yr] + sum(map(mul, DA[r], y))) * v.denominator:
                 return None
-    return UnweightedConsistent(f=tuple(row[:L + 1] for row in f), A=A, L=L)
+    return form
 
 
 def analyze_unweighted(c: CostModel, L: int) -> ConsistencyReport:
     """Full necessity pipeline: Jacobian, cross-linearity, then decomposition.
 
-    Three stages, each only where the one before gives no answer (module
-    docstring).  First the closed form: a SeparablePlusLinear or Affine
-    model gives its (f, A) up to L (`decomposition`), and the report is the
-    Jacobian violation at x = 0 on the first a_rs != a_sr, else that (f, A);
-    an SPL whose tables stop before L + 2 gives None.  Then the one-pass
-    accept (`_accept`) on S_r, the exact read set of the ordered checks on a
-    consistent model.  On any mismatch or error of the accept the ordered
-    checks run from fresh value tables, so violations, witnesses and errors
-    are theirs.
+    Two stages (module docstring): the report of one candidate (f, A), and
+    the ordered checks only where there is none.
     """
-    form = c.decomposition(L) if isinstance(c, (SeparablePlusLinear, Affine)) else None
+    if isinstance(c, (SeparablePlusLinear, Affine)):
+        form = c.decomposition(L)
+    else:
+        try:
+            form = _axis_form(c, L)
+        except Exception:  # the ordered checks raise it again, as their own error
+            form = None
     if form is not None:
         return _asymmetry(form[1]) or UnweightedConsistent(*form, L)
-    try:
-        report = _accept(c, L)
-    except Exception:  # the ordered checks raise it again, as their own error
-        report = None
-    if report is not None:
-        return report
-    violation = check_jacobian_symmetry(c, L)
-    if violation is not None:
-        return violation
-    violation = check_cross_linearity(c, L)
-    if violation is not None:
-        return violation
-    return decompose_unweighted(c, L)
+    return (check_jacobian_symmetry(c, L) or check_cross_linearity(c, L)
+            or decompose_unweighted(c, L))
 
 
 def _close(a, b) -> bool:

@@ -685,6 +685,29 @@ class TestOnePassAccept:
         assert _outcome(analyze_unweighted, table, L) == _outcome(_ref_analyze, table, L)
 
 
+class TestAsymmetricAxes:
+    """Axes that give an asymmetric A answer from the axis reads alone, each read once."""
+
+    @pytest.mark.parametrize("m, L", [(2, 1), (2, 3), (3, 2), (4, 1)])
+    def test_read_once_on_the_axes(self, m, L):
+        # symmetric but for the last pair, so that every a_rs is compared before the witness
+        A = tuple(tuple(Fraction(0) if r == s else Fraction(r + s + (r == m - 1 and s == m - 2))
+                        for s in range(m)) for r in range(m))
+        spl = SeparablePlusLinear(
+            f=tuple(tuple(Fraction(k * k - r, 1 + k % 2) for k in range(L + 3)) for r in range(m)),
+            A=A)
+        c = counting(tabulate(lambda p: [spl.entry(p, r) for r in range(m)], m, L + 2))
+        report = analyze_unweighted(c, L)
+        unit = [tuple(int(u == r) for u in range(m)) for r in range(m)]
+        assert set(c.reads) == {(tuple(k * v for v in unit[r]), r)
+                                for r in range(m) for k in range(L + 2)} | {
+            (_ref_bump(unit[r], s), r) for r in range(m) for s in range(m) if s != r}
+        assert set(c.reads.values()) == {1}
+        ref = _ref_analyze(c, L)
+        assert report == Violation(lemma=ref.lemma, r=ref.r, s=ref.s, t=ref.t, x=ref.x) \
+            == Violation(lemma="jacobian", r=m - 2, s=m - 1, x=(0,) * m)
+
+
 # --- the closed form for separable-plus-linear and affine models ----------------------------
 
 
