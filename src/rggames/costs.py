@@ -34,10 +34,10 @@ anywhere in the vector raises LoadRangeError, even at a coordinate no entry
 reads.  Tabulated also rejects any load outside 0..max_load anywhere in the
 vector; the other two reject a load beyond their table only where an entry
 reads it.  The rule applies whenever an entry is evaluated; pricing an empty
-y evaluates none and costs 0.  The pricers of the three table-backed models
+y evaluates none and costs 0.  The pricers of Tabulated and SeparablePlusLinear
 check it once per base vector and then on supp y per deviation, and an invalid
 vector is handed to `entry`, so the errors and their messages are those of
-`entry`.
+`entry`; PlayerSpecificSeparable prices entry by entry.
 
 Affine's `reads()` gives the pairs (r, s) such that c_r reads the load on s,
 the non-zero a_rs; exhaustive search splits an affine game by them.
@@ -565,27 +565,6 @@ class PlayerSpecificSeparable(_NoKernel):
         if il[r] < 0 or il[r] >= len(table):
             raise LoadRangeError(f"load {il[r]} outside table for player {player}, resource {r}")
         return table[il[r]]
-
-    def pricer(self, base: Loads, player: Optional[int] = None):
-        """The load rule is checked on base once and then on supp y per y."""
-        if player is None:
-            return _entry_pricer(self, base, player)
-        try:
-            tables, ib = self.nu[player], _as_int_loads(base)
-        except (IndexError, LoadRangeError):
-            return _entry_pricer(self, base, player)
-
-        def price(y: Loads) -> Number:
-            total = 0
-            for r, e in enumerate(y):
-                if e:
-                    x, table = ib[r] + e, tables[r]
-                    if x != int(x) or not 0 <= x < len(table):  # entry raises the LoadRangeError
-                        return _entry_pricer(self, base, player)(y)
-                    total += e * table[int(x)]
-            return total
-
-        return price
 
 
 CostModel = Union[
