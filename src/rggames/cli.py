@@ -116,6 +116,12 @@ def _object(value, path: Optional[str] = None) -> dict:
     return value
 
 
+def _key(value) -> str:
+    if not isinstance(value, str):
+        raise StructureError(f"expected a string key, got {value!r}")
+    return value
+
+
 def nested(codec: Codec, depth: int = 1) -> Codec:
     """Lists of `codec` values, `depth` levels deep; tuples on the Python side."""
     for _ in range(depth):
@@ -133,7 +139,7 @@ FLOAT = Codec(real, _same)
 NUMBER = Codec(None, lambda v: v if isinstance(v, float) else unrat(v))  # exact or float value
 SUPPORT = Codec(None, support)  # a strategy vector as the list of its resources
 TABLE = Codec(  # a tabulated cost table keyed by "x1,x2,..." neighborhood loads
-    lambda t: {tuple(int(k) for k in key.split(",") if k != ""): rat(v)
+    lambda t: {tuple(int(k) for k in _key(key).split(",") if k != ""): rat(v)
                for key, v in _object(t).items()},
     lambda t: {",".join(map(str, key)): unrat(v) for key, v in sorted(t.items())},
 )
@@ -212,7 +218,7 @@ def _pop(obj: dict, key: str, path: str):
 
 def _reject_unknown(obj: dict, path: str) -> None:
     if obj:
-        raise StructureError(f"{path}: unknown fields {sorted(obj)}")
+        raise StructureError(f"{path}: unknown fields {sorted(obj, key=str)}")
 
 
 def _field(codec: Codec, value, path: str, key: str):
@@ -290,7 +296,7 @@ def _bound(doc: dict) -> int:
 
 
 def game_from_json(doc: dict) -> Game:
-    doc = _object(json.loads(json.dumps(doc)), "$")  # defensive copy
+    doc = dict(_object(doc, "$"))
     version = _pop(doc, "version", "$")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise StructureError(f"unsupported schema version {version!r}")
@@ -298,9 +304,9 @@ def game_from_json(doc: dict) -> Game:
     players = []
     for i, pd in enumerate(_list(_pop(doc, "players", "$"), "players")):
         path = f"players[{i}]"
-        pd = _object(pd, path)
+        pd = dict(_object(pd, path))
         weight = _field(RAT, _pop(pd, "weight", path), path, "weight")
-        sd = _object(_pop(pd, "strategies", path), path + ".strategies")
+        sd = dict(_object(_pop(pd, "strategies", path), path + ".strategies"))
         if "explicit" in sd:
             supports = _list(sd.pop("explicit"), path + ".strategies.explicit")
             vectors = tuple(
@@ -422,12 +428,13 @@ def cmd_characterize(args) -> int:
     else:
         L = args.L if args.L is not None else bound
         available = getattr(cost, "max_load", None)
-        if available is not None:
-            L = min(L, available - 2)
-        if L < 1:
+        usable = L if available is None else min(L, available - 2)
+        if usable < 1:
             # at L = 0 the cross-linearity checks test nothing
-            raise UsageError(f"characterize needs L >= 1 (and L <= max_load - 2), got L = {L}")
-        report = analyze_unweighted(cost, L)
+            bounded = "" if available is None else f" and max_load = {available}"
+            raise UsageError("characterize needs L >= 1 (and L <= max_load - 2), "
+                             f"got L = {L}{bounded}")
+        report = analyze_unweighted(cost, usable)
     payload = encode(report)
     print(_dump(_stamp(payload, raw)))
     return 1 if payload["kind"] in NEGATIVE_KINDS else 0

@@ -1,3 +1,5 @@
+import copy
+import importlib
 import json
 import os
 import shutil
@@ -10,6 +12,7 @@ import pytest
 
 from rggames import cli, costs
 from rggames.cli import (
+    cost_from_json,
     decode,
     encode,
     game_from_json,
@@ -82,6 +85,28 @@ class TestGameFormat:
         doc = game_to_json(sample_game())
         assert doc["players"][0]["weight"] == "1"
         assert doc["cost"]["f"][0][2] == "2"
+
+    def test_decoders_leave_the_document_unchanged(self):
+        doc, profile = golden_doc("readme_game.json"), golden_doc("readme_profile.json")
+        before = copy.deepcopy((doc, profile))
+        game = game_from_json(doc)
+        profile_from_json(profile, game)
+        cost_from_json(doc["cost"])
+        assert (doc, profile) == before
+
+    def test_values_json_cannot_hold_refused_with_the_path(self):
+        doc = game_to_json(sample_game())
+        doc["players"][0]["strategies"]["explicit"] = ((0,), (1,))
+        with pytest.raises(StructureError,
+                           match=r"^players\[0\]\.strategies\.explicit: expected a list"):
+            game_from_json(doc)
+        doc = golden_doc("tabulated_game.json")
+        doc["cost"]["tables"][0] = {0: "0", 1: "2", 2: "5"}
+        with pytest.raises(StructureError, match=r"^cost\.tables: expected a string key, got 0$"):
+            game_from_json(doc)
+        doc = {**game_to_json(sample_game()), 1: "one", "z": "zed"}
+        with pytest.raises(StructureError, match=r"^\$: unknown fields \[1, 'z'\]$"):
+            game_from_json(doc)
 
     def test_matroid_encoding(self):
         desc = Partition(m=3, blocks=((0, 1), (2,)), quotas=(1, 1))
@@ -393,6 +418,9 @@ INPUT_CHECKS = {
         ["characterize", {"cost": {"kind": "tabulated", "max_load": 2, "neighborhoods": [[0]],
                                    "tables": [{"0": "0", "1": "1", "2": "2"}]}}, "--weighted"],
         "--weighted samples every resource at loads 0..3; the cost's max_load is 2"),
+    "characterize L beyond the table": (
+        ["characterize", tabulated_cost_doc(2), "--L", "5"],
+        "characterize needs L >= 1 (and L <= max_load - 2), got L = 5 and max_load = 2"),
     "characterize weighted with L": (
         ["characterize", golden("spl_cost.json"), "--weighted", "--L", "-7"],
         "--weighted takes no --L; only unweighted characterize does"),
@@ -888,6 +916,16 @@ def test_console_script(game_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "pne_found"
+
+
+def test_console_script_entry_point():
+    """pyproject.toml's `rggames` script names `rggames.cli:main`, and that name resolves."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["rggames"] == "rggames.cli:main"
+    module, name = scripts["rggames"].split(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 @pytest.mark.parametrize("argv, code", [
