@@ -6,7 +6,8 @@ tagged type (matroids, cost models, certificates, reports); `encode` and
 
 Rationals serialize as "p/q" strings (never floats, except in the
 exponential cost payload); output is canonical and deterministic, and every
-certificate embeds the tool version and the input content hash.
+certificate embeds the tool version and the input content hash.  A table key
+is read only in the canonical "x1,x2,..." spelling that is written.
 
 Exit codes: 0 success, 1 negative certificate (NotPNE / NoPNEExists /
 Violation / non-convergence), 2 malformed input or internal error.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -67,12 +69,20 @@ SCHEMA_VERSION = 1
 
 
 def rat(text) -> Fraction:
-    if isinstance(text, bool) or not isinstance(text, (int, str)):
-        raise StructureError(f"expected a rational string, got {text!r}")
+    """`Fraction(text)` of a JSON string or integer.  An ASCII "p" or "p/q" (p an
+    optionally negative run of digits, q a run of digits) is parsed by int() alone;
+    every other spelling goes through `Fraction`'s own parser, with the same value
+    or the same refusal."""
     try:
-        return Fraction(text)
+        if type(text) is str and text.isascii():
+            num, slash, den = text.partition("/")
+            if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        if not isinstance(text, bool) and isinstance(text, (int, str)):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise StructureError(f"expected a rational string, got {text!r}") from None
+        pass
+    raise StructureError(f"expected a rational string, got {text!r}")
 
 
 def real(value) -> float:
@@ -88,7 +98,7 @@ def integer(value) -> int:
 
 
 def unrat(value) -> str:
-    return str(Fraction(value))
+    return str(value) if type(value) is Fraction else str(Fraction(value))
 
 
 class Codec(NamedTuple):
@@ -116,10 +126,21 @@ def _object(value, path: Optional[str] = None) -> dict:
     return value
 
 
-def _key(value) -> str:
-    if not isinstance(value, str):
-        raise StructureError(f"expected a string key, got {value!r}")
-    return value
+_LOADS_KEY = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+
+
+def _loads(key) -> tuple:
+    """The loads that a table key names: "" or unsigned decimal integers joined by
+    ",", without leading zeros or spaces, which is how `TABLE` encodes them; any other
+    spelling is refused, so two different keys never name the same loads."""
+    if not isinstance(key, str):
+        raise StructureError(f"expected a string key, got {key!r}")
+    if _LOADS_KEY.fullmatch(key):
+        return tuple(map(int, key.split(",")))
+    if key == "":
+        return ()
+    raise StructureError("expected a key of unsigned integers joined by ',', without spaces "
+                         f"or leading zeros, got {key!r}")
 
 
 def nested(codec: Codec, depth: int = 1) -> Codec:
@@ -139,8 +160,7 @@ FLOAT = Codec(real, _same)
 NUMBER = Codec(None, lambda v: v if isinstance(v, float) else unrat(v))  # exact or float value
 SUPPORT = Codec(None, support)  # a strategy vector as the list of its resources
 TABLE = Codec(  # a tabulated cost table keyed by "x1,x2,..." neighborhood loads
-    lambda t: {tuple(int(k) for k in _key(key).split(",") if k != ""): rat(v)
-               for key, v in _object(t).items()},
+    lambda t: {_loads(key): rat(v) for key, v in _object(t).items()},
     lambda t: {",".join(map(str, key)): unrat(v) for key, v in sorted(t.items())},
 )
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, product
 from operator import add
 from typing import Optional, Sequence, Union
@@ -190,11 +191,15 @@ def _pair_bounds(cols) -> tuple:
 class _Kernel:
     """Mixin for the two kernel models, whose `kernel()` gives (D, cols, ...)."""
 
+    @cached_property
     def pair_bounds(self) -> tuple:
         """`_pair_bounds` of the kernel, built on the first search and kept."""
-        if self._pairs is None:
-            object.__setattr__(self, "_pairs", _pair_bounds(self.kernel()[1]))
-        return self._pairs
+        return _pair_bounds(self.kernel()[1])
+
+    @cached_property
+    def asymmetry(self) -> Optional[tuple]:
+        """`first_asymmetry(A)`, found on first use and kept."""
+        return first_asymmetry(self.A)
 
 
 def _trie_search(u: list, c: int, scale: int, pairs: tuple, trie):
@@ -327,7 +332,6 @@ class SeparablePlusLinear(_Kernel):
     f: tuple
     A: tuple
     _kernel: Optional[tuple] = field(default=None, init=False, repr=False)
-    _pairs: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = len(self.A)
@@ -412,7 +416,7 @@ class SeparablePlusLinear(_Kernel):
         a_base = _times(cols, ib)
         u = [w * (F[r][x + w] + a_base[r]) + w * w * cols[r].get(r, 0) for r, x in enumerate(ib)]
         return (self._pricer(base, ib, a_base, player),
-                _trie_search(u, w * w, D, self.pair_bounds(), trie))
+                _trie_search(u, w * w, D, self.pair_bounds, trie))
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,7 +426,6 @@ class Affine(_Kernel):
     A: tuple
     b: tuple
     _kernel: Optional[tuple] = field(default=None, init=False, repr=False)
-    _pairs: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.A) != len(self.b) or any(len(row) != len(self.b) for row in self.A):
@@ -480,7 +483,7 @@ class Affine(_Kernel):
         u = [n * (E * q * B[r] + q * a_base[r]) + E * n * n * cols[r].get(r, 0)
              for r in range(len(B))]
         return self._pricer(E, a_base), _trie_search(u, E * n * n, D * E * q * q,
-                                                     self.pair_bounds(), trie)
+                                                     self.pair_bounds, trie)
 
 
 @dataclass(frozen=True, eq=False)

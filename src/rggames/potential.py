@@ -21,13 +21,13 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .core import Game, Profile, deviate, load_of, pricer
-from .costs import Affine, SeparablePlusLinear, first_asymmetry
+from .costs import Affine, SeparablePlusLinear
 from .dynamics import _spaces, _sweep
 from .errors import UsageError
 
 
-def _require_symmetric(A) -> None:
-    at = first_asymmetry(A)
+def _require_symmetric(model) -> None:
+    at = model.asymmetry
     if at is not None:
         raise UsageError("interaction matrix is asymmetric at ({},{})".format(*at))
 
@@ -52,7 +52,7 @@ def potential_unweighted(game: Game, profile: Profile):
         raise UsageError("unweighted potential needs a separable-plus-linear cost model")
     if not game.unweighted:
         raise UsageError("unweighted potential requires unit weights")
-    _require_symmetric(model.A)
+    _require_symmetric(model)
     return _sequential(game, profile)
 
 
@@ -61,7 +61,7 @@ def potential_weighted_affine(game: Game, profile: Profile):
     model = game.cost_model
     if not isinstance(model, Affine):
         raise UsageError("weighted potential needs an affine cost model")
-    _require_symmetric(model.A)
+    _require_symmetric(model)
     return _sequential(game, profile)
 
 

@@ -2,6 +2,8 @@ import copy
 import importlib
 import json
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -669,7 +671,8 @@ class TestInputHardening:
         ("tabulated_game.json", set_cost_field("tables", [5, {}]),
          "cost.tables: expected an object, got 5"),
         ("tabulated_game.json", set_cost_field("tables", [{"x": "0"}, {}]),
-         "cost.tables: invalid literal for int() with base 10: 'x'"),
+         "cost.tables: expected a key of unsigned integers joined by ',', without spaces or "
+         "leading zeros, got 'x'"),
         ("exponential_game.json", set_cost_field("phi", None),
          "cost.phi: expected a number, got None"),
         ("exponential_game.json", set_cost_field("phi", True),
@@ -889,6 +892,87 @@ class TestSpecCodec:
         for case in bad:
             with pytest.raises(StructureError, match=r"^\$\.x: "):
                 decode(family, case, "$.x", m=3)
+
+
+RAT_EDGES = ["1/", "/2", "-", "-0", " 1", "+1", "1_0", "1/-2", "1/0", "\u0661", "1.5", "1e3",
+             "", "1 ", "--1", "1/2/3", "1/ 2", "-1/00", "007/014", "0/5", "\u00b2", "1" * 5000]
+
+
+def reference_rat(text):
+    """`rat` before its fast path: the type gate, then `Fraction(text)`; None where
+    either refuses."""
+    if isinstance(text, bool) or not isinstance(text, (int, str)):
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def rat_corpus(n: int = 3000) -> list:
+    """Seeded strings: random runs over digits, signs, separators and non-ASCII digits,
+    and "p" or "p/q" forms with stray signs, leading zeros and empty parts."""
+    rng = random.Random(23)
+    alphabet = "0123456789-/+_.eE \t\u0661\u00b2"
+
+    def digits():
+        return "0" * rng.randint(0, 2) + str(rng.randrange(10 ** rng.randint(1, 30)))
+
+    corpus = []
+    for _ in range(n):
+        corpus.append("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7))))
+        num = rng.choice(["", "", "-", "+", "--"]) + digits()
+        if rng.random() < 0.6:
+            num += "/" + rng.choice(["", "", "", "-", "+"]) + rng.choice([digits(), "", "0"])
+        corpus.append(num)
+    return corpus
+
+
+class TestRationalCodec:
+    @pytest.mark.parametrize("values", [RAT_EDGES + [True, False, 1.0, None, 3, -7, 2 ** 80],
+                                        rat_corpus()], ids=["edges", "seeded"])
+    def test_rat_matches_fraction(self, values):
+        for text in values:
+            expected = reference_rat(text)
+            if expected is None:
+                with pytest.raises(StructureError, match="^expected a rational string, got "):
+                    cli.rat(text)
+            else:
+                got = cli.rat(text)
+                assert type(got) is Fraction and got == expected, text
+
+    def test_unrat_matches_fraction(self):
+        values = [reference_rat(t) for t in rat_corpus(500)]
+        values = [v for v in values if v is not None] + [0, 5, -12, 2 ** 70, True, False]
+        for value in values:
+            assert cli.unrat(value) == str(Fraction(value)), value
+
+    def test_table_round_trip(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            width = rng.randint(0, 4)
+            table = {tuple(rng.choice([0, 1, 2, 9, 10, 12345]) for _ in range(width)):
+                     Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+                     for _ in range(rng.randint(0, 12))}
+            decoded = cli.TABLE.decode(cli.TABLE.encode(table))
+            assert decoded == table
+            assert all(type(v) is Fraction for v in decoded.values())
+
+    @pytest.mark.parametrize("key", ["0, 1", " 0,1", "0,1 ", "01,1", "0,00", "1,,1", ",1", "1,",
+                                     ",", "+1,1_0", "\u0661,0", "-1,0", "0,-0", "1.0", "0x1"])
+    def test_non_canonical_table_key_refused(self, key):
+        doc = {"kind": "tabulated", "max_load": 2, "neighborhoods": [[0, 1], [1]],
+               "tables": [{"0,1": "1"}, {"0": "0", "1": "2"}]}
+        doc["tables"][0][key] = "5"
+        message = ("cost.tables: expected a key of unsigned integers joined by ',', without "
+                   f"spaces or leading zeros, got {key!r}")
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+            cost_from_json(doc)
+
+    def test_canonical_table_keys(self):
+        for key, loads in [("", ()), ("0", (0,)), ("10", (10,)), ("0,0", (0, 0)),
+                           ("12,0,305", (12, 0, 305))]:
+            assert cli.TABLE.decode({key: "3/6"}) == {loads: Fraction(1, 2)}
 
 
 class TestDeterminism:

@@ -1,11 +1,13 @@
 """Fuzz the CLI with mutated documents: exit codes stay honest on any input.
 
-One golden game, profile, cost or forbidden-pairs document gets one mutation
-(a field or list element dropped, a value swapped for one of another JSON
-type, a tag renamed, or an integer pushed out of range); `solve`, `verify`,
-`characterize --weighted` and `reduce pairs` then replay through
-`rggames.cli.main`.  Every field of the forbidden-pairs document is an
-integer or a list, so a swapped value there must exit 2.  Every list or object
+One golden game, profile, cost, tabulated cost or forbidden-pairs document gets
+one mutation (a field or list element dropped, a value swapped for one of another
+JSON type, a tag renamed, an integer pushed out of range, or an object key
+respelled); `solve`, `verify`, `characterize --weighted`, `characterize` of the
+tabulated cost and `reduce pairs` then replay through `rggames.cli.main`.  A
+respelled key is an unknown field or a table key that is not canonical, so every
+command that reads that document must exit 2.  Every field of the forbidden-pairs
+document is an integer or a list, so a swapped value there must exit 2.  Every list or object
 of the golden game outside its cost, `bounds` included, is also swapped for each
 value of another JSON type, and `solve` must exit 2 with an error that names the
 swapped field.
@@ -24,11 +26,12 @@ from rggames.cli import NEGATIVE_KINDS, game_from_json, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SOURCES = {"game": "readme_game.json", "profile": "readme_profile.json", "cost": "spl_cost.json",
-           "pairs": "pairs.json"}
+           "table": "cross_cost.json", "pairs": "pairs.json"}
 COMMANDS = [
     ["solve", "{game}"],
     ["verify", "{game}", "--profile", "{profile}"],
     ["characterize", "{cost}", "--weighted"],
+    ["characterize", "{table}"],
     ["reduce", "pairs", "{pairs}"],
 ]
 OTHER_TYPES = [None, True, 0, 2.5, "x", [], {}]
@@ -73,6 +76,8 @@ def mutated(draw):
         moves.append("tag")
     if isinstance(value, int) and not isinstance(value, bool):
         moves.append("range")
+    if isinstance(parent, dict):
+        moves.append("rekey")
     move = draw(st.sampled_from(moves))
     if move == "drop":
         del parent[key]
@@ -80,6 +85,8 @@ def mutated(draw):
         parent[key] = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(value)]))
     elif move == "tag":
         parent[key] = "bogus"
+    elif move == "rekey":
+        parent[draw(st.sampled_from([f" {key}", f"{key},", f"0{key}"]))] = parent.pop(key)
     else:
         parent[key] = draw(st.sampled_from([-1, value + 3]))
     return role, move, doc
@@ -107,6 +114,8 @@ def test_mutated_documents_exit_honestly(tmp_path_factory, case):
         argv = [arg.format(**files) for arg in template]
         code, out, err = _run(argv)
         assert code in (0, 1, 2), argv
+        if move == "rekey" and f"{{{role}}}" in template:
+            assert code == 2, (argv, doc)
         if code == 2:
             assert out == "", argv
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

@@ -252,6 +252,26 @@ class TestExactPotentialCheck:
             if result.ok:
                 assert len(seen) == len(profiles) == 100
 
+    def test_symmetry_of_A_checked_once_per_model(self, monkeypatch):
+        # 100 profiles of Uniform(5, 2) for two players: one comparison of A per model
+        m = 5
+        A = tuple(tuple(Fraction(1 if r + s == m - 1 else 0) for s in range(m)) for r in range(m))
+        spl = SeparablePlusLinear(f=tuple(tuple(Fraction(k) for k in range(4)) for _ in range(m)),
+                                  A=A)
+        affine = Affine(A=A, b=tuple(Fraction(r) for r in range(m)))
+        checked, first_asymmetry = [], costs.first_asymmetry
+
+        def counted(A):
+            checked.append(A)
+            return first_asymmetry(A)
+
+        monkeypatch.setattr(costs, "first_asymmetry", counted)
+        for cost, potential in ((spl, potential_unweighted), (affine, potential_weighted_affine)):
+            game = Game(n_resources=m, players=(Player(strategy_space=Uniform(m, 2)),) * 2,
+                        cost_model=cost)
+            assert check_exact_potential(game, lambda x: potential(game, x)).ok
+        assert checked == [A, A]
+
     def test_each_price_once_and_each_pair_from_its_lower_end(self, monkeypatch):
         # the game above: 2 players x 10 others' profiles, 10 prices each, 900 pairs
         m = 5
