@@ -20,6 +20,8 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CASES = [
     ("readme_solve", ["solve", "readme_game.json"], 0),
     ("readme_dynamics", ["solve", "readme_game.json", "--method", "dynamics", "--seed", "7"], 0),
+    ("readme_dynamics_capped",
+     ["solve", "readme_game.json", "--method", "dynamics", "--max-iters", "0"], 1),
     ("readme_verify", ["verify", "readme_game.json", "--profile", "readme_profile.json"], 0),
     ("readme_potential", ["potential", "readme_game.json", "--profile", "readme_profile.json"], 0),
     ("readme_characterize", ["characterize", "readme_game.json"], 0),
