@@ -5,12 +5,14 @@ tagged type (matroids, cost models, certificates, reports); `encode` and
 `decode` read it.  Untagged game and profile documents are built around them.
 
 Rationals serialize as "p/q" strings (never floats, except in the
-exponential cost payload); output is canonical and deterministic, and every
-certificate embeds the tool version and the input content hash.  A table key
+exponential cost payload); output is canonical and deterministic.  A table key
 is read only in the canonical "x1,x2,..." spelling that is written.
 
-Exit codes: 0 success, 1 negative certificate (NotPNE / NoPNEExists /
-Violation / non-convergence), 2 malformed input or internal error.
+Each `cmd_*` returns (raw, payload): the input bytes and the JSON payload.
+`main` is the one place that stamps the payload with the tool version and the
+SHA-256 of raw, prints it, and picks the exit code: 0 success, 1 negative
+certificate (NotPNE / NoPNEExists / Violation / non-convergence, also nested
+as a gadget's `certificate`), 2 malformed input or internal error.
 """
 
 from __future__ import annotations
@@ -362,22 +364,6 @@ def profile_from_json(doc: dict, game: Game) -> tuple:
     )
 
 
-# ---------------------------------------------------------------- output
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
-
-
-def _stamp(payload: dict, input_bytes: bytes) -> dict:
-    payload["tool"] = f"rggames {__version__}"
-    payload["input_sha256"] = hashlib.sha256(input_bytes).hexdigest()
-    return payload
-
-
-NEGATIVE_KINDS = {"not_pne", "no_pne_exists", "violation", "no_convergence"}
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -395,34 +381,26 @@ def _load_json(path: str) -> tuple:
         raise StructureError(f"{path}: not valid JSON ({exc})") from None
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple:
     if args.max_iters < 0:
         raise UsageError(f"--max-iters: expected a non-negative integer, got {args.max_iters}")
     raw, doc = _load_json(args.file)
     game = game_from_json(doc)
     if args.method == "bruteforce":
-        payload = encode(brute_force_pne(game))
-    elif args.method == "dynamics":
-        start = tuple(p.strategies()[0] for p in game.players)
-        trace = run_best_response_dynamics(game, start, max_iters=args.max_iters, seed=args.seed)
-        if trace.converged:
-            payload = {**encode(PNEFound(trace.terminal)), "iterations": trace.iterations}
-        else:
-            payload = {"kind": "no_convergence", "iterations": trace.iterations}
-    else:  # theorem3
-        profile, _cert = solve_bilevel(game, max_iters=args.max_iters)
-        payload = encode(PNEFound(profile))
-    print(_dump(_stamp(payload, raw)))
-    return 1 if payload["kind"] in NEGATIVE_KINDS else 0
+        return raw, encode(brute_force_pne(game))
+    if args.method == "theorem3":
+        return raw, encode(PNEFound(solve_bilevel(game, max_iters=args.max_iters)[0]))
+    start = tuple(p.strategies()[0] for p in game.players)
+    trace = run_best_response_dynamics(game, start, max_iters=args.max_iters, seed=args.seed)
+    found = encode(PNEFound(trace.terminal)) if trace.converged else {"kind": "no_convergence"}
+    return raw, {**found, "iterations": trace.iterations}
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     raw, doc = _load_json(args.file)
     game = game_from_json(doc)
     profile = profile_from_json(_load_json(args.profile)[1], game)
-    payload = encode(verify_pne(game, profile))
-    print(_dump(_stamp(payload, raw)))
-    return 1 if payload["kind"] in NEGATIVE_KINDS else 0
+    return raw, encode(verify_pne(game, profile))
 
 
 def _cost_and_bound(doc) -> tuple:
@@ -438,7 +416,7 @@ def _cost_and_bound(doc) -> tuple:
     return cost, L
 
 
-def cmd_characterize(args) -> int:
+def cmd_characterize(args) -> tuple:
     if args.weighted and args.L is not None:
         raise UsageError("--weighted takes no --L; only unweighted characterize does")
     raw, doc = _load_json(args.file)
@@ -455,9 +433,7 @@ def cmd_characterize(args) -> int:
             raise UsageError("characterize needs L >= 1 (and L <= max_load - 2), "
                              f"got L = {L}{bounded}")
         report = analyze_unweighted(cost, usable)
-    payload = encode(report)
-    print(_dump(_stamp(payload, raw)))
-    return 1 if payload["kind"] in NEGATIVE_KINDS else 0
+    return raw, encode(report)
 
 
 def _integers(text: str, flag: str) -> tuple:
@@ -471,7 +447,7 @@ def _integers(text: str, flag: str) -> tuple:
     return tuple(values)
 
 
-def cmd_gadget(args) -> int:
+def cmd_gadget(args) -> tuple:
     raw, doc = _load_json(args.file)
     cost = _cost_and_bound(doc)[0]
     point = _integers(args.point, "--point")
@@ -487,16 +463,13 @@ def cmd_gadget(args) -> int:
     )
     game = build_gadget(spec)
     payload = {"game": game_to_json(game)}
-    code = 0
     if args.confirm:
         payload["certificate"] = encode(brute_force_pne(game))
-        if payload["certificate"]["kind"] in NEGATIVE_KINDS:
-            code = 1
-    print(_dump(_stamp(payload, raw)))
-    return code
+    return raw, payload
 
 
-def cmd_potential(args) -> int:
+def cmd_potential(args) -> tuple:
+    """The bare "p/q" of the potential, with no input to stamp: not yet a certificate."""
     game = game_from_json(_load_json(args.file)[1])
     profile = profile_from_json(_load_json(args.profile)[1], game)
     validate_profile(game, profile)
@@ -504,11 +477,10 @@ def cmd_potential(args) -> int:
         value = potential_weighted_affine(game, profile)
     else:
         value = potential_unweighted(game, profile)
-    print(f"{Fraction(value).numerator}/{Fraction(value).denominator}")
-    return 0
+    return None, f"{Fraction(value).numerator}/{Fraction(value).denominator}"
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple:
     if args.kind == "sat":
         raw = _read(args.instance)
         inst = parse_dimacs(raw.decode("utf-8"))
@@ -525,8 +497,7 @@ def cmd_reduce(args) -> int:
         )
         _reject_unknown(doc, "$")
         game = reduce_forbidden_pairs(inst)
-    print(_dump(_stamp({"game": game_to_json(game)}, raw)))
-    return 0
+    return raw, {"game": game_to_json(game)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -575,14 +546,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+NEGATIVE_KINDS = {"not_pne", "no_pne_exists", "violation", "no_convergence"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        raw, payload = args.func(args)
+        if raw is None:  # potential's bare value
+            print(payload)
+            return 0
+        payload["tool"] = f"rggames {__version__}"
+        payload["input_sha256"] = hashlib.sha256(raw).hexdigest()
+        print(json.dumps(payload, sort_keys=True, indent=2))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if payload.get("certificate", payload).get("kind") in NEGATIVE_KINDS else 0
 
 
 if __name__ == "__main__":
