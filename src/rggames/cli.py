@@ -373,10 +373,20 @@ def _read(path: str) -> bytes:
 
 
 def _load_json(path: str) -> tuple:
-    """The file's bytes, which the certificate stamp hashes, and the JSON document."""
+    """The file's bytes, which the certificate stamp hashes, and the JSON document; a key
+    repeated in one object is refused, where `json` would keep its last value."""
     raw = _read(path)
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise StructureError(f"{path}: repeated key {key!r}")
+        return obj
+
     try:
-        return raw, json.loads(raw)
+        return raw, json.loads(raw, object_pairs_hook=unique)
     except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise StructureError(f"{path}: not valid JSON ({exc})") from None
 

@@ -282,6 +282,8 @@ class Tabulated(_NoKernel):
                 raise StructureError(f"neighborhood of resource {r} out of range")
             if tuple(sorted(hood)) != tuple(hood):
                 raise StructureError(f"neighborhood of resource {r} must be sorted")
+            if len(set(hood)) < len(hood):
+                raise StructureError(f"neighborhood of resource {r} names a resource twice")
 
     def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
         il = _as_int_loads(loads)

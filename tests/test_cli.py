@@ -321,6 +321,28 @@ def gadget(cost, lemma, point, resources):
     return ["gadget", golden(cost), "--lemma", lemma, f"--point={point}", "--resources", resources]
 
 
+def as_files(argv, tmp_path) -> list:
+    """argv with each dict written as a JSON file and each bytes value as a raw file."""
+    args = []
+    for k, arg in enumerate(argv):
+        if isinstance(arg, bytes):
+            path = tmp_path / f"input{k}"
+            path.write_bytes(arg)
+            arg = str(path)
+        elif isinstance(arg, dict):
+            arg = write_json(tmp_path, f"input{k}.json", arg)
+        args.append(arg)
+    return args
+
+
+# Documents that repeat a key in one object; read with the last value kept, each is a
+# valid input (the table answers characterize with f = [0, 9]).
+REPEATED_TABLE_KEY = (b'{"m": 1, "cost": {"kind": "tabulated", "max_load": 3, "neighborhoods": [[0]], '
+                      b'"tables": [{"0": "0", "1": "1", "2": "2", "3": "3", "1": "9"}]}}')
+REPEATED_M = b'{"m": 1, ' + (GOLDEN / "readme_game.json").read_bytes()[1:]
+REPEATED_CHOICES = b'{"choices": [[0], [0]], "choices": [[1], [0]]}'
+
+
 # Input checks that only the model and instance constructors make, each reached from
 # the command line.  In an argv a dict is written as a JSON file and bytes as a raw file.
 INPUT_CHECKS = {
@@ -337,6 +359,15 @@ INPUT_CHECKS = {
     "tabulated neighborhood": (
         ["solve", with_cost("tabulated_game.json", neighborhoods=[[0], [0, 2]])],
         "neighborhood of resource 1 out of range"),
+    "tabulated neighborhood naming a resource twice": (
+        ["characterize", {"m": 1, "cost": {
+            "kind": "tabulated", "max_load": 3, "neighborhoods": [[0, 0]],
+            "tables": [{f"{x},{x}": str(x) for x in range(4)}]}}, "--L", "1"],
+        "neighborhood of resource 0 names a resource twice"),
+    "strategies neither explicit nor matroid": (
+        ["solve", edited("readme_game.json",
+                         lambda doc: doc["players"][0].update(strategies={"bases": [[0]]}))],
+        "players[0]: strategies must be explicit or matroid"),
     "exponential a and b": (
         ["solve", with_cost("exponential_game.json", a=[1.0])],
         "a and b must have the same length"),
@@ -451,16 +482,7 @@ class TestInputHardening:
     @pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
     def test_model_and_instance_checks_reach_the_cli(self, name, tmp_path, capsys):
         argv, message = INPUT_CHECKS[name]
-        args = []
-        for k, arg in enumerate(argv):
-            if isinstance(arg, bytes):
-                path = tmp_path / f"input{k}"
-                path.write_bytes(arg)
-                arg = str(path)
-            elif isinstance(arg, dict):
-                arg = write_json(tmp_path, f"input{k}.json", arg)
-            args.append(arg)
-        assert main(args) == 2
+        assert main(as_files(argv, tmp_path)) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
 
@@ -538,6 +560,18 @@ class TestInputHardening:
         assert main(["solve", write_json(tmp_path, "game.json", doc)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, key", [
+        (["characterize", REPEATED_TABLE_KEY], "1"),
+        (["solve", REPEATED_M], "m"),
+        (["verify", golden("readme_game.json"), "--profile", REPEATED_CHOICES], "choices"),
+    ], ids=["table key", "game m", "profile choices"])
+    def test_repeated_key_rejected(self, argv, key, tmp_path, capsys):
+        """`json` would keep the last value of a repeated key; every input refuses it."""
+        args = as_files(argv, tmp_path)
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {args[-1]}: repeated key {key!r}\n"
 
     @pytest.mark.parametrize("value", ["x", "", "1/0"])
     def test_gadget_bad_epsilon_names_its_flag(self, value, capsys):
@@ -1016,10 +1050,12 @@ def test_console_script_entry_point():
     (["solve", golden("readme_game.json")], 0),
     (["verify", golden("spl_game.json"), "--profile", golden("spl_profile.json")], 1),
     (["solve", golden("readme_game.json"), "--method", "dynamics", "--max-iters", "-1"], 2),
+    (["solve", golden("readme_game.json"), "--method", "dynamics", "--max-iters", "0"], 1),
+    (["characterize", REPEATED_TABLE_KEY], 2),
 ])
-def test_exit_codes_from_a_real_process(argv, code, capsys):
+def test_exit_codes_from_a_real_process(argv, code, tmp_path, capsys):
     """`python -m rggames.cli` exits and prints as `main` does in process."""
-    run_as_process("rggames.cli", argv, code, capsys)
+    run_as_process("rggames.cli", as_files(argv, tmp_path), code, capsys)
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -205,8 +205,17 @@ class TestValidation:
                 Bilevel(m=m, budget=Fraction(1))
 
     def test_tabulated_neighborhood_sorted(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="neighborhood of resource 0 must be sorted"):
             Tabulated(m=2, neighborhoods=((1, 0), ()), tables=({}, {}), max_load=1)
+
+    def test_tabulated_neighborhood_names_each_resource_once(self):
+        """A sorted neighborhood that repeats a resource is refused: a table key such
+        as "0,1" could never be read under it."""
+        table = {(0, 0): Fraction(0), (0, 1): Fraction(5), (1, 1): Fraction(1)}
+        with pytest.raises(StructureError,
+                           match="neighborhood of resource 1 names a resource twice"):
+            Tabulated(m=2, neighborhoods=((0,), (1, 1)), tables=({}, table), max_load=1)
+        Tabulated(m=2, neighborhoods=((0,), (0, 1)), tables=({}, table), max_load=1)
 
 
 
