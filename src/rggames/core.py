@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Optional, Tuple, Union
 
@@ -87,7 +88,6 @@ class Player:
     weight: Number = 1
     strategy_space: object = None  # an Explicit or a matroid descriptor
     _strategies: Optional[tuple] = field(default=None, init=False, repr=False)
-    _trie: Optional[Trie] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.weight <= 0:
@@ -118,11 +118,10 @@ class Player:
         object.__setattr__(self, "_strategies", cached)
         return cached
 
+    @cached_property
     def trie(self) -> Trie:
-        """`strategies()` as a Trie, made on the first call and kept with the tuple."""
-        if self._trie is None:
-            object.__setattr__(self, "_trie", Trie(self.strategies()))
-        return self._trie
+        """`strategies()` as a Trie, made on first use and kept with the tuple."""
+        return Trie(self.strategies())
 
 
 @dataclass(frozen=True, eq=False)

@@ -49,7 +49,7 @@ unweighted characterization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
@@ -189,12 +189,12 @@ def _pair_bounds(cols) -> tuple:
 
 
 class _Kernel:
-    """Mixin for the two kernel models, whose `kernel()` gives (D, cols, ...)."""
+    """Mixin for the two kernel models, whose `kernel` is (D, cols, ...)."""
 
     @cached_property
     def pair_bounds(self) -> tuple:
         """`_pair_bounds` of the kernel, built on the first search and kept."""
-        return _pair_bounds(self.kernel()[1])
+        return _pair_bounds(self.kernel[1])
 
     @cached_property
     def asymmetry(self) -> Optional[tuple]:
@@ -333,7 +333,6 @@ class SeparablePlusLinear(_Kernel):
 
     f: tuple
     A: tuple
-    _kernel: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = len(self.A)
@@ -351,13 +350,11 @@ class SeparablePlusLinear(_Kernel):
         """The top load of the f tables; over no resources no table bounds a load."""
         return len(self.f[0]) - 1 if self.f else math.inf
 
+    @cached_property
     def kernel(self) -> tuple:
         """(D, cols, F): sparse D*A columns and the D*f tables, built on first use and kept."""
-        if self._kernel is None:
-            D, cols, scaled = _linear_kernel(self.A, chain.from_iterable(self.f))
-            F = tuple(tuple(map(scaled, table)) for table in self.f)
-            object.__setattr__(self, "_kernel", (D, cols, F))
-        return self._kernel
+        D, cols, scaled = _linear_kernel(self.A, chain.from_iterable(self.f))
+        return D, cols, tuple(tuple(map(scaled, table)) for table in self.f)
 
     def decomposition(self, L: int) -> Optional[tuple]:
         """(f, A) up to L with a_rr folded into f (`_folded`); None if f stops before L + 2,
@@ -371,7 +368,7 @@ class SeparablePlusLinear(_Kernel):
         xr = il[r]
         if xr < 0 or xr > self.max_load:
             raise LoadRangeError(f"load {xr} outside 0..{self.max_load}")
-        D, cols, F = self.kernel()
+        D, cols, F = self.kernel
         interaction = sum(col[r] * v for col, v in zip(cols, il) if v and r in col)
         return Fraction(F[r][xr] + interaction, D)
 
@@ -380,11 +377,11 @@ class SeparablePlusLinear(_Kernel):
             ib = _as_int_loads(base)
         except LoadRangeError:  # a fractional load that only some y may cancel: entry decides
             return _entry_pricer(self, base, player)
-        return self._pricer(base, ib, _times(self.kernel()[1], ib), player)
+        return self._pricer(base, ib, _times(self.kernel[1], ib), player)
 
     def _pricer(self, base: Loads, ib: tuple, a_base: list, player: Optional[int]):
         """The kernel pricer at an integral base ib, with a_base = D*A*ib."""
-        D, cols, F = self.kernel()
+        D, cols, F = self.kernel
         top = self.max_load
 
         def price(y: Loads) -> Number:
@@ -414,7 +411,7 @@ class SeparablePlusLinear(_Kernel):
         w = int(weight)
         if max(ib, default=0) + w > self.max_load:
             return None
-        D, cols, F = self.kernel()
+        D, cols, F = self.kernel
         a_base = _times(cols, ib)
         u = [w * (F[r][x + w] + a_base[r]) + w * w * cols[r].get(r, 0) for r, x in enumerate(ib)]
         return (self._pricer(base, ib, a_base, player),
@@ -427,7 +424,6 @@ class Affine(_Kernel):
 
     A: tuple
     b: tuple
-    _kernel: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.A) != len(self.b) or any(len(row) != len(self.b) for row in self.A):
@@ -437,15 +433,14 @@ class Affine(_Kernel):
     def m(self) -> int:
         return len(self.b)
 
+    @cached_property
     def kernel(self) -> tuple:
         """(D, cols, B): sparse D*A columns and D*b, built on first use and kept."""
-        if self._kernel is None:
-            D, cols, scaled = _linear_kernel(self.A, self.b)
-            object.__setattr__(self, "_kernel", (D, cols, tuple(map(scaled, self.b))))
-        return self._kernel
+        D, cols, scaled = _linear_kernel(self.A, self.b)
+        return D, cols, tuple(map(scaled, self.b))
 
     def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
-        D, cols, B = self.kernel()
+        D, cols, B = self.kernel
         interaction = sum(col[r] * v for col, v in zip(cols, loads) if v and r in col)
         return Fraction(B[r] + interaction, D)
 
@@ -454,16 +449,16 @@ class Affine(_Kernel):
         return _folded(tuple((v,) * (L + 1) for v in self.b), self.A, L)
 
     def reads(self) -> tuple:
-        return tuple((r, s) for s, col in enumerate(self.kernel()[1]) for r in col)
+        return tuple((r, s) for s, col in enumerate(self.kernel[1]) for r in col)
 
     def pricer(self, base: Loads, player: Optional[int] = None):
         """Rational loads are scaled to ints too: base = ib / E and y = ys / q on supp y."""
         E, ib = _over_common_denominator(base)
-        return self._pricer(E, _times(self.kernel()[1], ib))
+        return self._pricer(E, _times(self.kernel[1], ib))
 
     def _pricer(self, E: int, a_base: list):
         """The kernel pricer at base = ib / E, with a_base = D*A*ib."""
-        D, cols, B = self.kernel()
+        D, cols, B = self.kernel
 
         def price(y: Loads) -> Number:
             supp = [r for r, e in enumerate(y) if e]
@@ -477,7 +472,7 @@ class Affine(_Kernel):
         """(price, first_below): `pricer(base)` and the pruned search over the trie of a
         player of this weight (`_trie_search`), in the pricer's units: base = ib / E and
         weight = n / q give 1/(D*E*q*q)."""
-        D, cols, B = self.kernel()
+        D, cols, B = self.kernel
         E, ib = _over_common_denominator(base)
         a_base = _times(cols, ib)
         w = Fraction(weight)

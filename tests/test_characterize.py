@@ -565,7 +565,7 @@ class TestMatchesReference:
         assert {(label, kind) for label in ("separable_plus_linear", "affine D = 1", "affine D > 1")
                 for kind in ("consistent", "jacobian")} <= kinds
         assert {("separable_plus_linear", "LoadRangeError"), ("bilevel", "jacobian")} <= kinds
-        assert all(model.kernel()[0] > 1
+        assert all(model.kernel[0] > 1
                    for label, model, _L in self.MODELS if label == "affine D > 1")
 
     def test_corpus_reaches_every_outcome(self):

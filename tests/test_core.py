@@ -337,7 +337,7 @@ class TestPricerMatchesReference:
 
     def test_corpus_reaches_both_denominators(self):
         linear = ("spl_int", "spl_frac", "affine_int", "affine_frac")
-        kernels = [random_game(seed).cost_model.kernel() for seed in range(320)
+        kernels = [random_game(seed).cost_model.kernel for seed in range(320)
                    if KINDS[seed % len(KINDS)] in linear]
         assert any(D == 1 for D, _, _ in kernels) and any(D > 1 for D, _, _ in kernels)
 
