@@ -6,7 +6,8 @@ tagged type (matroids, cost models, certificates, reports); `encode` and
 
 Rationals serialize as "p/q" strings (never floats, except in the
 exponential cost payload); output is canonical and deterministic.  A table key
-is read only in the canonical "x1,x2,..." spelling that is written.
+is read only in the canonical "x1,x2,..." spelling that is written, and no JSON
+object may repeat a key.
 
 Each `cmd_*` returns (raw, payload): the input bytes and the JSON payload.
 `main` is the one place that stamps the payload with the tool version and the

@@ -262,7 +262,7 @@ def _as_int_loads(loads: Loads) -> tuple:
 class Tabulated(_NoKernel):
     """Finite tables c_r keyed by the load restricted to the neighborhood B_r.
 
-    neighborhoods[r] is a sorted tuple of coordinate indices; tables[r] maps
+    neighborhoods[r] is a sorted tuple of distinct coordinate indices; tables[r] maps
     the restriction of an integer load vector to those coordinates (each
     entry in 0..max_load) to a rational cost.
     """
