@@ -14,11 +14,16 @@ Each `cmd_*` returns (raw, payload): the input bytes and the JSON payload.
 SHA-256 of raw, prints it, and picks the exit code: 0 success, 1 negative
 certificate (NotPNE / NoPNEExists / Violation / non-convergence, also nested
 as a gadget's `certificate`), 2 malformed input or internal error.
+
+The parser is built once per process, on the first `main` call, and reused by
+every later call.  It holds each `cmd_*` function itself, so a `cmd_*` replaced
+after that first call is not seen; replace a name a command calls instead.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -494,8 +499,11 @@ def cmd_potential(args) -> tuple:
 def cmd_reduce(args) -> tuple:
     if args.kind == "sat":
         raw = _read(args.instance)
-        inst = parse_dimacs(raw.decode("utf-8"))
-        game = reduce_sat(inst)
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StructureError(f"{args.instance}: not valid UTF-8 ({exc})") from None
+        game = reduce_sat(parse_dimacs(text))
     else:
         raw, doc = _load_json(args.instance)
         doc = _object(doc, "$")
@@ -511,6 +519,7 @@ def cmd_reduce(args) -> tuple:
     return raw, {"game": game_to_json(game)}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rggames", description="resource graph game engine"

@@ -494,6 +494,12 @@ class Exponential(_NoKernel):
     def __post_init__(self):
         if len(self.a) != len(self.b):
             raise StructureError("a and b must have the same length")
+        for name, values in (("a", self.a), ("b", self.b)):
+            for r, value in enumerate(values):
+                if not math.isfinite(value):
+                    raise StructureError(f"{name}[{r}] must be finite, got {value!r}")
+        if not math.isfinite(self.phi):
+            raise StructureError(f"phi must be finite, got {self.phi!r}")
 
     @property
     def m(self) -> int:

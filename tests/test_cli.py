@@ -1,3 +1,4 @@
+import argparse
 import copy
 import importlib
 import json
@@ -371,6 +372,24 @@ INPUT_CHECKS = {
     "exponential a and b": (
         ["solve", with_cost("exponential_game.json", a=[1.0])],
         "a and b must have the same length"),
+    "exponential NaN b": (
+        ["solve", with_cost("exponential_game.json", b=[float("nan")] * 2)],
+        "b[0] must be finite, got nan"),
+    "exponential string nan a": (
+        ["solve", with_cost("exponential_game.json", a=[1.0, "nan"])],
+        "a[1] must be finite, got nan"),
+    "exponential infinite a": (
+        ["solve", with_cost("exponential_game.json", a=[float("inf"), 2.0])],
+        "a[0] must be finite, got inf"),
+    "exponential infinite b": (
+        ["solve", with_cost("exponential_game.json", b=[0.0, float("-inf")])],
+        "b[1] must be finite, got -inf"),
+    "exponential NaN phi": (
+        ["solve", with_cost("exponential_game.json", phi=float("nan"))],
+        "phi must be finite, got nan"),
+    "exponential infinite phi": (
+        ["characterize", with_cost("exponential_cost.json", phi="-inf"), "--weighted"],
+        "phi must be finite, got -inf"),
     "player_specific empty nu": (
         ["solve", with_cost("player_specific_game.json", nu=[])],
         "need at least one player table"),
@@ -778,6 +797,14 @@ class TestInputHardening:
         assert out == "" and err.startswith(f"error: {bad}: not valid JSON (")
         assert err.count("\n") == 1
 
+    def test_non_utf8_dimacs_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cnf"
+        bad.write_bytes(b"p cnf 3 1\n1 -2 3 0\n\xff\n")
+        assert main(["reduce", "sat", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {bad}: not valid UTF-8 (")
+        assert err.count("\n") == 1
+
     def test_argparse_exit_passes_through(self, game_file):
         with pytest.raises(SystemExit):
             main(["solve"])
@@ -1027,6 +1054,53 @@ class TestDeterminism:
             assert first == second
 
 
+# One process runs these in turn: each call sets flags that the next leaves at their
+# defaults, and an argparse error falls between two good calls.
+GADGET_L3 = ["gadget", golden("asym_affine_cost.json"), "--lemma", "L3", "--point", "0,0",
+             "--resources", "1,2"]
+PARSER_REUSE = [
+    ["solve", golden("readme_game.json"), "--method", "dynamics", "--seed", "3",
+     "--max-iters", "0"],
+    ["solve", golden("readme_game.json")],
+    ["characterize", golden("readme_game.json"), "--weighted"],
+    ["characterize", golden("readme_game.json")],
+    ["solve"],
+    GADGET_L3 + ["--confirm"],
+    GADGET_L3,
+]
+
+
+def all_parsers(parser):
+    """The parser and its subparsers, at any depth."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                yield from all_parsers(subparser)
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_mutable_default(self):
+        parsers = list(all_parsers(cli.build_parser()))
+        defaults = [action.default for parser in parsers for action in parser._actions]
+        defaults += [value for parser in parsers for value in parser._defaults.values()]
+        assert not [d for d in defaults if isinstance(d, (list, dict, set))]
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        fresh = [run_process("rggames", argv) for argv in PARSER_REUSE]
+        for _ in range(2):  # the second round follows each call's successor too
+            for argv, expected in zip(PARSER_REUSE, fresh):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                assert (code, *capsys.readouterr()) == expected, argv
+        assert [code for code, _out, _err in fresh] == [1, 0, 0, 0, 2, 1, 0]
+
+
 @pytest.mark.skipif(shutil.which("rggames") is None, reason="console script not on PATH")
 def test_console_script(game_file):
     proc = subprocess.run(
@@ -1068,17 +1142,22 @@ def test_python_m_rggames(argv, code, capsys):
     run_as_process("rggames", argv, code, capsys)
 
 
-def run_as_process(module, argv, code, capsys):
-    assert main(argv) == code
-    out, err = capsys.readouterr()
+def run_process(module, argv) -> tuple:
+    """(exit code, stdout, stderr) of `python -m <module> <argv>` in a fresh process."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-m", module, *argv],
                           capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_as_process(module, argv, code, capsys):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert run_process(module, argv) == (code, out, err)
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in err
     else:
         assert out and err == ""
