@@ -254,7 +254,7 @@ def _field(codec: Codec, value, path: str, key: str):
     which is formatted only then, so decoding a large matrix formats no string."""
     try:
         return codec.decode(value)
-    except (StructureError, ValueError) as exc:
+    except (StructureError, ValueError, OverflowError) as exc:
         raise StructureError(f"{path}.{key}: {exc}") from None
 
 

@@ -18,6 +18,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Optional, Tuple, Union
 
+from .costs import unscaled
 from .errors import StructureError
 
 Number = Union[int, Fraction]
@@ -169,16 +170,18 @@ def load_of(game: Game, profile: Profile) -> Vector:
 
 
 def pricer(game: Game, profile: Profile, i: int, loads: Optional[Vector] = None):
-    """y -> pi_i(y, x_-i): player i's private cost of each choice y against the others."""
+    """(scale, price): pi_i(y, x_-i) = price(y) / scale, player i's private cost of
+    each choice y against the others, in the cost model's pricer protocol."""
     if loads is None:
         loads = load_of(game, profile)
     base = tuple(v - e for v, e in zip(loads, profile[i]))
-    return game.cost_model.pricer(base, i)
+    return game.cost_model.pricer(base, i, game.players[i].weight)
 
 
 def private_cost(game: Game, profile: Profile, i: int, loads: Optional[Vector] = None):
     """pi_i(x) = x_i^T c_i(load(x)); only the support rows of c are evaluated."""
-    return pricer(game, profile, i, loads)(profile[i])
+    scale, price = pricer(game, profile, i, loads)
+    return unscaled(price(profile[i]), scale)
 
 
 def support(vector: Vector) -> list:

@@ -3,30 +3,41 @@
 A cost model maps a load vector to a per-resource cost vector.  Every model
 class carries its resource count `m`, evaluates one entry c_r(x) with
 `entry(loads, r, player)`, and prices a player's choices with
-`pricer(base, player)`: a callable y -> sum_r y_r * c_r(base + y), the private
-cost of y against the other players' loads `base`.  Only
-PlayerSpecificSeparable reads the player index.  All models except
-Exponential evaluate in exact rational arithmetic.
+`pricer(base, player, weight)`, which returns (scale, price): price(y) / scale is
+sum_r y_r * c_r(base + y), the private cost of y against the other players' loads
+`base`.  Only PlayerSpecificSeparable reads the player index, and only Affine the
+weight.  All models except Exponential evaluate in exact rational arithmetic.
+
+One pricer per model, one scale per pricer, stated when it is made.  The rational
+models price in int over it, so callers compare and subtract ints and build a
+Fraction (`unscaled`) only for a value that leaves the engine:
+- SeparablePlusLinear: D, the common denominator of its coefficients;
+- Affine: D*E*q*q, where E is the common denominator of base and q that of the
+  weight; every y must be a multiple of 1/q, as a player of that weight plays;
+- Tabulated: the common denominator of its table values (`scale`), read once per
+  distinct table, each value scaled as it is looked up;
+- 1 for the models without an integer form (Bilevel, PlayerSpecificSeparable,
+  Exponential, a table that holds a float) and for a base that the integer
+  pricers cannot take; these prices keep the type of the entries.
 
 SeparablePlusLinear and Affine price through an exact kernel built once per
 model: A kept as sparse columns and scaled, with the model's other
-coefficients, by one common denominator D, so that sums run in int with a single division by D.
-Their pricer computes A*base once; each y then costs O(|supp y|^2).  Affine
-also takes rational loads (weighted players, integral Fractions included) to
-ints over their common denominator, so its sums stay in int.  The
-other models price entry by entry at the full vector base + y (Bilevel
+coefficients, by D.  Their pricer computes A*base once; each y then costs
+O(|supp y|^2).  Affine also takes rational loads (weighted players, integral
+Fractions included) to ints over their common denominator, so its sums stay in
+int.  The other models price entry by entry at the full vector base + y (Bilevel
 splits the budget once per vector).
 
 The two kernel models also give a pruned search, `searcher(base, player, weight,
-trie)`: the pricer and first_below over a player's strategy trie (`_trie_search`), which
-bounds a subtree by the int price of the resources chosen so far plus every
-negative part the undecided resources and pairs could add.  The pair table behind
-that bound (`_pair_bounds`) is built once per model, on its first search; the
-per-base vector only when a search is asked for, so `pricer` alone pays for
-neither.  SeparablePlusLinear gives None where a deviation could raise (a
-fractional base or weight, or a table too short for base + weight), and so do the
-models without a kernel, which have nothing to bound a subtree with; the caller
-then prices every deviation.
+trie)`: (scale, price, first_below), the pricer and first_below over a player's
+strategy trie (`_trie_search`) in the pricer's units, which bounds a subtree by the
+int price of the resources chosen so far plus every negative part the undecided
+resources and pairs could add.  The pair table behind that bound (`_pair_bounds`)
+is built once per model, on its first search; the per-base vector only when a
+search is asked for, so `pricer` alone pays for neither.  SeparablePlusLinear gives
+None where a deviation could raise (a fractional base or weight, or a table too
+short for base + weight), and so do the models without a kernel, which have
+nothing to bound a subtree with; the caller then prices every deviation.
 
 Load-range rule.  Table-backed models (Tabulated, SeparablePlusLinear,
 PlayerSpecificSeparable) accept integer loads only: a fractional load
@@ -71,8 +82,15 @@ def _weighted_sum(y: Loads, cost) -> Number:
     return total
 
 
+def unscaled(price: Number, scale: int) -> Number:
+    """A price over its pricer's scale as a number: Fraction(price, scale) for an
+    int, and a price at scale 1 that is not an int (Fraction, float) as it is."""
+    return Fraction(price, scale) if type(price) is int else price
+
+
 def _entry_pricer(model, base: Loads, player: Optional[int] = None):
-    """Entry-by-entry pricing: y is priced with `entry` at the full vector base + y."""
+    """Entry-by-entry pricing at scale 1: y is priced with `entry` at the full vector
+    base + y, in the type the entries have."""
 
     def price(y: Loads) -> Number:
         loads = tuple(map(add, base, y))
@@ -82,11 +100,11 @@ def _entry_pricer(model, base: Loads, player: Optional[int] = None):
 
 
 class _NoKernel:
-    """Mixin for models without a kernel: the pricer evaluates entry by entry, and
-    there is no pruned search, so every deviation is priced."""
+    """Mixin for models without an integer form: the pricer evaluates entry by entry
+    at scale 1, and there is no pruned search, so every deviation is priced."""
 
-    def pricer(self, base: Loads, player: Optional[int] = None):
-        return _entry_pricer(self, base, player)
+    def pricer(self, base: Loads, player: Optional[int] = None, weight: Number = 1):
+        return 1, _entry_pricer(self, base, player)
 
     def searcher(self, base: Loads, player: Optional[int], weight: Number, trie):
         return None
@@ -150,6 +168,17 @@ def _over_common_denominator(values: Sequence) -> tuple:
     return q, [v.numerator * (q // v.denominator) for v in values]
 
 
+def _over(q: int, values: Sequence) -> list:
+    """Rational values as ints over q, each a multiple of 1/q."""
+    out = []
+    for v in values:
+        n, d = v.numerator, v.denominator
+        if q % d:
+            raise UsageError(f"load {v} is not a multiple of 1/{q}, the player weight's unit")
+        out.append(n * (q // d))
+    return out
+
+
 def _quadratic(cols, supp, ys) -> Number:
     """sum over r, s in supp of y_r * (D*a_rs) * y_s, where ys lists y on supp."""
     total = 0
@@ -202,12 +231,12 @@ class _Kernel:
         return first_asymmetry(self.A)
 
 
-def _trie_search(u: list, c: int, scale: int, pairs: tuple, trie):
-    """first_below(start, threshold) over trie.space for prices P(S) / scale, where S is
+def _trie_search(u: list, c: int, pairs: tuple, trie):
+    """first_below(start, threshold) over trie.space for the int prices P(S), where S is
     the support of a strategy and P(S) = sum_{r in S} u[r] + c * sum_{r < s in S} sym[r][s].
 
-    It returns the first k >= start in the order of trie.space whose price is below
-    threshold, as (k, price), or None.  A depth-first walk over the trie keeps P of the
+    It returns the first k >= start in the order of trie.space whose price is below the
+    int threshold, as (k, price), or None.  A depth-first walk over the trie keeps P of the
     resources used so far; a subtree is skipped when that partial sum, plus every
     negative part that an undecided resource (u[r] < 0) or a pair with an undecided
     resource (sym < 0) could add, is at least the threshold.  All sums are ints.
@@ -220,8 +249,7 @@ def _trie_search(u: list, c: int, scale: int, pairs: tuple, trie):
 
     node, size = trie.node, len(trie.space)
 
-    def first_below(start: int, threshold):
-        limit = -(-threshold.numerator * scale // threshold.denominator)  # P < threshold*scale
+    def first_below(start: int, threshold: int):
         stack = [(0, size, 0, 0, ())] if start < size else []
         while stack:
             lo, hi, d, partial, used = stack.pop()
@@ -232,13 +260,13 @@ def _trie_search(u: list, c: int, scale: int, pairs: tuple, trie):
                     partial += c * sum(map(sym[r].__getitem__, used))
                 used += (r,)
             if split == m:
-                if partial < limit and lo >= start:
-                    return lo, Fraction(partial, scale)
+                if partial < threshold and lo >= start:
+                    return lo, partial
                 continue
             bound = partial + neg_u[split]
             if neg_pairs is not None:
                 bound += c * (neg_pairs[split] + sum(neg_rows[s][split] for s in used))
-            if bound >= limit:
+            if bound >= threshold:
                 continue
             stack.append((mid, hi, split, partial, used))
             if mid > start:
@@ -297,34 +325,49 @@ class Tabulated(_NoKernel):
         except KeyError:
             raise LoadRangeError(f"no table entry for resource {r} at {key}") from None
 
-    def pricer(self, base: Loads, player: Optional[int] = None):
-        """The load rule is checked on base once and then on supp y per y."""
+    @cached_property
+    def scale(self) -> Optional[int]:
+        """The common denominator of the table values, read once per distinct table
+        object (`compose` repeats one table); None when a value is a float."""
+        distinct = {id(table): table for table in self.tables}.values()
+        try:
+            return math.lcm(*{v.denominator for table in distinct for v in table.values()})
+        except AttributeError:  # a float has no denominator
+            return None
+
+    def pricer(self, base: Loads, player: Optional[int] = None, weight: Number = 1):
+        """Prices over `scale`, each value scaled as it is read; at scale 1 for float
+        tables and an invalid base.  The load rule is checked on base once and then on
+        supp y per y."""
         try:
             ib = _as_int_loads(base)
         except LoadRangeError:
-            return _entry_pricer(self, base, player)
+            return 1, _entry_pricer(self, base, player)
         top = self.max_load
         if len(ib) != self.m or any(v < 0 or v > top for v in ib):
-            return _entry_pricer(self, base, player)
-        hoods, tables = self.neighborhoods, self.tables
+            return 1, _entry_pricer(self, base, player)
+        hoods, tables, q = self.neighborhoods, self.tables, self.scale
 
         def price(y: Loads) -> Number:
             supp = [r for r, e in enumerate(y) if e]
             loads = list(ib)
             for r in supp:
                 x = ib[r] + y[r]
-                if x != int(x) or not 0 <= x <= top:  # entry raises the LoadRangeError
+                ix = int(x)
+                if ix != x or not 0 <= ix <= top:  # entry raises the LoadRangeError
                     return _entry_pricer(self, base, player)(y)
-                loads[r] = int(x)
+                loads[r] = ix
             total = 0
             for r in supp:
-                value = tables[r].get(tuple(loads[s] for s in hoods[r]))
-                if value is None:  # entry raises the missing entry
+                v = tables[r].get(tuple(loads[s] for s in hoods[r]))
+                if v is None:  # entry raises the missing entry
                     return _entry_pricer(self, base, player)(y)
-                total += y[r] * value
+                if q is not None:
+                    v = v.numerator * (q // v.denominator)
+                total += (loads[r] - ib[r]) * v
             return total
 
-        return price
+        return (1 if q is None else q), price
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,36 +415,40 @@ class SeparablePlusLinear(_Kernel):
         interaction = sum(col[r] * v for col, v in zip(cols, il) if v and r in col)
         return Fraction(F[r][xr] + interaction, D)
 
-    def pricer(self, base: Loads, player: Optional[int] = None):
+    def pricer(self, base: Loads, player: Optional[int] = None, weight: Number = 1):
+        """Prices over D at an integral base; at scale 1, entry by entry, otherwise."""
         try:
             ib = _as_int_loads(base)
         except LoadRangeError:  # a fractional load that only some y may cancel: entry decides
-            return _entry_pricer(self, base, player)
-        return self._pricer(base, ib, _times(self.kernel[1], ib), player)
+            return 1, _entry_pricer(self, base, player)
+        return self.kernel[0], self._pricer(base, ib, _times(self.kernel[1], ib), player)
 
     def _pricer(self, base: Loads, ib: tuple, a_base: list, player: Optional[int]):
-        """The kernel pricer at an integral base ib, with a_base = D*A*ib."""
+        """The kernel pricer over D at an integral base ib, with a_base = D*A*ib."""
         D, cols, F = self.kernel
         top = self.max_load
 
-        def price(y: Loads) -> Number:
+        def price(y: Loads) -> int:
             supp = [r for r, e in enumerate(y) if e]
-            ys = [y[r] for r in supp]
+            ys = []
             linear = 0
-            for r, yr in zip(supp, ys):
-                x = ib[r] + yr
-                if x != int(x) or not 0 <= x <= top:  # entry raises the LoadRangeError
+            for r in supp:
+                x = ib[r] + y[r]
+                ix = int(x)
+                if ix != x or not 0 <= ix <= top:  # entry raises the LoadRangeError
                     return _entry_pricer(self, base, player)(y)
-                linear += yr * (F[r][int(x)] + a_base[r])
-            return Fraction(linear + _quadratic(cols, supp, ys), D)
+                yr = ix - ib[r]
+                ys.append(yr)
+                linear += yr * (F[r][ix] + a_base[r])
+            return linear + _quadratic(cols, supp, ys)
 
         return price
 
     def searcher(self, base: Loads, player: Optional[int], weight: Number, trie):
-        """(price, first_below): `pricer(base, player)` and the pruned search over the
-        trie of a player of this weight (`_trie_search`, in units of 1/D).  None where a
-        deviation could raise, which keeps the full scan: a fractional base or weight,
-        or a resource that base + weight takes past max_load."""
+        """(D, price, first_below): `pricer(base, player, weight)` and the pruned search
+        over the trie of a player of this weight (`_trie_search`), both over D.  None
+        where a deviation could raise, which keeps the full scan: a fractional base or
+        weight, or a resource that base + weight takes past max_load."""
         if int(weight) != weight:
             return None
         try:
@@ -414,8 +461,8 @@ class SeparablePlusLinear(_Kernel):
         D, cols, F = self.kernel
         a_base = _times(cols, ib)
         u = [w * (F[r][x + w] + a_base[r]) + w * w * cols[r].get(r, 0) for r, x in enumerate(ib)]
-        return (self._pricer(base, ib, a_base, player),
-                _trie_search(u, w * w, D, self.pair_bounds, trie))
+        return (D, self._pricer(base, ib, a_base, player),
+                _trie_search(u, w * w, self.pair_bounds, trie))
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,36 +498,37 @@ class Affine(_Kernel):
     def reads(self) -> tuple:
         return tuple((r, s) for s, col in enumerate(self.kernel[1]) for r in col)
 
-    def pricer(self, base: Loads, player: Optional[int] = None):
-        """Rational loads are scaled to ints too: base = ib / E and y = ys / q on supp y."""
+    def pricer(self, base: Loads, player: Optional[int] = None, weight: Number = 1):
+        """Prices over D*E*q*q, for base = ib / E and the weight's denominator q: every
+        y must be a multiple of 1/q, as the vectors of a player of this weight are."""
         E, ib = _over_common_denominator(base)
-        return self._pricer(E, _times(self.kernel[1], ib))
+        q = weight.denominator
+        return self.kernel[0] * E * q * q, self._pricer(E, q, _times(self.kernel[1], ib))
 
-    def _pricer(self, E: int, a_base: list):
-        """The kernel pricer at base = ib / E, with a_base = D*A*ib."""
+    def _pricer(self, E: int, q: int, a_base: list):
+        """The kernel pricer at base = ib / E for y = ys / q, with a_base = D*A*ib."""
         D, cols, B = self.kernel
 
-        def price(y: Loads) -> Number:
+        def price(y: Loads) -> int:
             supp = [r for r, e in enumerate(y) if e]
-            q, ys = _over_common_denominator([y[r] for r in supp])
+            ys = _over(q, [y[r] for r in supp])
             linear = sum(yr * (E * q * B[r] + q * a_base[r]) for r, yr in zip(supp, ys))
-            return Fraction(linear + E * _quadratic(cols, supp, ys), D * E * q * q)
+            return linear + E * _quadratic(cols, supp, ys)
 
         return price
 
     def searcher(self, base: Loads, player: Optional[int], weight: Number, trie):
-        """(price, first_below): `pricer(base)` and the pruned search over the trie of a
-        player of this weight (`_trie_search`), in the pricer's units: base = ib / E and
-        weight = n / q give 1/(D*E*q*q)."""
+        """(scale, price, first_below): `pricer(base, player, weight)` and the pruned
+        search over the trie of a player of this weight (`_trie_search`), both over the
+        pricer's scale D*E*q*q for base = ib / E and weight = n / q."""
         D, cols, B = self.kernel
         E, ib = _over_common_denominator(base)
         a_base = _times(cols, ib)
-        w = Fraction(weight)
-        n, q = w.numerator, w.denominator
+        n, q = weight.numerator, weight.denominator
         u = [n * (E * q * B[r] + q * a_base[r]) + E * n * n * cols[r].get(r, 0)
              for r in range(len(B))]
-        return self._pricer(E, a_base), _trie_search(u, E * n * n, D * E * q * q,
-                                                     self.pair_bounds, trie)
+        return (D * E * q * q, self._pricer(E, q, a_base),
+                _trie_search(u, E * n * n, self.pair_bounds, trie))
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,7 +554,11 @@ class Exponential(_NoKernel):
         return len(self.a)
 
     def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
-        return self.a[r] * math.exp(self.phi * float(loads[r])) + self.b[r]
+        try:
+            return self.a[r] * math.exp(self.phi * float(loads[r])) + self.b[r]
+        except OverflowError:
+            raise LoadRangeError(f"exponential cost of resource {r} overflows a float "
+                                 f"at load {loads[r]}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,15 +577,15 @@ class Bilevel(_NoKernel):
     def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
         return loads[r] + kappa_star(loads, self.budget)[r]
 
-    def pricer(self, base: Loads, player: Optional[int] = None):
-        """Entry by entry, with the attack split once per load vector."""
+    def pricer(self, base: Loads, player: Optional[int] = None, weight: Number = 1):
+        """Entry by entry at scale 1, with the attack split once per load vector."""
 
         def price(y: Loads) -> Number:
             loads = tuple(map(add, base, y))
             kappa = kappa_star(loads, self.budget)
             return _weighted_sum(y, lambda r: loads[r] + kappa[r])
 
-        return price
+        return 1, price
 
 
 @dataclass(frozen=True, eq=False)

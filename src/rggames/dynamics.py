@@ -10,7 +10,10 @@ generality, so a matroid space past `matroid.enumerate_bases`'s basis limit
 fails loudly, naming the player, instead of truncating.
 
 `_searcher` is the one deviation search of `verify_pne`, `brute_force_pne` and
-`best_response`: the first deviation in space order priced below a threshold.  On
+`best_response`: the first deviation in space order priced below a threshold.  It
+works in the cost model's pricer units (`costs`), ints over one scale on the
+rational models, so its comparisons and differences are int operations; a delta
+becomes a Fraction (`costs.unscaled`) only in the certificate or the trace.  On
 `SeparablePlusLinear` and `Affine` it walks the player's strategies as a trie
 (`core.Trie`) and skips every subtree whose exact lower bound reaches the threshold
 (branch and bound, Land & Doig 1960), so the first improving deviation and the first
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .core import Game, Profile, Vector, deviate, load_of, validate_profile
-from .costs import Affine
+from .costs import Affine, unscaled
 from .errors import CapacityError, UsageError
 
 FLOAT_TOL = 1e-9  # float costs compare within this; `characterize` shares it
@@ -103,8 +106,9 @@ def _spaces(game: Game):
 
 
 def _searcher(game: Game, profile: Profile, i: int, space, loads: Vector):
-    """pi_i(x) and first_below(start, threshold): the first k >= start whose space[k]
-    is priced strictly below threshold, as (k, price), or None.
+    """(scale, pi_i(x), first_below): first_below(start, threshold) is the first k >=
+    start whose space[k] is priced strictly below threshold, as (k, price), or None.
+    Prices and thresholds are the pricer's, over its scale.
 
     The trie walk needs the player's own space with more than 2m strategies: it costs
     O(m) to set up and up to m nodes to reach its first leaf, which a scan of 2m
@@ -116,9 +120,9 @@ def _searcher(game: Game, profile: Profile, i: int, space, loads: Vector):
     walk = len(space) > 2 * game.n_resources and player.trie.space is space
     found = model.searcher(base, i, player.weight, player.trie) if walk else None
     if found is not None:
-        price, first_below = found
-        return price(current), first_below
-    price = model.pricer(base, i)
+        scale, price, first_below = found
+        return scale, price(current), first_below
+    scale, price = model.pricer(base, i, player.weight)
     cur = price(current)
 
     def scan(start, threshold):
@@ -130,7 +134,7 @@ def _searcher(game: Game, profile: Profile, i: int, space, loads: Vector):
                     return k, alt
         return None
 
-    return cur, scan
+    return scale, cur, scan
 
 
 def verify_pne(game: Game, profile: Profile) -> Certificate:
@@ -148,25 +152,25 @@ def _scan(game: Game, profile: Profile, spaces, loads: Vector) -> Certificate:
     """verify_pne on a playable profile with its loads: players in index order, each
     player's own choice priced first, stopping at the first strict improvement."""
     for i, space in enumerate(spaces):
-        cur, first_below = _searcher(game, profile, i, space, loads)
+        scale, cur, first_below = _searcher(game, profile, i, space, loads)
         hit = first_below(0, cur)
         if hit is not None:
             k, alt = hit
-            return NotPNE(player=i, deviation=space[k], delta=alt - cur)
+            return NotPNE(player=i, deviation=space[k], delta=unscaled(alt - cur, scale))
     return IsPNE()
 
 
 def best_response(game: Game, profile: Profile, i: int) -> tuple:
     """(y, cost change) for player i's cheapest y; ties keep the incumbent, then lexicographic."""
     space = game.players[i].strategies()
-    cur, first_below = _searcher(game, profile, i, space, load_of(game, profile))
+    scale, cur, first_below = _searcher(game, profile, i, space, load_of(game, profile))
     best, best_cost = profile[i], cur
     hit = first_below(0, cur)
     while hit is not None:
         k, best_cost = hit
         best = space[k]
         hit = first_below(k + 1, best_cost)
-    return best, best_cost - cur
+    return best, unscaled(best_cost - cur, scale)
 
 
 def run_best_response_dynamics(

@@ -15,7 +15,7 @@ from typing import Optional, Tuple, Union
 
 from .characterize import Violation
 from .core import Explicit, Game, Number, Player, Profile, incidence, pricer
-from .costs import CostModel, Tabulated, compose
+from .costs import CostModel, Tabulated, compose, unscaled
 from .dynamics import Certificate, NoPNEExists, PNEFound, _spaces, _sweep, brute_force_pne
 from .errors import GameError, StructureError, UsageError
 
@@ -111,21 +111,26 @@ def build_gadget(spec: GadgetSpec) -> Game:
 
 
 def check_AB_symmetry(game: Game, i: int, j: int) -> Union[SymmetryWitness, SymmetryFailure]:
-    """Verify the constant-pair and swap conditions over all profiles."""
+    """Verify the constant-pair and swap conditions over all profiles.
+
+    Each profile's two prices are compared as ints over the product of their
+    pricers' scales, and across profiles by cross-multiplying with the first pair's."""
     spaces = _spaces(game)
     pair = None
     swap_at_first = None
     for _, x, loads in _sweep(game, spaces):
-        price_i, price_j = pricer(game, x, i, loads), pricer(game, x, j, loads)
-        pi_i, pi_j = price_i(x[i]), price_j(x[j])
+        (s_i, price_i), (s_j, price_j) = pricer(game, x, i, loads), pricer(game, x, j, loads)
+        scale = s_i * s_j
+        pi_i, pi_j = price_i(x[i]) * s_j, price_j(x[j]) * s_i  # both over scale
         key = tuple(sorted((pi_i, pi_j)))
         if pair is None:
-            pair = key
-            a_val, b_val = pi_i, pi_j
-        elif key != pair:
-            return SymmetryFailure(profile=x, reason=f"payoff pair {{{pi_i}, {pi_j}}} varies")
-        y_i = next((y for y in spaces[i] if price_i(y) == pi_j), None)
-        y_j = next((y for y in spaces[j] if price_j(y) == pi_i), None)
+            pair, first_scale = key, scale
+            a_val, b_val = unscaled(pi_i, scale), unscaled(pi_j, scale)
+        elif key[0] * first_scale != pair[0] * scale or key[1] * first_scale != pair[1] * scale:
+            a, b = unscaled(pi_i, scale), unscaled(pi_j, scale)
+            return SymmetryFailure(profile=x, reason=f"payoff pair {{{a}, {b}}} varies")
+        y_i = next((y for y in spaces[i] if price_i(y) * s_j == pi_j), None)
+        y_j = next((y for y in spaces[j] if price_j(y) * s_i == pi_i), None)
         if y_i is None or y_j is None:
             return SymmetryFailure(profile=x, reason="no swap deviation exists")
         if swap_at_first is None:

@@ -8,20 +8,25 @@ weights, a symmetric A makes it satisfy the exact-potential identity
 P(y, x_{-i}) - P(x) = pi_i(y, x_{-i}) - pi_i(x) in exact rational arithmetic.
 A load beyond an f table raises the model's LoadRangeError.
 
+The prices are ints over their pricer's scale (`costs`); `_sequential` sums them
+over the lcm of the scales and builds one Fraction per potential value.
+
 `check_exact_potential` tests that identity on every unilateral deviation.  The
 identity is antisymmetric in the pair {x, (y, x_{-i})}, so it checks each pair once,
 from its end that comes first in `product` order, and it prices each of player i's
 strategies once per profile x_{-i} of the others, since the price depends on x_{-i}
-alone.
+alone.  With tol = 0 and exact values a pair costs one Fraction subtraction, dP, and
+one int cross-multiplication against the row's scale.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .core import Game, Profile, deviate, load_of, pricer
-from .costs import Affine, SeparablePlusLinear
+from .costs import Affine, SeparablePlusLinear, unscaled
 from .dynamics import _spaces, _sweep
 from .errors import UsageError
 
@@ -33,16 +38,21 @@ def _require_symmetric(model) -> None:
 
 
 def _sequential(game: Game, profile: Profile) -> Fraction:
-    """sum_i pi_i(x_1, ..., x_i): player i priced against the loads of players 0..i-1."""
+    """sum_i pi_i(x_1, ..., x_i): player i priced against the loads of players 0..i-1.
+    The int prices are summed over the lcm of their scales, and divided once."""
     load_of(game, profile)  # checks the player count and every vector's dimension
     prefix = [0] * game.n_resources
-    total = Fraction(0)
-    for i, v in enumerate(profile):
-        total += game.cost_model.pricer(tuple(prefix), i)(v)
+    total, den = 0, 1
+    for i, (v, player) in enumerate(zip(profile, game.players)):
+        scale, price = game.cost_model.pricer(tuple(prefix), i, player.weight)
+        if scale != den:
+            common = math.lcm(den, scale)
+            total, den = total * (common // den), common
+        total += price(v) * (den // scale)
         for r, e in enumerate(v):
             if e:
                 prefix[r] += e
-    return total
+    return Fraction(total, den)
 
 
 def potential_unweighted(game: Game, profile: Profile):
@@ -87,6 +97,11 @@ def check_exact_potential(
     P value per profile that `values` keeps.  Every price and P value is computed
     where a scan of every deviation from both ends first needs it, so the witness,
     the order of the P calls and the first error are that scan's.
+
+    A row keeps its pricer's scale beside its prices.  With tol = 0 and no float on
+    either side, dP = P(y, x_-i) - P(x) is tested against the int dpi of the row as
+    dP.numerator * scale == dpi * dP.denominator, which is exact; otherwise the
+    difference dP - dpi / scale is tested as before.
     """
     spaces = _spaces(game)
     values: dict = {}  # P by the strategy indices of its profile
@@ -99,14 +114,14 @@ def check_exact_potential(
         for i, space in enumerate(spaces):
             j, others = idx[i], idx[:i] + idx[i + 1 :]
             if j == 0:
-                price = pricer(game, x, i, loads)
+                scale, price = pricer(game, x, i, loads)
                 row = [price(x[i])]
                 if len(space) > 1:
-                    rows[i][others] = row
+                    rows[i][others] = scale, row
             elif j == len(space) - 1:
-                row = rows[i].pop(others)
+                scale, row = rows[i].pop(others)
             else:
-                row = rows[i][others]
+                scale, row = rows[i][others]
             pi_x = row[j]
             for k in range(j + 1, len(space)):
                 if j == 0:
@@ -114,7 +129,12 @@ def check_exact_potential(
                 key = idx[:i] + (k,) + idx[i + 1 :]
                 if key not in values:
                     values[key] = P(deviate(x, i, space[k]))
-                diff = (values[key] - px) - (row[k] - pi_x)
-                if (abs(diff) > tol) if tol else (diff != 0):
+                dP, dpi = values[key] - px, row[k] - pi_x
+                if tol or isinstance(dP, float) or isinstance(dpi, float):
+                    diff = dP - unscaled(dpi, scale)
+                    wrong = (abs(diff) > tol) if tol else (diff != 0)
+                else:  # dP = dpi / scale, exactly
+                    wrong = dP.numerator * scale != dpi * dP.denominator
+                if wrong:
                     return PotentialCheck(False, (x, i, space[k]))
     return PotentialCheck(True, None)

@@ -147,8 +147,10 @@ def forbidden_pairs_oracle(inst: ForbiddenPairsInstance) -> bool:
 
 def check_reduction(inst, game: Game, oracle_answer: bool) -> bool:
     """Zero-min-cost equivalence plus the equilibrium framing of verification."""
-    strategies = game.players[0].strategies()
-    price = game.cost_model.pricer((0,) * game.n_resources, 0)  # the only player: no other load
+    player = game.players[0]
+    strategies = player.strategies()
+    # the only player: no other load, and one scale for every price
+    _, price = game.cost_model.pricer((0,) * game.n_resources, 0, player.weight)
     costs = [price(y) for y in strategies]
     zero_exists = min(costs) == 0
     if zero_exists != oracle_answer:

@@ -387,6 +387,9 @@ INPUT_CHECKS = {
     "exponential NaN phi": (
         ["solve", with_cost("exponential_game.json", phi=float("nan"))],
         "phi must be finite, got nan"),
+    "exponential cost past the float range": (
+        ["solve", with_cost("exponential_game.json", phi=1000.0)],
+        "exponential cost of resource 1 overflows a float at load 3"),
     "exponential infinite phi": (
         ["characterize", with_cost("exponential_cost.json", phi="-inf"), "--weighted"],
         "phi must be finite, got -inf"),
@@ -732,6 +735,8 @@ class TestInputHardening:
          "cost.phi: expected a number, got True"),
         ("exponential_game.json", set_cost_field("b", [0.0, "x"]),
          "cost.b: could not convert string to float: 'x'"),
+        ("exponential_game.json", set_cost_field("a", [10**400, 2.0]),
+         "cost.a: int too large to convert to float"),
         ("bilevel_game.json", set_cost_field("budget", True),
          "cost.budget: expected a rational string, got True"),
         ("bilevel_game.json", set_matroid_field(1, "blocks", 5),
@@ -741,8 +746,8 @@ class TestInputHardening:
         ("spl_game.json", set_matroid_field(2, "edges", 5),
          "players[2].strategies.matroid.edges: expected a list, got 5"),
     ], ids=["A", "A-entry", "A-zero-denominator", "b-entry", "b", "f", "nu", "neighborhoods",
-            "tables", "table", "table-key", "phi-null", "phi-boolean", "float-entry", "budget",
-            "blocks", "quotas", "edges"])
+            "tables", "table", "table-key", "phi-null", "phi-boolean", "float-entry",
+            "float-overflow", "budget", "blocks", "quotas", "edges"])
     def test_malformed_spec_field_names_the_field(self, name, edit, message, tmp_path, capsys):
         doc = golden_doc(name)
         edit(doc)

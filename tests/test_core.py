@@ -328,11 +328,12 @@ class TestPricerMatchesReference:
             spaces = [p.strategies() for p in game.players]
             for x in product(*spaces):
                 for i in range(game.n_players):
-                    price = pricer(game, x, i)
+                    scale, price = pricer(game, x, i)
                     assert private_cost(game, x, i) == reference_private_cost(game, x, i)
                     for y in spaces[i]:
-                        assert price(y) == reference_private_cost(game, deviate(x, i, y), i), (
-                            seed, x, i, y)
+                        p = price(y)  # over the stated scale when an int
+                        assert (Fraction(p, scale) if isinstance(p, int) else p) == (
+                            reference_private_cost(game, deviate(x, i, y), i)), (seed, x, i, y)
         assert kinds_seen == set(KINDS)
 
     def test_corpus_reaches_both_denominators(self):

@@ -19,7 +19,7 @@ from rggames.costs import (
     eval_cost_entry,
     kappa_star,
 )
-from rggames.dynamics import verify_pne
+from rggames.dynamics import FLOAT_TOL, verify_pne
 from rggames.errors import (
     IncompatibleModelsError,
     LoadRangeError,
@@ -252,8 +252,8 @@ class TestLoadRangeRule:
             verify_pne(game, profile)
 
     def test_separable_plus_linear_bounds_only_the_loads_it_reads(self):
-        price = self.SPL.pricer((3, 0), 0)  # beyond max_load = 2 on resource 0
-        assert price((0, 1)) == self.SPL.entry((3, 1), 1) == 1 + 3
+        scale, price = self.SPL.pricer((3, 0), 0)  # beyond max_load = 2 on resource 0
+        assert Fraction(price((0, 1)), scale) == self.SPL.entry((3, 1), 1) == 1 + 3
         with pytest.raises(LoadRangeError, match=re.escape("load 4 outside 0..2")):
             price((1, 0))
 
@@ -262,11 +262,92 @@ class TestLoadRangeRule:
         with pytest.raises(LoadRangeError, match=message):
             eval_cost_entry(self.TAB, (1, 3), 0)
         with pytest.raises(LoadRangeError, match=message):
-            self.TAB.pricer((0, 3), 0)((1, 0))
+            self.TAB.pricer((0, 3), 0)[1]((1, 0))
         game = one_resource_each(2, (1, 1, 1, 1), self.TAB)
         with pytest.raises(LoadRangeError, match=message):
             private_cost(game, ((1, 0), (0, 1), (0, 1), (0, 1)), 0)
 
     def test_empty_choice_evaluates_no_entry(self):
         for model in (self.SPL, self.TAB):
-            assert model.pricer((Fraction(1, 2), 3), 0)((0, 0)) == 0
+            scale, price = model.pricer((Fraction(1, 2), 3), 0)
+            assert price((0, 0)) / scale == 0
+
+
+# --- the pricer protocol: price(y) / scale is the private cost of y ---------------------
+
+# (kind, whether its prices are ints over the stated scale)
+PRICED_KINDS = (("spl", True), ("affine", True), ("tabulated", True),
+                ("tabulated_float", False), ("exponential", False), ("bilevel", False),
+                ("player_specific", False))
+
+
+@st.composite
+def priced_case(draw):
+    """(kind, model, base, y, weight, player): y is weight times a 0/1 vector and
+    base + y is a load every entry of the model reads in range.
+
+    SPL coefficients have D > 1; Affine has a fractional weight and a fractional base;
+    the rational tables hold fractions and are two `compose` copies of one table."""
+    kind, exact = draw(st.sampled_from(PRICED_KINDS))
+    rat = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3)))
+    m = draw(st.integers(1, 3))
+    weight, player = 1, 0
+    if kind == "spl":
+        f = [[draw(rat) for _ in range(4)] for _ in range(m)]
+        f[0][0] = Fraction(1, 2)  # so D > 1
+        model = SeparablePlusLinear(f=tuple(map(tuple, f)),
+                                    A=tuple(tuple(draw(rat) for _ in range(m)) for _ in range(m)))
+        weight = draw(st.integers(1, 2))
+        base = tuple(draw(st.integers(0, 3 - weight)) for _ in range(m))
+    elif kind == "affine":
+        model = Affine(A=tuple(tuple(draw(rat) for _ in range(m)) for _ in range(m)),
+                       b=tuple(draw(rat) for _ in range(m)))
+        weight = draw(st.sampled_from((Fraction(1, 2), Fraction(3, 2), Fraction(2, 3), 1, 2)))
+        base = (Fraction(2 * draw(st.integers(0, 4)) + 1, 4),) + tuple(
+            draw(st.fractions(0, 4, max_denominator=4)) for _ in range(m - 1))
+    elif kind.startswith("tabulated"):
+        half = draw(st.integers(1, 2))  # resources of the table that is composed twice
+        top = draw(st.integers(1, 2))
+        value = st.floats(-5, 5) if kind == "tabulated_float" else rat
+        hoods = tuple(tuple(sorted(draw(st.sets(st.integers(0, half - 1), min_size=1))))
+                      for _ in range(half))
+        tables = tuple({key: draw(value) for key in product(range(top + 1), repeat=len(hood))}
+                       for hood in hoods)
+        model = compose(Tabulated(m=half, neighborhoods=hoods, tables=tables, max_load=top), 2)
+        m = model.m
+        base = tuple(draw(st.integers(0, top - 1)) for _ in range(m))
+    elif kind == "exponential":
+        model = Exponential(a=tuple(draw(st.floats(-3, 3)) for _ in range(m)),
+                            phi=draw(st.floats(-1, 1)),
+                            b=tuple(draw(st.floats(-3, 3)) for _ in range(m)))
+        weight = draw(st.sampled_from((Fraction(1, 2), 1, 2)))
+        base = tuple(draw(st.fractions(0, 3, max_denominator=2)) for _ in range(m))
+    elif kind == "bilevel":
+        model = Bilevel(m=m, budget=draw(st.fractions(Fraction(1, 3), 3, max_denominator=3)))
+        weight = draw(st.sampled_from((Fraction(1, 2), 1, 2)))
+        base = tuple(draw(st.integers(0, 3)) for _ in range(m))
+    else:
+        nu = tuple(tuple(tuple(sorted(draw(rat) for _ in range(4))) for _ in range(m))
+                   for _ in range(2))
+        model = PlayerSpecificSeparable(nu=nu)
+        player = draw(st.integers(0, 1))
+        base = tuple(draw(st.integers(0, 2)) for _ in range(m))
+    y = tuple(weight * draw(st.integers(0, 1)) for _ in range(m))
+    return kind, exact, model, base, y, weight, player
+
+
+class TestPricerProtocol:
+    @given(priced_case())
+    def test_price_over_scale_is_the_private_cost(self, case):
+        kind, exact, model, base, y, weight, player = case
+        scale, price = model.pricer(base, player, weight)
+        got = price(y)
+        loads = tuple(b + e for b, e in zip(base, y))
+        want = sum(e * model.entry(loads, r, player) for r, e in enumerate(y) if e)
+        if exact:
+            assert type(got) is int, kind
+            assert Fraction(got, scale) == want, kind
+        elif kind in ("exponential", "tabulated_float"):
+            assert scale == 1 and abs(got - want) <= FLOAT_TOL, kind
+        else:
+            assert scale == 1 and got == want, kind

@@ -44,6 +44,18 @@ from rggames.gadgets import GadgetSpec, build_gadget
 from rggames.potential import potential_unweighted
 
 
+def number_pricer(game, profile, i, loads=None):
+    """y -> pi_i(y, x_-i) as a number: `pricer`'s price over its stated scale, exact
+    for an int price."""
+    scale, price = pricer(game, profile, i, loads)
+
+    def number(y):
+        p = price(y)
+        return Fraction(p, scale) if isinstance(p, int) else p / scale
+
+    return number
+
+
 def separable(f_tables, A=None):
     m = len(f_tables)
     if A is None:
@@ -228,7 +240,7 @@ def reference_is_pne(game, profile, spaces, loads, checked, where):
     for i, space in enumerate(spaces):
         own = True
         try:
-            price = pricer(game, profile, i, loads)
+            price = number_pricer(game, profile, i, loads)
             cur = price(profile[i])
             own = False
             for y in space:
@@ -676,7 +688,7 @@ class TestComponentSplit:
     def test_overflows_where_a_later_state_overflows(self):
         game = exponential_overflow_in_a_later_state()
         assert len(components(game)) == 2
-        want = (OverflowError, "math range error")
+        want = (LoadRangeError, "exponential cost of resource 3 overflows a float at load 4")
         assert split_outcome(reference_brute_force, game) == want
         assert split_outcome(brute_force_pne, game) == want
 
@@ -735,7 +747,7 @@ def frozen_scan(game, profile):
     loads = load_of(game, profile)
     validate_profile(game, profile)
     for i, p in enumerate(game.players):
-        price = pricer(game, profile, i, loads)
+        price = number_pricer(game, profile, i, loads)
         cur = price(profile[i])
         for y in p.strategies():
             if y != profile[i]:
@@ -747,7 +759,7 @@ def frozen_scan(game, profile):
 
 def frozen_best_response(game, profile, i):
     """best_response as it was before the pruned search: the first strict minimum."""
-    price = pricer(game, profile, i)
+    price = number_pricer(game, profile, i)
     cur = price(profile[i])
     best, best_cost = profile[i], cur
     for y in game.players[i].strategies():
@@ -813,6 +825,35 @@ class TestPrunedSearch:
         if len(list(product(*(p.strategies() for p in game.players)))) <= 4000:
             assert (outcome(brute_force_pne, game)
                     == outcome(reference_brute_force, game))
+
+    @pytest.mark.parametrize("space", [Uniform(6, 3), Uniform(6, 1)], ids=["walk", "scan"])
+    def test_one_fraction_per_reported_delta(self, space, monkeypatch):
+        """Prices are ints over D = 2: verify_pne builds a Fraction for a NotPNE's delta
+        and for nothing else, on the trie walk (20 > 2m strategies) and on the scan."""
+        m = 6
+        cost = SeparablePlusLinear(
+            f=tuple(tuple(Fraction(k * (r + 1), 2) for k in range(4)) for r in range(m)),
+            A=tuple(tuple(Fraction(int(abs(r - s) == 1)) for s in range(m)) for r in range(m)))
+        game = Game(n_resources=m, players=(Player(strategy_space=space),) * 2, cost_model=cost)
+        assert cost.kernel[0] == 2
+        profiles = list(product(*(p.strategies() for p in game.players)))
+        verify_pne(game, profiles[0])  # builds the kernel, the pair table and the trie
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        certificates = []
+        for profile in profiles:
+            built.clear()
+            certificates.append(verify_pne(game, profile))
+            assert len(built) == isinstance(certificates[-1], NotPNE), profile
+        monkeypatch.undo()
+        assert IsPNE() in certificates and any(isinstance(c, NotPNE) for c in certificates)
+        assert certificates == [frozen_scan(game, profile) for profile in profiles]
 
     def test_walks_the_trie_of_a_reduced_sat_game(self, monkeypatch):
         """On sat6.cnf's game the cost-0 profile is certified at the root; the cost-2

@@ -212,6 +212,26 @@ class TestExactPotentialCheck:
         result = check_exact_potential(game, lambda x: potential_weighted_affine(proxy, x))
         assert not result.ok
 
+    def test_potential_off_by_half_a_price_unit_fails(self):
+        # D = 2, so every price is a multiple of 1/2; P is off by 1/(2D) = 1/4 at one
+        # profile, which a check that rounded dP to the pricer's units would pass
+        cost = SeparablePlusLinear(
+            f=(tuple(Fraction(k, 2) for k in range(4)),
+               tuple(Fraction(3 * k, 2) for k in range(4))),
+            A=((Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(0))),
+        )
+        game = make_game(cost, [((1, 0), (0, 1), (1, 1))] * 2)
+        assert cost.kernel[0] == 2
+        off = ((0, 1), (1, 1))
+
+        def P(x):
+            return potential_unweighted(game, x) + (Fraction(1, 4) if x == off else 0)
+
+        assert check_exact_potential(game, lambda x: potential_unweighted(game, x)).ok
+        result = check_exact_potential(game, P)
+        assert not result.ok and result.witness == reference_check(game, P)
+        assert off in (result.witness[0], deviate(*result.witness))
+
     def test_basis_limit_names_the_player(self):
         # C(30, 15) bases exceed the limit, which raises before any basis is built
         explicit = Player(strategy_space=Explicit(vectors=((1,) + (0,) * 29,)))
@@ -301,15 +321,15 @@ class TestExactPotentialCheck:
 
         original = SeparablePlusLinear.pricer
 
-        def counted_pricer(model, base, player=None):
+        def counted_pricer(model, base, player=None, weight=1):
             built.append(base)
-            price = original(model, base, player)
+            scale, price = original(model, base, player, weight)
 
             def counted(y):
                 priced.append(y)
                 return price(y)
 
-            return counted
+            return scale, counted
 
         monkeypatch.setattr(SeparablePlusLinear, "pricer", counted_pricer)
         assert check_exact_potential(game, P).ok
@@ -334,7 +354,7 @@ class TestExactPotentialCheck:
             return potential_unweighted(game, x) + (x == off)
 
         with pytest.raises(LoadRangeError):
-            pricer(game, first, 0)((1, 0, 0))
+            pricer(game, first, 0)[1]((1, 0, 0))
         result = check_exact_potential(game, P)
         assert result == PotentialCheck(False, (first, 0, (0, 1, 0))) == frozen_check(game, P)
 
@@ -358,7 +378,12 @@ def frozen_check(game, P, tol=0.0):
         px = value(x)
         loads = load_of(game, x)
         for i in range(game.n_players):
-            price = pricer(game, x, i, loads)
+            scale, raw = pricer(game, x, i, loads)
+
+            def price(y):
+                p = raw(y)  # over the stated scale when an int
+                return Fraction(p, scale) if isinstance(p, int) else p
+
             pi_x = price(x[i])
             for y in spaces[i]:
                 if y == x[i]:
