@@ -579,7 +579,7 @@ def main(argv=None) -> int:
             return 0
         payload["tool"] = f"rggames {__version__}"
         payload["input_sha256"] = hashlib.sha256(raw).hexdigest()
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,8 @@ class carries its resource count `m`, evaluates one entry c_r(x) with
 `pricer(base, player, weight)`, which returns (scale, price): price(y) / scale is
 sum_r y_r * c_r(base + y), the private cost of y against the other players' loads
 `base`.  Only PlayerSpecificSeparable reads the player index, and only Affine the
-weight.  All models except Exponential evaluate in exact rational arithmetic.
+weight.  All models except Exponential evaluate in exact rational arithmetic;
+Exponential refuses an entry or a price past the float range with LoadRangeError.
 
 One pricer per model, one scale per pricer, stated when it is made.  The rational
 models price in int over it, so callers compare and subtract ints and build a
@@ -17,8 +18,9 @@ Fraction (`unscaled`) only for a value that leaves the engine:
 - Tabulated: the common denominator of its table values (`scale`), read once per
   distinct table, each value scaled as it is looked up;
 - 1 for the models without an integer form (Bilevel, PlayerSpecificSeparable,
-  Exponential, a table that holds a float) and for a base that the integer
-  pricers cannot take; these prices keep the type of the entries.
+  Exponential) and where an integer pricer cannot take its input (a base that
+  breaks the load rule, or a table that holds a float, which the JSON decoder
+  never builds); these price entry by entry, in the type of the entries.
 
 SeparablePlusLinear and Affine price through an exact kernel built once per
 model: A kept as sparse columns and scaled, with the model's other
@@ -28,16 +30,15 @@ Fractions included) to ints over their common denominator, so its sums stay in
 int.  The other models price entry by entry at the full vector base + y (Bilevel
 splits the budget once per vector).
 
-The two kernel models also give a pruned search, `searcher(base, player, weight,
-trie)`: (scale, price, first_below), the pricer and first_below over a player's
-strategy trie (`_trie_search`) in the pricer's units, which bounds a subtree by the
-int price of the resources chosen so far plus every negative part the undecided
-resources and pairs could add.  The pair table behind that bound (`_pair_bounds`)
-is built once per model, on its first search; the per-base vector only when a
-search is asked for, so `pricer` alone pays for neither.  SeparablePlusLinear gives
-None where a deviation could raise (a fractional base or weight, or a table too
-short for base + weight), and so do the models without a kernel, which have
-nothing to bound a subtree with; the caller then prices every deviation.
+The two kernel models also give `bound(base, weight)`: (u, c, pairs) in the pricer's
+units, such that a player of that weight pays sum_{r in S} u[r] + c * sum_{r < s in S}
+sym[r][s] for the strategy weight*1_S, where pairs = (sym, neg_pairs, neg_rows) is the
+model's `pair_bounds` (`_pair_bounds`), built on its first bound and kept.  The
+deviation search (`dynamics`) bounds a subtree of a player's strategy trie with it;
+`pricer` alone pays for neither.  SeparablePlusLinear gives None where a deviation
+could raise (a fractional base or weight, or a table too short for base + weight),
+and so do the models without a kernel, which have nothing to bound a subtree with;
+the caller then prices every deviation.
 
 Load-range rule.  Table-backed models (Tabulated, SeparablePlusLinear,
 PlayerSpecificSeparable) accept integer loads only: a fractional load
@@ -100,13 +101,13 @@ def _entry_pricer(model, base: Loads, player: Optional[int] = None):
 
 
 class _NoKernel:
-    """Mixin for models without an integer form: the pricer evaluates entry by entry
-    at scale 1, and there is no pruned search, so every deviation is priced."""
+    """Mixin for models without a kernel: the pricer evaluates entry by entry at
+    scale 1, and there is no bound, so every deviation is priced."""
 
     def pricer(self, base: Loads, player: Optional[int] = None, weight: Number = 1):
         return 1, _entry_pricer(self, base, player)
 
-    def searcher(self, base: Loads, player: Optional[int], weight: Number, trie):
+    def bound(self, base: Loads, weight: Number) -> None:
         return None
 
 
@@ -194,7 +195,7 @@ def _quadratic(cols, supp, ys) -> Number:
 
 
 def _pair_bounds(cols) -> tuple:
-    """(sym, neg_pairs, neg_rows) for the pruned search, from the kernel's D*A columns:
+    """(sym, neg_pairs, neg_rows) for `bound`, from the kernel's D*A columns:
     sym[r][s] = D*(a_rs + a_sr) for r != s; neg_pairs[d] sums the negative sym[r][s]
     over d <= r < s, and neg_rows[s][d] the negative sym[s][r] over r >= d.  sym is
     None when A has no off-diagonal entry, and the sums are None when none is negative."""
@@ -222,58 +223,13 @@ class _Kernel:
 
     @cached_property
     def pair_bounds(self) -> tuple:
-        """`_pair_bounds` of the kernel, built on the first search and kept."""
+        """`_pair_bounds` of the kernel, built on the first bound and kept."""
         return _pair_bounds(self.kernel[1])
 
     @cached_property
     def asymmetry(self) -> Optional[tuple]:
         """`first_asymmetry(A)`, found on first use and kept."""
         return first_asymmetry(self.A)
-
-
-def _trie_search(u: list, c: int, pairs: tuple, trie):
-    """first_below(start, threshold) over trie.space for the int prices P(S), where S is
-    the support of a strategy and P(S) = sum_{r in S} u[r] + c * sum_{r < s in S} sym[r][s].
-
-    It returns the first k >= start in the order of trie.space whose price is below the
-    int threshold, as (k, price), or None.  A depth-first walk over the trie keeps P of the
-    resources used so far; a subtree is skipped when that partial sum, plus every
-    negative part that an undecided resource (u[r] < 0) or a pair with an undecided
-    resource (sym < 0) could add, is at least the threshold.  All sums are ints.
-    """
-    sym, neg_pairs, neg_rows = pairs
-    m = len(u)
-    neg_u = [0] * (m + 1)
-    for r in range(m - 1, -1, -1):
-        neg_u[r] = neg_u[r + 1] + min(0, u[r])
-
-    node, size = trie.node, len(trie.space)
-
-    def first_below(start: int, threshold: int):
-        stack = [(0, size, 0, 0, ())] if start < size else []
-        while stack:
-            lo, hi, d, partial, used = stack.pop()
-            more, split, mid = node(lo, hi, d)
-            for r in more:
-                partial += u[r]
-                if sym is not None and used:
-                    partial += c * sum(map(sym[r].__getitem__, used))
-                used += (r,)
-            if split == m:
-                if partial < threshold and lo >= start:
-                    return lo, partial
-                continue
-            bound = partial + neg_u[split]
-            if neg_pairs is not None:
-                bound += c * (neg_pairs[split] + sum(neg_rows[s][split] for s in used))
-            if bound >= threshold:
-                continue
-            stack.append((mid, hi, split, partial, used))
-            if mid > start:
-                stack.append((lo, mid, split, partial, used))
-        return None
-
-    return first_below
 
 
 def _as_int_loads(loads: Loads) -> tuple:
@@ -336,17 +292,16 @@ class Tabulated(_NoKernel):
             return None
 
     def pricer(self, base: Loads, player: Optional[int] = None, weight: Number = 1):
-        """Prices over `scale`, each value scaled as it is read; at scale 1 for float
-        tables and an invalid base.  The load rule is checked on base once and then on
-        supp y per y."""
+        """Prices in int over `scale`, each value scaled as it is read; at scale 1,
+        entry by entry, for a float table and an invalid base.  The load rule is checked
+        on base once and then on supp y per y."""
         try:
             ib = _as_int_loads(base)
         except LoadRangeError:
             return 1, _entry_pricer(self, base, player)
-        top = self.max_load
-        if len(ib) != self.m or any(v < 0 or v > top for v in ib):
+        hoods, tables, q, top = self.neighborhoods, self.tables, self.scale, self.max_load
+        if q is None or len(ib) != self.m or any(v < 0 or v > top for v in ib):
             return 1, _entry_pricer(self, base, player)
-        hoods, tables, q = self.neighborhoods, self.tables, self.scale
 
         def price(y: Loads) -> Number:
             supp = [r for r, e in enumerate(y) if e]
@@ -362,12 +317,10 @@ class Tabulated(_NoKernel):
                 v = tables[r].get(tuple(loads[s] for s in hoods[r]))
                 if v is None:  # entry raises the missing entry
                     return _entry_pricer(self, base, player)(y)
-                if q is not None:
-                    v = v.numerator * (q // v.denominator)
-                total += (loads[r] - ib[r]) * v
+                total += (loads[r] - ib[r]) * (v.numerator * (q // v.denominator))
             return total
 
-        return (1 if q is None else q), price
+        return q, price
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,11 +374,8 @@ class SeparablePlusLinear(_Kernel):
             ib = _as_int_loads(base)
         except LoadRangeError:  # a fractional load that only some y may cancel: entry decides
             return 1, _entry_pricer(self, base, player)
-        return self.kernel[0], self._pricer(base, ib, _times(self.kernel[1], ib), player)
-
-    def _pricer(self, base: Loads, ib: tuple, a_base: list, player: Optional[int]):
-        """The kernel pricer over D at an integral base ib, with a_base = D*A*ib."""
         D, cols, F = self.kernel
+        a_base = _times(cols, ib)
         top = self.max_load
 
         def price(y: Loads) -> int:
@@ -442,11 +392,11 @@ class SeparablePlusLinear(_Kernel):
                 linear += yr * (F[r][ix] + a_base[r])
             return linear + _quadratic(cols, supp, ys)
 
-        return price
+        return D, price
 
-    def searcher(self, base: Loads, player: Optional[int], weight: Number, trie):
-        """(D, price, first_below): `pricer(base, player, weight)` and the pruned search
-        over the trie of a player of this weight (`_trie_search`), both over D.  None
+    def bound(self, base: Loads, weight: Number) -> Optional[tuple]:
+        """(u, w*w, pair_bounds) over D, the pricer's units: a player of weight w pays
+        sum_{r in S} u[r] + w*w * sum_{r < s in S} sym[r][s] for w*1_S at base.  None
         where a deviation could raise, which keeps the full scan: a fractional base or
         weight, or a resource that base + weight takes past max_load."""
         if int(weight) != weight:
@@ -461,8 +411,7 @@ class SeparablePlusLinear(_Kernel):
         D, cols, F = self.kernel
         a_base = _times(cols, ib)
         u = [w * (F[r][x + w] + a_base[r]) + w * w * cols[r].get(r, 0) for r, x in enumerate(ib)]
-        return (D, self._pricer(base, ib, a_base, player),
-                _trie_search(u, w * w, self.pair_bounds, trie))
+        return u, w * w, self.pair_bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,13 +450,10 @@ class Affine(_Kernel):
     def pricer(self, base: Loads, player: Optional[int] = None, weight: Number = 1):
         """Prices over D*E*q*q, for base = ib / E and the weight's denominator q: every
         y must be a multiple of 1/q, as the vectors of a player of this weight are."""
+        D, cols, B = self.kernel
         E, ib = _over_common_denominator(base)
         q = weight.denominator
-        return self.kernel[0] * E * q * q, self._pricer(E, q, _times(self.kernel[1], ib))
-
-    def _pricer(self, E: int, q: int, a_base: list):
-        """The kernel pricer at base = ib / E for y = ys / q, with a_base = D*A*ib."""
-        D, cols, B = self.kernel
+        a_base = _times(cols, ib)
 
         def price(y: Loads) -> int:
             supp = [r for r, e in enumerate(y) if e]
@@ -515,20 +461,19 @@ class Affine(_Kernel):
             linear = sum(yr * (E * q * B[r] + q * a_base[r]) for r, yr in zip(supp, ys))
             return linear + E * _quadratic(cols, supp, ys)
 
-        return price
+        return D * E * q * q, price
 
-    def searcher(self, base: Loads, player: Optional[int], weight: Number, trie):
-        """(scale, price, first_below): `pricer(base, player, weight)` and the pruned
-        search over the trie of a player of this weight (`_trie_search`), both over the
-        pricer's scale D*E*q*q for base = ib / E and weight = n / q."""
+    def bound(self, base: Loads, weight: Number) -> tuple:
+        """(u, E*n*n, pair_bounds) over D*E*q*q, the pricer's units, for base = ib / E
+        and weight = n / q: a player of this weight pays sum_{r in S} u[r] +
+        E*n*n * sum_{r < s in S} sym[r][s] for weight*1_S at base."""
         D, cols, B = self.kernel
         E, ib = _over_common_denominator(base)
         a_base = _times(cols, ib)
         n, q = weight.numerator, weight.denominator
         u = [n * (E * q * B[r] + q * a_base[r]) + E * n * n * cols[r].get(r, 0)
              for r in range(len(B))]
-        return (D * E * q * q, self._pricer(E, q, a_base),
-                _trie_search(u, E * n * n, self.pair_bounds, trie))
+        return u, E * n * n, self.pair_bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -555,10 +500,26 @@ class Exponential(_NoKernel):
 
     def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
         try:
-            return self.a[r] * math.exp(self.phi * float(loads[r])) + self.b[r]
+            value = self.a[r] * math.exp(self.phi * float(loads[r])) + self.b[r]
         except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
             raise LoadRangeError(f"exponential cost of resource {r} overflows a float "
-                                 f"at load {loads[r]}") from None
+                                 f"at load {loads[r]}")
+        return value
+
+    def pricer(self, base: Loads, player: Optional[int] = None, weight: Number = 1):
+        """Entry by entry at scale 1; a price past the float range raises LoadRangeError."""
+        price = _entry_pricer(self, base, player)
+
+        def finite(y: Loads) -> Number:
+            total = price(y)
+            if not math.isfinite(total):
+                raise LoadRangeError(f"exponential price of the choice "
+                                     f"({', '.join(map(str, y))}) overflows a float")
+            return total
+
+        return 1, finite
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,16 +13,16 @@ fails loudly, naming the player, instead of truncating.
 `best_response`: the first deviation in space order priced below a threshold.  It
 works in the cost model's pricer units (`costs`), ints over one scale on the
 rational models, so its comparisons and differences are int operations; a delta
-becomes a Fraction (`costs.unscaled`) only in the certificate or the trace.  On
-`SeparablePlusLinear` and `Affine` it walks the player's strategies as a trie
-(`core.Trie`) and skips every subtree whose exact lower bound reaches the threshold
-(branch and bound, Land & Doig 1960), so the first improving deviation and the first
-cheapest one are those of a full scan, found without pricing most strategies.  The
-other models have no kernel to bound a subtree with (and Exponential is float), so
-they keep the full scan; so does a space of at most 2m strategies, which the scan
-prices faster than the walk is set up, and a base where some deviation could raise
-(an SPL table too short for the player's weight), so that errors are the full
-scan's.
+becomes a Fraction (`costs.unscaled`) only in the certificate or the trace.  It owns
+both ways to search.  Where the cost model gives a `bound` (`SeparablePlusLinear`
+and `Affine`), `_trie_search` walks the player's strategies as a trie (`core.Trie`)
+and skips every subtree whose exact lower bound reaches the threshold (branch and
+bound, Land & Doig 1960), so the first improving deviation and the first cheapest
+one are those of a full scan, found without pricing most strategies.  The other
+models have no kernel to bound a subtree with (and Exponential is float), so they
+keep the full scan; so does a space of at most 2m strategies, which the scan prices
+faster than the walk is set up, and a base where some deviation could raise (an SPL
+table too short for the player's weight), so that errors are the full scan's.
 
 `_sweep` is the one walk over every profile, shared by `brute_force_pne`,
 `potential.check_exact_potential` and `gadgets.check_AB_symmetry`, each over
@@ -112,18 +112,19 @@ def _searcher(game: Game, profile: Profile, i: int, space, loads: Vector):
 
     The trie walk needs the player's own space with more than 2m strategies: it costs
     O(m) to set up and up to m nodes to reach its first leaf, which a scan of 2m
-    strategies does not repay.  The scan prices space[start:] in order, skipping
-    player i's choice, so that the first error is the full scan's.
+    strategies does not repay.  It also needs a `bound` from the cost model, which is
+    None where the model has no kernel or some deviation could raise.  Otherwise the
+    scan prices space[start:] in order, skipping player i's choice, so that the first
+    error is the full scan's.
     """
     base = tuple(v - e for v, e in zip(loads, profile[i]))
     model, player, current = game.cost_model, game.players[i], profile[i]
-    walk = len(space) > 2 * game.n_resources and player.trie.space is space
-    found = model.searcher(base, i, player.weight, player.trie) if walk else None
-    if found is not None:
-        scale, price, first_below = found
-        return scale, price(current), first_below
     scale, price = model.pricer(base, i, player.weight)
     cur = price(current)
+    if len(space) > 2 * game.n_resources and player.trie.space is space:
+        bound = model.bound(base, player.weight)
+        if bound is not None:
+            return scale, cur, _trie_search(*bound, player.trie)
 
     def scan(start, threshold):
         for k in range(start, len(space)):
@@ -135,6 +136,51 @@ def _searcher(game: Game, profile: Profile, i: int, space, loads: Vector):
         return None
 
     return scale, cur, scan
+
+
+def _trie_search(u: list, c: int, pairs: tuple, trie):
+    """first_below(start, threshold) over trie.space for the int prices P(S), where S is
+    the support of a strategy and P(S) = sum_{r in S} u[r] + c * sum_{r < s in S} sym[r][s].
+
+    It returns the first k >= start in the order of trie.space whose price is below the
+    int threshold, as (k, price), or None.  A depth-first walk over the trie keeps P of the
+    resources used so far; a subtree is skipped when that partial sum, plus every
+    negative part that an undecided resource (u[r] < 0) or a pair with an undecided
+    resource (sym < 0) could add, is at least the threshold.  All sums are ints.
+    """
+    sym, neg_pairs, neg_rows = pairs
+    m = len(u)
+    neg_u = [0] * (m + 1)
+    for r in range(m - 1, -1, -1):
+        neg_u[r] = neg_u[r + 1] + min(0, u[r])
+
+    node, size = trie.node, len(trie.space)
+
+    def first_below(start: int, threshold: int):
+        stack = [(0, size, 0, 0, ())] if start < size else []
+        while stack:
+            lo, hi, d, partial, used = stack.pop()
+            more, split, mid = node(lo, hi, d)
+            for r in more:
+                partial += u[r]
+                if sym is not None and used:
+                    partial += c * sum(map(sym[r].__getitem__, used))
+                used += (r,)
+            if split == m:
+                if partial < threshold and lo >= start:
+                    return lo, partial
+                continue
+            bound = partial + neg_u[split]
+            if neg_pairs is not None:
+                bound += c * (neg_pairs[split] + sum(neg_rows[s][split] for s in used))
+            if bound >= threshold:
+                continue
+            stack.append((mid, hi, split, partial, used))
+            if mid > start:
+                stack.append((lo, mid, split, partial, used))
+        return None
+
+    return first_below
 
 
 def verify_pne(game: Game, profile: Profile) -> Certificate:

@@ -344,6 +344,13 @@ REPEATED_M = b'{"m": 1, ' + (GOLDEN / "readme_game.json").read_bytes()[1:]
 REPEATED_CHOICES = b'{"choices": [[0], [0]], "choices": [[1], [0]]}'
 
 
+def weight_2_at_1e308(doc):
+    """Every cost 1e308, within the float range, and every player of weight 2."""
+    doc["cost"].update(a=[1e308, 1e308], phi=0.0)
+    for player in doc["players"]:
+        player["weight"] = "2"
+
+
 # Input checks that only the model and instance constructors make, each reached from
 # the command line.  In an argv a dict is written as a JSON file and bytes as a raw file.
 INPUT_CHECKS = {
@@ -390,6 +397,21 @@ INPUT_CHECKS = {
     "exponential cost past the float range": (
         ["solve", with_cost("exponential_game.json", phi=1000.0)],
         "exponential cost of resource 1 overflows a float at load 3"),
+    "exponential costs past the float range, verified": (
+        ["verify", with_cost("exponential_game.json", a=[1e308, 1.7e308], phi=1.0),
+         "--profile", golden("exponential_profile.json")],
+        "exponential cost of resource 0 overflows a float at load 3"),
+    "exponential costs past the float range, solved": (
+        ["solve", with_cost("exponential_game.json", a=[1e308, 1.7e308], phi=1.0)],
+        "exponential cost of resource 1 overflows a float at load 3"),
+    "exponential a + b past the float range": (
+        ["verify", with_cost("exponential_game.json", a=[1e308, 1e308], phi=0.0, b=[1e308, 0.0]),
+         "--profile", golden("exponential_profile.json")],
+        "exponential cost of resource 0 overflows a float at load 3"),
+    "exponential price past the float range": (
+        ["verify", edited("exponential_game.json", weight_2_at_1e308),
+         "--profile", golden("exponential_profile.json")],
+        "exponential price of the choice (2, 0) overflows a float"),
     "exponential infinite phi": (
         ["characterize", with_cost("exponential_cost.json", phi="-inf"), "--weighted"],
         "phi must be finite, got -inf"),

@@ -286,7 +286,8 @@ def priced_case(draw):
     """(kind, model, base, y, weight, player): y is weight times a 0/1 vector and
     base + y is a load every entry of the model reads in range.
 
-    SPL coefficients have D > 1; Affine has a fractional weight and a fractional base;
+    SPL coefficients have D > 1, and its base may pass max_load - weight off supp y;
+    Affine has a fractional weight and a fractional base;
     the rational tables hold fractions and are two `compose` copies of one table."""
     kind, exact = draw(st.sampled_from(PRICED_KINDS))
     rat = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3)))
@@ -298,7 +299,7 @@ def priced_case(draw):
         model = SeparablePlusLinear(f=tuple(map(tuple, f)),
                                     A=tuple(tuple(draw(rat) for _ in range(m)) for _ in range(m)))
         weight = draw(st.integers(1, 2))
-        base = tuple(draw(st.integers(0, 3 - weight)) for _ in range(m))
+        base = tuple(draw(st.integers(0, 3)) for _ in range(m))
     elif kind == "affine":
         model = Affine(A=tuple(tuple(draw(rat) for _ in range(m)) for _ in range(m)),
                        b=tuple(draw(rat) for _ in range(m)))
@@ -332,11 +333,20 @@ def priced_case(draw):
         model = PlayerSpecificSeparable(nu=nu)
         player = draw(st.integers(0, 1))
         base = tuple(draw(st.integers(0, 2)) for _ in range(m))
-    y = tuple(weight * draw(st.integers(0, 1)) for _ in range(m))
+    y = tuple(0 if kind == "spl" and b + weight > 3 else weight * draw(st.integers(0, 1))
+              for b in base)
     return kind, exact, model, base, y, weight, player
 
 
 class TestPricerProtocol:
+    def test_affine_refuses_a_choice_off_the_weight_unit(self):
+        model = Affine(A=frac_matrix([[1, 0], [0, 1]]), b=(Fraction(0), Fraction(0)))
+        scale, price = model.pricer((0, 0), 0, Fraction(1, 2))
+        assert (scale, price((Fraction(3, 2), 0))) == (4, 9)  # 9/4
+        with pytest.raises(UsageError,
+                           match=r"^load 1/3 is not a multiple of 1/2, the player weight's unit$"):
+            price((0, Fraction(1, 3)))
+
     @given(priced_case())
     def test_price_over_scale_is_the_private_cost(self, case):
         kind, exact, model, base, y, weight, player = case
@@ -351,3 +361,15 @@ class TestPricerProtocol:
             assert scale == 1 and abs(got - want) <= FLOAT_TOL, kind
         else:
             assert scale == 1 and got == want, kind
+        if kind in ("spl", "affine"):
+            bound = model.bound(base, weight)
+            if kind == "spl":
+                fractional = any(int(v) != v for v in (*base, weight))
+                assert (bound is None) == (fractional or max(base) + weight > model.max_load)
+            if bound is not None:  # every strategy weight*1_S prices as the bound says
+                u, c, (sym, _, _) = bound
+                for ones in product((0, 1), repeat=len(base)):
+                    supp = [r for r, e in enumerate(ones) if e]
+                    pairs = sum(sym[r][s] for r in supp for s in supp if r < s) if sym else 0
+                    assert price(tuple(weight * e for e in ones)) == (
+                        sum(u[r] for r in supp) + c * pairs), kind

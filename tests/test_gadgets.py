@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from rggames.characterize import Violation, analyze_unweighted
-from rggames.core import Explicit, Game, Player, load_of
+from rggames.core import Explicit, Game, Player, load_of, pricer, private_cost
 from rggames.costs import (
     Affine,
     SeparablePlusLinear,
@@ -136,6 +136,24 @@ class TestABSymmetry:
         game = Game(n_resources=2, players=players, cost_model=cost)
         result = check_AB_symmetry(game, 0, 1)
         assert isinstance(result, SymmetryFailure)
+
+    def test_a_pair_that_varies_across_two_scales_is_a_failure(self):
+        # Three players of weight 1/2 on c(x) = (x_0, 2 x_1 + 1/3).  The others' loads
+        # are integral in the first profile, all on resource 1, and halves in the
+        # second, so the two profiles' pairs are priced over different scales.
+        cost = Affine(A=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(2))),
+                      b=(Fraction(0), Fraction(1, 3)))
+        half = Fraction(1, 2)
+        space = Explicit(vectors=((0, 1), (1, 0)))
+        game = Game(n_resources=2, cost_model=cost,
+                    players=tuple(Player(weight=half, strategy_space=space) for _ in range(3)))
+        first, x = ((0, half),) * 3, ((0, half), (0, half), (half, 0))
+        assert pricer(game, first, 0)[0] != pricer(game, x, 0)[0]
+        a, b = private_cost(game, x, 0), private_cost(game, x, 1)
+        assert (a, b) == (Fraction(7, 6), Fraction(7, 6))
+        assert private_cost(game, first, 0) == Fraction(5, 3)
+        assert check_AB_symmetry(game, 0, 1) == SymmetryFailure(
+            profile=x, reason=f"payoff pair {{{a}, {b}}} varies")
 
 
 class TestViolationMapping:
