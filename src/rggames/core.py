@@ -11,7 +11,7 @@ reads it as a `Trie` for the pruned deviation search (`trie`).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -207,13 +207,16 @@ def deviate(profile: Profile, i: int, y: Vector) -> Profile:
 def validate_profile(game: Game, profile: Profile, spaces: Optional[list] = None) -> None:
     """Check that every choice is playable; raises StructureError otherwise.
 
-    `spaces`, when given, holds each player's strategies as already read.
+    `spaces`, when given, holds each player's strategies as already read.  Every
+    space is sorted, so a choice is looked up by bisection.
     """
     if len(profile) != game.n_players:
         raise StructureError("profile has wrong number of players")
     if spaces is None:
         spaces = [p.strategies() for p in game.players]
     for i, (space, v) in enumerate(zip(spaces, profile)):
-        if tuple(v) not in space:
+        v = tuple(v)
+        k = bisect_left(space, v)
+        if k == len(space) or space[k] != v:
             raise StructureError(f"player {i} cannot play resources {support(v)}")
 

@@ -34,11 +34,12 @@ The two kernel models also give `bound(base, weight)`: (u, c, pairs) in the pric
 units, such that a player of that weight pays sum_{r in S} u[r] + c * sum_{r < s in S}
 sym[r][s] for the strategy weight*1_S, where pairs = (sym, neg_pairs, neg_rows) is the
 model's `pair_bounds` (`_pair_bounds`), built on its first bound and kept.  The
-deviation search (`dynamics`) bounds a subtree of a player's strategy trie with it;
-`pricer` alone pays for neither.  SeparablePlusLinear gives None where a deviation
-could raise (a fractional base or weight, or a table too short for base + weight),
-and so do the models without a kernel, which have nothing to bound a subtree with;
-the caller then prices every deviation.
+deviation search (`dynamics`) bounds a subtree of a player's strategy trie with it, and
+`dynamics.prices` prices a whole space with it; `pricer` alone pays for neither.
+SeparablePlusLinear gives None where a deviation could raise (a fractional base or
+weight, or a base + weight outside 0..max_load), and so do the models without a
+kernel, which have nothing to bound a subtree with; the caller then prices every
+deviation.
 
 Load-range rule.  Table-backed models (Tabulated, SeparablePlusLinear,
 PlayerSpecificSeparable) accept integer loads only: a fractional load
@@ -398,7 +399,7 @@ class SeparablePlusLinear(_Kernel):
         """(u, w*w, pair_bounds) over D, the pricer's units: a player of weight w pays
         sum_{r in S} u[r] + w*w * sum_{r < s in S} sym[r][s] for w*1_S at base.  None
         where a deviation could raise, which keeps the full scan: a fractional base or
-        weight, or a resource that base + weight takes past max_load."""
+        weight, or a resource that base + weight takes outside 0..max_load."""
         if int(weight) != weight:
             return None
         try:
@@ -406,7 +407,7 @@ class SeparablePlusLinear(_Kernel):
         except LoadRangeError:
             return None
         w = int(weight)
-        if max(ib, default=0) + w > self.max_load:
+        if min(ib, default=0) + w < 0 or max(ib, default=0) + w > self.max_load:
             return None
         D, cols, F = self.kernel
         a_base = _times(cols, ib)
@@ -499,8 +500,9 @@ class Exponential(_NoKernel):
         return len(self.a)
 
     def entry(self, loads: Loads, r: int, player: Optional[int] = None) -> Number:
-        try:
-            value = self.a[r] * math.exp(self.phi * float(loads[r])) + self.b[r]
+        a = self.a[r]
+        try:  # a_r = 0 never reads the exponential, which may overflow where c_r = b_r
+            value = a * (math.exp(self.phi * float(loads[r])) if a else 1.0) + self.b[r]
         except OverflowError:
             value = math.inf
         if not math.isfinite(value):

@@ -14,7 +14,7 @@ from itertools import product
 from typing import Optional
 
 from .core import Explicit, Game, Player, incidence
-from .dynamics import IsPNE, verify_pne
+from .dynamics import IsPNE, prices, verify_pne
 from .costs import SeparablePlusLinear, Tabulated
 from .errors import CapacityError, StructureError
 from .matroid import Partition
@@ -147,11 +147,9 @@ def forbidden_pairs_oracle(inst: ForbiddenPairsInstance) -> bool:
 
 def check_reduction(inst, game: Game, oracle_answer: bool) -> bool:
     """Zero-min-cost equivalence plus the equilibrium framing of verification."""
-    player = game.players[0]
-    strategies = player.strategies()
+    strategies = game.players[0].strategies()
     # the only player: no other load, and one scale for every price
-    _, price = game.cost_model.pricer((0,) * game.n_resources, 0, player.weight)
-    costs = [price(y) for y in strategies]
+    _, costs = prices(game, 0, (0,) * game.n_resources)
     zero_exists = min(costs) == 0
     if zero_exists != oracle_answer:
         return False

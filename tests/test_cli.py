@@ -521,6 +521,17 @@ INPUT_CHECKS = {
         "player 0 needs weight 1, got 2"),
 }
 
+# Inputs with every cost finite that a check once refused: each is priced and certified.
+INPUT_ACCEPTS = {
+    "exponential a = 0 with exp past the float range, solved": (
+        ["solve", with_cost("exponential_game.json", a=[0.0, 0.0], phi=1000.0)],
+        {"kind": "pne_found", "profile": [[0], [0], [0]]}),
+    "exponential a = 0 with exp past the float range, verified": (
+        ["verify", with_cost("exponential_game.json", a=[0.0, 0.0], phi=1000.0),
+         "--profile", golden("exponential_profile.json")],
+        {"kind": "is_pne"}),
+}
+
 
 class TestInputHardening:
     @pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
@@ -529,6 +540,13 @@ class TestInputHardening:
         assert main(as_files(argv, tmp_path)) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("name", sorted(INPUT_ACCEPTS))
+    def test_finite_inputs_are_certified(self, name, tmp_path, capsys):
+        argv, fields = INPUT_ACCEPTS[name]
+        assert main(as_files(argv, tmp_path)) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and fields.items() <= json.loads(out).items()
 
     @pytest.mark.parametrize("field", sorted(NON_INTEGER_FIELDS))
     def test_non_integer_field_rejected(self, field, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +15,7 @@ from rggames.core import (
     load_of,
     pricer,
     private_cost,
+    support,
     validate_profile,
 )
 from rggames.costs import (
@@ -170,6 +172,16 @@ class TestStructure:
         validate_profile(game, ((1, 0), (0, 1)))
         with pytest.raises(StructureError):
             validate_profile(game, ((1, 1), (0, 1)))
+
+    def test_validate_profile_below_between_and_past_the_space(self):
+        space = Explicit(vectors=((0, 1, 0), (0, 1, 1), (1, 1, 0)))
+        game = Game(n_resources=3, players=(Player(weight=2, strategy_space=space),),
+                    cost_model=affine_identity(3))
+        validate_profile(game, ((Fraction(2), 2, 0),))
+        for choice in ((0, 0, 2), (0, 2, 1), (2, 0, 0), (2, 2, 2), (1, 1, 0)):
+            with pytest.raises(StructureError, match=re.escape(
+                    f"player 0 cannot play resources {support(choice)}")):
+                validate_profile(game, (choice,))
 
     def test_brute_force_budget_boundary(self):
         game = simple_game(m=2, n=3)  # 2**3 profiles

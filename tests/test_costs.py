@@ -45,6 +45,14 @@ class TestEvalCost:
         model = Exponential(a=(1.0,), phi=0.0, b=(0.0,))
         assert eval_cost(model, (5,)) == pytest.approx((1.0,))
 
+    def test_exponential_zero_a_never_reads_the_exponential(self):
+        """exp(1000 * 3) is past the float range, but with a_r = 0 the cost is b_r."""
+        model = Exponential(a=(0.0, -0.0, 1.0), phi=1000.0, b=(0.25, 0.0, 1.0))
+        assert [repr(eval_cost_entry(model, (3, 3, 0), r)) for r in range(3)] == [
+            "0.25", "0.0", "2.0"]
+        with pytest.raises(LoadRangeError, match="resource 2 overflows a float at load 3"):
+            eval_cost_entry(model, (3, 3, 3), 2)
+
     def test_player_specific_requires_index(self):
         model = PlayerSpecificSeparable(nu=(((Fraction(0), Fraction(1)),),))
         with pytest.raises(UsageError):

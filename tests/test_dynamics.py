@@ -900,3 +900,113 @@ class TestPrunedSearch:
                     lambda: frozen_best_response(game, profile, 0)):
             with pytest.raises(LoadRangeError, match=message):
                 run()
+
+
+# --- prices: every strategy of one player, against the list priced one by one -------
+
+
+def listed(game, i, base):
+    """prices as the list of each strategy priced on its own by the model's pricer."""
+    player = game.players[i]
+    scale, price = game.cost_model.pricer(base, i, player.weight)
+    return scale, [price(y) for y in player.strategies()]
+
+
+PRICES_KINDS = ("spl", "affine", "tabulated", "exponential")
+
+
+def prices_case(seed):
+    """(game, i, base): a seeded game of kind PRICES_KINDS[seed % 4] with one to three
+    players of integer or fractional weight, and a base of integral, fractional,
+    negative or past-the-table loads."""
+    rng = random.Random(seed)
+    kind = PRICES_KINDS[seed % len(PRICES_KINDS)]
+    m, top = rng.randint(2, 5), rng.randint(1, 4)
+    if kind == "spl":
+        cost = SeparablePlusLinear(
+            f=tuple(tuple(_rat(rng) for _ in range(top + 1)) for _ in range(m)),
+            A=tuple(tuple(_rat(rng) for _ in range(m)) for _ in range(m)))
+    elif kind == "affine":
+        cost = Affine(A=tuple(tuple(_rat(rng) for _ in range(m)) for _ in range(m)),
+                      b=tuple(_rat(rng) for _ in range(m)))
+    elif kind == "tabulated":
+        hoods = tuple(tuple(s for s in range(m) if s == r or rng.random() < 0.4)
+                      for r in range(m))
+        tables = tuple({key: _rat(rng) for key in product(range(top + 1), repeat=len(hood))
+                        if rng.random() < 0.9} for hood in hoods)
+        cost = Tabulated(m=m, neighborhoods=hoods, tables=tables, max_load=top)
+    else:
+        cost = Exponential(a=tuple(rng.choice((0.0, rng.uniform(-1, 2))) for _ in range(m)),
+                           phi=rng.choice((0.5, 1.5, 400.0)),
+                           b=tuple(rng.uniform(-1, 1) for _ in range(m)))
+    spaces = (lambda: _explicit(rng, m, most=2 ** m), lambda: Uniform(m, rng.randint(1, m)),
+              lambda: Partition(m, (tuple(range(m // 2)), tuple(range(m // 2, m))),
+                                (rng.randint(0, m // 2), rng.randint(0, m - m // 2))))
+    players = tuple(
+        Player(weight=rng.choice((1, 1, 2, Fraction(1, 2), Fraction(3, 2))),
+               strategy_space=rng.choice(spaces)())
+        for _ in range(rng.randint(1, 3)))
+    game = Game(n_resources=m, players=players, cost_model=cost)
+    loads = (lambda: rng.randint(0, top), lambda: rng.randint(0, top),
+             lambda: rng.randint(top, top + 2), lambda: -1, lambda: Fraction(rng.randint(0, 5), 2))
+    base = tuple(rng.choice(loads)() for _ in range(m))
+    return game, rng.randrange(len(players)), base
+
+
+class TestPrices:
+    """prices equals the list of every strategy priced on its own, value for value and
+    error for error, on both of its paths."""
+
+    def test_matches_the_list(self):
+        seen = set()
+        for seed in range(400):
+            game, i, base = prices_case(seed)
+            got = outcome(lambda game: dynamics.prices(game, i, base), game)
+            assert got == outcome(lambda game: listed(game, i, base), game), seed
+            bound = game.cost_model.bound(base, game.players[i].weight)
+            seen.add((type(game.cost_model).__name__, bound is not None, type(got[0]) is type))
+        # each kernel model took the one pass; every model raised somewhere but Affine
+        assert {("SeparablePlusLinear", True, False), ("Affine", True, False),
+                ("SeparablePlusLinear", False, True), ("Tabulated", False, True),
+                ("Exponential", False, True)} <= seen
+
+    def test_spl_base_at_and_past_the_table(self):
+        spl = separable([[0, 1, 3, 6]] * 3, A=tuple(
+            tuple(Fraction(r - s, 2) for s in range(3)) for r in range(3)))  # max_load 3
+        full = make_game(spl, [tuple(v for v in product((0, 1), repeat=3) if any(v))])
+        avoid = make_game(spl, [((0, 0, 1), (0, 1, 0), (0, 1, 1))])
+        for game, base in ((full, (2, 2, 2)), (full, (3, 0, 1)), (full, (0, 0, 4)),
+                           (avoid, (4, 1, 2))):
+            assert (outcome(lambda game: dynamics.prices(game, 0, base), game)
+                    == outcome(lambda game: listed(game, 0, base), game)), base
+        assert spl.bound((2, 2, 2), 1) is not None and spl.bound((3, 0, 1), 1) is None
+        with pytest.raises(LoadRangeError, match="load 4 outside 0..3"):
+            dynamics.prices(full, 0, (3, 0, 1))
+        assert dynamics.prices(avoid, 0, (4, 1, 2))[1] == listed(avoid, 0, (4, 1, 2))[1]
+
+    def test_negative_base_keeps_the_list(self):
+        """A base of -2 takes a load of weight 1 below 0: there is no bound, and the
+        list raises where a strategy reads that load."""
+        spl = separable([[0, 1, 2]] * 2)
+        game = make_game(spl, [((0, 1), (1, 0))])
+        assert spl.bound((-2, 0), 1) is None
+        with pytest.raises(LoadRangeError, match="load -1 outside 0..2"):
+            dynamics.prices(game, 0, (-2, 0))
+
+    def test_one_pass_prices_no_strategy_on_its_own(self, monkeypatch):
+        """On sat6.cnf's game the pricer gives the scale and prices nothing."""
+        golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+        with open(os.path.join(golden, "sat6.cnf")) as fh:
+            game = reduce_sat(parse_dimacs(fh.read()))
+        base = (0,) * game.n_resources
+        expected = listed(game, 0, base)
+        priced = []
+        pricer = SeparablePlusLinear.pricer
+
+        def counting(self, *args):
+            scale, price = pricer(self, *args)
+            return scale, lambda y: priced.append(y) or price(y)
+
+        monkeypatch.setattr(SeparablePlusLinear, "pricer", counting)
+        assert dynamics.prices(game, 0, base) == expected
+        assert priced == [] and len(expected[1]) == 729

@@ -176,6 +176,28 @@ class TestCheckReduction:
             game = reduce_forbidden_pairs(inst)
             assert check_reduction(inst, game, forbidden_pairs_oracle(inst))
 
+    @pytest.mark.parametrize("inst, answer", [
+        (SatInstance(n_vars=3, clauses=(((0, True), (1, True), (2, True)),
+                                        ((0, False), (1, False), (2, True)))), True),
+        (SatInstance(n_vars=1, clauses=(((0, True),) * 3, ((0, False),) * 3)), False),
+    ], ids=["satisfiable", "unsatisfiable"])
+    def test_sat_refuses_the_flipped_answer(self, inst, answer):
+        game = reduce_sat(inst)
+        assert sat_oracle(inst) is answer
+        assert check_reduction(inst, game, answer)
+        assert not check_reduction(inst, game, not answer)
+
+    @pytest.mark.parametrize("inst, answer", [
+        (TestForbiddenPairs.DIAMOND, True),
+        (ForbiddenPairsInstance(n_vertices=3, edges=((0, 1), (1, 2)), s=0, t=2,
+                                pairs=((0, 1),)), False),
+    ], ids=["yes", "no"])
+    def test_pairs_refuses_the_flipped_answer(self, inst, answer):
+        game = reduce_forbidden_pairs(inst)
+        assert forbidden_pairs_oracle(inst) is answer
+        assert check_reduction(inst, game, answer)
+        assert not check_reduction(inst, game, not answer)
+
 
 class TestDimacs:
     def test_parse_basic(self):
